@@ -474,36 +474,31 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 		jr    *Journal
 		prior *State
 	)
-	if fileExists(jpath) {
-		jr, prior, err = ResumeFS(c.cfg.FS, jpath, "deesim-coord", meta)
-		if err != nil {
-			if runx.IsKind(err, runx.KindUnavailable) {
-				return err // disk full, not damage: park for resume
-			}
-			// Same self-healing rule as the worker daemon: an unusable
-			// journal carries no trustworthy progress, and cells are
-			// deterministic — but the evidence is quarantined, never
-			// deleted.
-			qp, qerr := durable.Quarantine(c.cfg.FS, jpath)
-			if qerr != nil {
-				return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: journal unusable (%v) and quarantine failed: %v", sw.id, err, qerr)
-			}
-			c.met.quarantined.Inc()
-			c.met.healed.Inc()
-			durable.NoteHealed()
-			c.cfg.Logf("deesim-coord: sweep %s: journal unusable (%v), quarantined to %s, restarting from scratch", sw.id, err, qp)
-			jr, prior = nil, nil
-		} else {
-			c.met.sweepsResumed.Inc()
-			c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", sw.id, prior.Summary(len(tasks)))
-		}
-	}
-	if jr == nil {
-		if jr, err = CreateFS(c.cfg.FS, jpath, "deesim-coord", meta); err != nil {
+	// Same self-healing rule as the worker daemon: an unusable journal
+	// is quarantined and the sweep restarts from scratch; a full disk
+	// parks it.
+	qp, cause, err := durable.ReopenLog(c.cfg.FS, jpath,
+		func() (err error) {
+			jr, prior, err = ResumeFS(c.cfg.FS, jpath, Tool, meta)
 			return err
-		}
+		},
+		func() (err error) {
+			jr, err = CreateFS(c.cfg.FS, jpath, Tool, meta)
+			return err
+		})
+	if qp != "" {
+		c.met.quarantined.Inc()
+		c.met.healed.Inc()
+		c.cfg.Logf("deesim-coord: sweep %s: journal unusable (%v), quarantined to %s, restarting from scratch", sw.id, cause, qp)
+	}
+	if err != nil {
+		return err
 	}
 	defer jr.Close()
+	if prior != nil {
+		c.met.sweepsResumed.Inc()
+		c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", sw.id, prior.Summary(len(tasks)))
+	}
 
 	// Memo prefill: cells the cache already holds become durable done
 	// records from the pseudo-worker "memo" before any lease is granted,
@@ -860,11 +855,6 @@ func (c *Coordinator) probeDisk() bool {
 	cerr := f.Close()
 	c.cfg.FS.Remove(path)
 	return werr == nil && serr == nil && cerr == nil
-}
-
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
 }
 
 func parseSpecDuration(name, val string) (time.Duration, error) {

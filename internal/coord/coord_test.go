@@ -567,3 +567,8 @@ func TestSubmitAdmission(t *testing.T) {
 		t.Error("invalid spec admitted")
 	}
 }
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}

@@ -1,20 +1,16 @@
 package coord
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 
-	"deesim/internal/runx"
+	"deesim/internal/durable/durabletest"
 )
 
-// FuzzCoordJournal holds the coordinator journal to the same recovery
-// contract the superv journal fuzzer enforces: Decode never panics on
-// arbitrary bytes, every error is typed, and every recovered
-// completion has a non-empty key and a valid JSON payload. The second
-// property fuzzed here is the torn-tail rule: damage confined to the
-// FINAL line is recovered (Truncated > 0), never silently absorbed as
-// state.
+// FuzzCoordJournal holds the shared log decoder, folding coordinator
+// records, to the recovery contract the superv fuzzer enforces
+// (durabletest.CheckDecode: typed errors, valid completions, torn-tail
+// truncation confined to the final line), plus the coordinator's own
+// rule that no cell is both done and awaiting re-queue.
 func FuzzCoordJournal(f *testing.F) {
 	f.Add([]byte(`{"kind":"header","v":1,"tool":"deesim-coord"}` + "\n"))
 	f.Add([]byte(`{"kind":"header","v":1,"tool":"t"}` + "\n" +
@@ -30,19 +26,10 @@ func FuzzCoordJournal(f *testing.F) {
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := Decode(data)
+		d, _ := decoded(st, err)
+		durabletest.CheckDecode(t, data, d, err)
 		if err != nil {
-			if _, ok := runx.As(err); !ok {
-				t.Fatalf("untyped decode error: %v", err)
-			}
 			return
-		}
-		for k, v := range st.Done {
-			if k == "" || len(v) == 0 {
-				t.Fatalf("recovered empty completion %q -> %q", k, v)
-			}
-			if !json.Valid(v) {
-				t.Fatalf("recovered invalid payload for %q: %q", k, v)
-			}
 		}
 		for k := range st.Attempts {
 			if k == "" {
@@ -50,17 +37,6 @@ func FuzzCoordJournal(f *testing.F) {
 			}
 			if _, done := st.Done[k]; done {
 				t.Fatalf("cell %q both done and pending re-queue", k)
-			}
-		}
-		// Torn-tail rule: if recovery reported truncation, the dropped
-		// region must sit at the very end of the input.
-		if st.Truncated > len(data) {
-			t.Fatalf("truncated %d bytes of a %d-byte journal", st.Truncated, len(data))
-		}
-		if st.Truncated > 0 {
-			tail := data[len(data)-st.Truncated:]
-			if i := bytes.IndexByte(tail, '\n'); i >= 0 && i != len(tail)-1 {
-				t.Fatalf("recovery dropped an interior line: %q", tail)
 			}
 		}
 	})

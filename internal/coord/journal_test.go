@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 
+	"deesim/internal/durable"
+	"deesim/internal/durable/durabletest"
 	"deesim/internal/runx"
 )
 
@@ -69,123 +71,49 @@ func TestCoordJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCoordJournalTruncateEveryByte is the coordinator-crash
-// simulation: every prefix of a valid journal must either replay —
-// never inventing completions the prefix doesn't contain — or fail
-// with a typed error. Never a panic.
-func TestCoordJournalTruncateEveryByte(t *testing.T) {
-	path := writeCoordSample(t)
-	data, err := os.ReadFile(path)
+// family adapts the coordinator journal to the durable.Log
+// conformance suite.
+func family(t *testing.T) durabletest.Family {
+	data, err := os.ReadFile(writeCoordSample(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n <= len(data); n++ {
-		st, err := Decode(data[:n])
-		if err != nil {
-			if _, ok := runx.As(err); !ok {
-				t.Fatalf("truncate@%d: untyped error %v", n, err)
+	return durabletest.Family{
+		Sample: data,
+		Decode: func(b []byte) (durabletest.Decoded, error) { return decoded(Decode(b)) },
+		Resume: func(fsys durable.FS, path string) (durabletest.Decoded, error) {
+			j, st, err := ResumeFS(fsys, path, Tool, nil)
+			if err == nil {
+				err = j.Close()
 			}
-			continue
-		}
-		if len(st.Done) > len(full.Done) {
-			t.Fatalf("truncate@%d: recovered %d completions from a journal holding %d", n, len(st.Done), len(full.Done))
-		}
-		for k, v := range st.Done {
-			if string(full.Done[k]) != string(v) {
-				t.Fatalf("truncate@%d: completion %s payload %s != %s", n, k, v, full.Done[k])
-			}
-		}
+			return decoded(st, err)
+		},
 	}
 }
 
-// TestCoordJournalFlipEveryByte is the bit-rot simulation: for every
-// byte of a valid journal, flip one bit and replay. Per-record content
-// digests must make every flip either a typed error or provably
-// harmless — recovered completions a byte-identical subset of the
-// original's (a damaged final record may drop to the torn-tail path
-// and the cell re-runs; no flip may surface a silently altered
-// payload).
-func TestCoordJournalFlipEveryByte(t *testing.T) {
-	path := writeCoordSample(t)
-	data, err := os.ReadFile(path)
+func decoded(st *State, err error) (durabletest.Decoded, error) {
 	if err != nil {
-		t.Fatal(err)
+		return durabletest.Decoded{}, err
 	}
-	full, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := range data {
-		rot := append([]byte(nil), data...)
-		rot[off] ^= 1 << (off % 8)
-		st, err := Decode(rot)
-		if err != nil {
-			if _, ok := runx.As(err); !ok {
-				t.Fatalf("flip@%d: untyped error %v", off, err)
-			}
-			continue
-		}
-		if len(st.Done) > len(full.Done) {
-			t.Fatalf("flip@%d: recovered %d completions from a journal holding %d", off, len(st.Done), len(full.Done))
-		}
-		for k, v := range st.Done {
-			if string(full.Done[k]) != string(v) {
-				t.Fatalf("flip@%d: completion %s payload %s != original %s", off, k, v, full.Done[k])
-			}
-		}
-	}
+	return durabletest.Decoded{Done: st.Done, Truncated: st.Truncated, State: st}, nil
 }
 
-func TestCoordJournalTornTailRecovered(t *testing.T) {
-	path := writeCoordSample(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Decode(data[:len(data)-4]) // tear the final record
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Truncated == 0 {
-		t.Error("torn tail not reported")
-	}
-	if len(st.Done) != 2 {
-		t.Errorf("torn tail lost completions: %v", st.Done)
-	}
-}
-
+func TestCoordJournalTruncateEveryByte(t *testing.T) { durabletest.TruncateEveryByte(t, family(t)) }
+func TestCoordJournalFlipEveryByte(t *testing.T)     { durabletest.FlipEveryByte(t, family(t)) }
+func TestCoordJournalTornTailRecovered(t *testing.T) { durabletest.TornTail(t, family(t)) }
 func TestCoordJournalMidFileCorruptionTyped(t *testing.T) {
-	path := writeCoordSample(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.SplitAfter(string(data), "\n")
-	lines[2] = "{torn interior record\n"
-	_, err = Decode([]byte(strings.Join(lines, "")))
-	e, ok := runx.As(err)
-	if !ok || e.Kind != runx.KindCorrupt {
-		t.Fatalf("interior damage = %v, want KindCorrupt", err)
-	}
+	durabletest.InteriorDamage(t, family(t))
+}
+func TestCoordJournalRejectsWrongVersionAndMissingHeader(t *testing.T) {
+	durabletest.HeaderChecks(t, family(t))
+}
+func TestCoordJournalResumeCompactionFaults(t *testing.T) {
+	durabletest.CompactionFaults(t, family(t))
 }
 
-func TestCoordJournalRejectsWrongVersionAndMissingHeader(t *testing.T) {
-	for name, data := range map[string]string{
-		"empty":         "",
-		"no header":     `{"kind":"assign","key":"a","attempt":1}` + "\n",
-		"wrong version": `{"kind":"header","v":99,"tool":"deesim-coord"}` + "\n",
-	} {
-		_, err := Decode([]byte(data))
-		e, ok := runx.As(err)
-		if !ok || e.Kind != runx.KindCorrupt {
-			t.Errorf("%s: err = %v, want KindCorrupt", name, err)
-		}
-	}
-}
+// TestCoordJournalFixtures checks the format against a testdata
+// journal written before the log was shared.
+func TestCoordJournalFixtures(t *testing.T) { durabletest.Fixtures(t, family(t), "testdata") }
 
 func TestCoordJournalDoneWithoutPayloadCorrupt(t *testing.T) {
 	data := `{"kind":"header","v":1,"tool":"deesim-coord"}` + "\n" +

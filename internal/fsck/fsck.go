@@ -171,50 +171,34 @@ func File(fsys durable.FS, path string) Verdict {
 }
 
 // Journal checks a JSONL journal by full replay, which verifies every
-// record's content digest. The decoder is picked by the file's name —
-// run.journal is a superv journal, coord.journal a coordinator one —
-// and unknown names try both.
+// record's content digest. The header's tool picks the record decoder:
+// coordinator journals hold coord records, every other tool's hold
+// superv records.
 func Journal(fsys durable.FS, path string) Verdict {
-	fsys = durable.Or(fsys)
-	type result struct {
-		done, torn int
-		err        error
+	data, err := durable.Or(fsys).ReadFile(path)
+	if err != nil {
+		return Verdict{Path: path, Status: StatusCorrupt, Detail: err.Error()}
 	}
-	trySuperv := func() result {
-		st, err := superv.LoadFS(fsys, path)
-		if err != nil {
-			return result{err: err}
+	var done, torn int
+	if durable.LogTool(data) == coord.Tool {
+		var st *coord.State
+		if st, err = coord.Decode(data); err == nil {
+			done, torn = len(st.Done), st.Truncated
 		}
-		return result{done: len(st.Done), torn: st.Truncated}
-	}
-	tryCoord := func() result {
-		st, err := coord.LoadFS(fsys, path)
-		if err != nil {
-			return result{err: err}
-		}
-		return result{done: len(st.Done), torn: st.Truncated}
-	}
-	var res result
-	switch filepath.Base(path) {
-	case "run.journal":
-		res = trySuperv()
-	case "coord.journal":
-		res = tryCoord()
-	default:
-		if res = trySuperv(); res.err != nil {
-			if alt := tryCoord(); alt.err == nil {
-				res = alt
-			}
+	} else {
+		var st *superv.State
+		if st, err = superv.Decode(data); err == nil {
+			done, torn = len(st.Done), st.Truncated
 		}
 	}
 	switch {
-	case res.err != nil:
-		return Verdict{Path: path, Status: StatusCorrupt, Detail: res.err.Error()}
-	case res.torn > 0:
+	case err != nil:
+		return Verdict{Path: path, Status: StatusCorrupt, Detail: err.Error()}
+	case torn > 0:
 		return Verdict{Path: path, Status: StatusTorn,
-			Detail: fmt.Sprintf("%d done record(s); %d torn byte(s) will drop on resume and re-run", res.done, res.torn)}
+			Detail: fmt.Sprintf("%d done record(s); %d torn byte(s) will drop on resume and re-run", done, torn)}
 	default:
-		return Verdict{Path: path, Status: StatusOK, Detail: fmt.Sprintf("%d done record(s)", res.done)}
+		return Verdict{Path: path, Status: StatusOK, Detail: fmt.Sprintf("%d done record(s)", done)}
 	}
 }
 

@@ -184,6 +184,32 @@ func TestJournalTornIsNotCorrupt(t *testing.T) {
 	}
 }
 
+// TestJournalDecoderFromHeader: the header's tool, not the file name,
+// picks the record decoder, so a coordinator journal under any name
+// replays as one — its worker-stamped done records would fail a superv
+// replay's sums.
+func TestJournalDecoderFromHeader(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "renamed.journal")
+	cj, err := coord.Create(path, coord.Tool, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range []coord.Record{
+		{Kind: coord.KindAssign, Key: "a", Worker: "w1", Lease: "l1", Attempt: 1},
+		{Kind: coord.KindDone, Key: "a", Worker: "w1", Lease: "l1", Attempt: 1, Result: json.RawMessage(`{"v":1}`)},
+	} {
+		if err := cj.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cj.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if v := Journal(nil, path); v.Status != StatusOK || v.Detail != "1 done record(s)" {
+		t.Errorf("coord journal under a non-standard name: %+v, want ok with 1 done record", v)
+	}
+}
+
 func TestCleanTreeIsClean(t *testing.T) {
 	root := t.TempDir()
 	if err := durable.WriteFileAtomic(nil, filepath.Join(root, "a.json"), []byte("{}")); err != nil {

@@ -589,32 +589,25 @@ func (s *Server) runJob(ctx context.Context, jb *job) (err error) {
 		jr    *superv.Journal
 		prior *superv.State
 	)
-	if s.fileExists(jpath) {
-		jr, prior, err = superv.ResumeFS(s.cfg.FS, jpath, "deesimd", meta)
-		if err != nil {
-			if runx.IsKind(err, runx.KindUnavailable) {
-				return err // disk full, not damage: park for resume, do not quarantine
-			}
-			// An unusable journal (corrupt record, torn header, recorded
-			// under different settings) carries no trustworthy progress.
-			// The sweep is deterministic, so the safe self-healing move is
-			// to quarantine the damaged journal — never delete evidence —
-			// and restart the job from scratch.
-			qp, qerr := durable.Quarantine(s.cfg.FS, jpath)
-			if qerr != nil {
-				return runx.Newf(runx.KindCorrupt, stageServer, "job %s: journal unusable (%v) and quarantine failed: %v", jb.id, err, qerr)
-			}
-			s.met.quarantined.Inc()
-			s.met.healed.Inc()
-			durable.NoteHealed()
-			s.cfg.Logf("deesimd: job %s: journal unusable (%v), quarantined to %s, restarting sweep from scratch", jb.id, err, qp)
-			jr, prior = nil, nil
-		}
-	}
-	if jr == nil {
-		if jr, err = superv.CreateFS(s.cfg.FS, jpath, "deesimd", meta); err != nil {
+	// A journal that cannot resume (corrupt record, torn header, recorded
+	// under different settings) is quarantined and the job restarts from
+	// scratch; a full disk returns KindUnavailable and parks the job.
+	qp, cause, err := durable.ReopenLog(s.cfg.FS, jpath,
+		func() (err error) {
+			jr, prior, err = superv.ResumeFS(s.cfg.FS, jpath, "deesimd", meta)
 			return err
-		}
+		},
+		func() (err error) {
+			jr, err = superv.CreateFS(s.cfg.FS, jpath, "deesimd", meta)
+			return err
+		})
+	if qp != "" {
+		s.met.quarantined.Inc()
+		s.met.healed.Inc()
+		s.cfg.Logf("deesimd: job %s: journal unusable (%v), quarantined to %s, restarting sweep from scratch", jb.id, cause, qp)
+	}
+	if err != nil {
+		return err
 	}
 	defer jr.Close()
 

@@ -1,16 +1,14 @@
 package superv
 
 import (
-	"encoding/json"
 	"testing"
 
-	"deesim/internal/runx"
+	"deesim/internal/durable/durabletest"
 )
 
-// FuzzJournalDecode holds the journal decoder to the recovery
-// contract over arbitrary bytes: it either returns a usable State or a
-// typed *runx.Error — it never panics, and every recovered completion
-// carries a non-empty key and payload.
+// FuzzJournalDecode holds the shared log decoder, folding run records,
+// to the recovery contract over arbitrary bytes (durabletest.CheckDecode):
+// a usable State or a typed *runx.Error, never a panic.
 func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte(`{"kind":"header","v":1,"tool":"deesim"}` + "\n"))
 	f.Add([]byte(`{"kind":"header","v":1,"tool":"t"}` + "\n" +
@@ -20,20 +18,7 @@ func FuzzJournalDecode(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02 torn garbage"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Decode(data)
-		if err != nil {
-			if _, ok := runx.As(err); !ok {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		for k, v := range st.Done {
-			if k == "" || len(v) == 0 {
-				t.Fatalf("recovered empty completion %q -> %q", k, v)
-			}
-			if !json.Valid(v) {
-				t.Fatalf("recovered invalid payload for %q: %q", k, v)
-			}
-		}
+		d, err := decoded(Decode(data))
+		durabletest.CheckDecode(t, data, d, err)
 	})
 }

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
+	"deesim/internal/durable"
+	"deesim/internal/durable/durabletest"
 	"deesim/internal/runx"
 )
 
@@ -60,129 +62,42 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTruncateEveryByte is the crash simulation: for every
-// prefix length of a valid journal, recovery must either succeed —
-// never inventing completions the prefix doesn't contain — or fail
-// with a typed KindCorrupt/KindInvalidInput error. It must never panic.
-func TestJournalTruncateEveryByte(t *testing.T) {
-	path := writeSample(t)
-	data, err := os.ReadFile(path)
+// family adapts the run journal to the durable.Log conformance suite.
+func family(t *testing.T) durabletest.Family {
+	data, err := os.ReadFile(writeSample(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := 0; n <= len(data); n++ {
-		st, err := Decode(data[:n])
-		if err != nil {
-			if _, ok := runx.As(err); !ok {
-				t.Fatalf("truncate@%d: untyped error %v", n, err)
+	return durabletest.Family{
+		Sample: data,
+		Decode: func(b []byte) (durabletest.Decoded, error) { return decoded(Decode(b)) },
+		Resume: func(fsys durable.FS, path string) (durabletest.Decoded, error) {
+			j, st, err := ResumeFS(fsys, path, "testtool", nil)
+			if err == nil {
+				err = j.Close()
 			}
-			continue
-		}
-		if len(st.Done) > len(full.Done) {
-			t.Fatalf("truncate@%d: recovered %d completions from a journal holding %d", n, len(st.Done), len(full.Done))
-		}
-		for k, v := range st.Done {
-			if string(full.Done[k]) != string(v) {
-				t.Fatalf("truncate@%d: completion %s payload %s != %s", n, k, v, full.Done[k])
-			}
-		}
+			return decoded(st, err)
+		},
 	}
 }
 
-// TestJournalFlipEveryByte is the bit-rot simulation paired with the
-// truncation suite above: for every byte of a valid journal, flip one
-// bit and decode. Per-record content digests must make every flip
-// either a typed error or provably harmless — a recovered state whose
-// completions are a byte-identical subset of the original's (a damaged
-// final record may lawfully drop to the torn-tail path and re-run, but
-// no flip may ever surface a silently altered payload).
-func TestJournalFlipEveryByte(t *testing.T) {
-	path := writeSample(t)
-	data, err := os.ReadFile(path)
+func decoded(st *State, err error) (durabletest.Decoded, error) {
 	if err != nil {
-		t.Fatal(err)
+		return durabletest.Decoded{}, err
 	}
-	full, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for off := range data {
-		rot := append([]byte(nil), data...)
-		rot[off] ^= 1 << (off % 8)
-		st, err := Decode(rot)
-		if err != nil {
-			if _, ok := runx.As(err); !ok {
-				t.Fatalf("flip@%d: untyped error %v", off, err)
-			}
-			continue
-		}
-		if len(st.Done) > len(full.Done) {
-			t.Fatalf("flip@%d: recovered %d completions from a journal holding %d", off, len(st.Done), len(full.Done))
-		}
-		for k, v := range st.Done {
-			if string(full.Done[k]) != string(v) {
-				t.Fatalf("flip@%d: completion %s payload %s != original %s", off, k, v, full.Done[k])
-			}
-		}
-	}
+	return durabletest.Decoded{Done: st.Done, Truncated: st.Truncated, State: st}, nil
 }
 
-// TestJournalTornTailRecovered: chopping bytes off the final record is
-// recovered (with Truncated > 0) and the surviving completions intact.
-func TestJournalTornTailRecovered(t *testing.T) {
-	path := writeSample(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Decode(data[:len(data)-4]) // tear the final record
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Truncated == 0 {
-		t.Error("torn tail not reported")
-	}
-	if len(st.Done) != 2 {
-		t.Errorf("torn tail lost completions: %v", st.Done)
-	}
-}
+func TestJournalTruncateEveryByte(t *testing.T)      { durabletest.TruncateEveryByte(t, family(t)) }
+func TestJournalFlipEveryByte(t *testing.T)          { durabletest.FlipEveryByte(t, family(t)) }
+func TestJournalTornTailRecovered(t *testing.T)      { durabletest.TornTail(t, family(t)) }
+func TestJournalMidFileCorruptionTyped(t *testing.T) { durabletest.InteriorDamage(t, family(t)) }
+func TestJournalHeaderChecks(t *testing.T)           { durabletest.HeaderChecks(t, family(t)) }
+func TestResumeCompactionFaults(t *testing.T)        { durabletest.CompactionFaults(t, family(t)) }
 
-func TestJournalMidFileCorruptionTyped(t *testing.T) {
-	path := writeSample(t)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte inside the JSON structure of the second line (the
-	// opening brace), leaving later lines intact: mid-file corruption.
-	idx := 0
-	for i, b := range data {
-		if b == '\n' {
-			idx = i + 1
-			break
-		}
-	}
-	data[idx] = 'X'
-	if _, err := Decode(data); !runx.IsKind(err, runx.KindCorrupt) {
-		t.Errorf("mid-file corruption returned %v, want KindCorrupt", err)
-	}
-}
-
-func TestJournalHeaderChecks(t *testing.T) {
-	if _, err := Decode(nil); !runx.IsKind(err, runx.KindCorrupt) {
-		t.Errorf("empty journal: %v", err)
-	}
-	if _, err := Decode([]byte(`{"kind":"start","key":"a"}` + "\n")); !runx.IsKind(err, runx.KindCorrupt) {
-		t.Errorf("missing header: %v", err)
-	}
-	if _, err := Decode([]byte(`{"kind":"header","v":99,"tool":"t"}` + "\n")); !runx.IsKind(err, runx.KindCorrupt) {
-		t.Errorf("future version: %v", err)
-	}
-}
+// TestJournalFixtures checks the format against testdata journals
+// written before the log was shared, one of them without record sums.
+func TestJournalFixtures(t *testing.T) { durabletest.Fixtures(t, family(t), "testdata") }
 
 // TestResumeCompacts: Resume swaps in a checkpoint holding the header
 // plus one done record per completion, drops torn bytes, and the
@@ -226,19 +141,5 @@ func TestResumeRejectsForeignJournal(t *testing.T) {
 	}
 	if _, _, err := Resume(path, "testtool", map[string]string{"digest": "different"}); !runx.IsKind(err, runx.KindInvalidInput) {
 		t.Errorf("mismatched meta accepted: %v", err)
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.json")
-	if err := WriteFileAtomic(path, []byte("hello")); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("world")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil || string(got) != "world" {
-		t.Errorf("read back %q, %v", got, err)
 	}
 }
