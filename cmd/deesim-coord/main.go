@@ -16,9 +16,12 @@
 //	             [-retry-after d] [-log-level info] [-log-json]
 //	             [-metrics-out path] [-flight-out path] [-version] [-fsck]
 //
-// Overload policy: sweeps carry the same priority/deadline spec fields
-// deesimd understands; a sweep past its absolute deadline is refused at
-// submission, cancelled mid-run, and never re-dispatched (typed
+// Overload policy: the coordinator runs on deesimd's job host
+// (server.Host), so admission is deesimd's: priority lanes (batch
+// sweeps queue in a lane half of -queue deep and shed first, once
+// interactive occupancy reaches half of -queue), the brownout ladder,
+// and low-disk shedding. A sweep past its absolute deadline is refused
+// at submission, cancelled mid-run, and never re-dispatched (typed
 // "deadline"). -retry-budget caps total cell re-dispatch amplification
 // across all sweeps (token bucket refilled at -retry-budget-refill
 // tokens/sec; 0 = unlimited, the historical behavior).
@@ -77,7 +80,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		addrFlag     = fs.String("addr", "127.0.0.1:8525", "listen address (host:port; port 0 picks a free one)")
 		addrFileFlag = fs.String("addr-file", "", "write the bound listen address to this file once serving")
 		stateFlag    = fs.String("state", "deesim-coord.state", "durable state directory (sweep specs, journals, results)")
-		queueFlag    = fs.Int("queue", 8, "admission-queue depth; submissions beyond it are shed with 429")
+		queueFlag    = fs.Int("queue", 8, "interactive admission-queue depth; submissions beyond it are shed with 429 (batch lane and brownout watermark: half of it)")
 		leaseTTL     = fs.Duration("lease-ttl", 2*time.Minute, "wall-clock bound per cell lease; expired leases re-dispatch")
 		hbTimeout    = fs.Duration("heartbeat-timeout", 15*time.Second, "heartbeat staleness that declares a worker lost")
 		cellRetries  = fs.Int("cell-retries", 2, "re-dispatches per cell beyond the first attempt")

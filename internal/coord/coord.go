@@ -6,13 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"deesim/internal/bench"
@@ -43,7 +39,10 @@ type Config struct {
 	// StateDir is the durable root: sweeps/<id>/{spec.json,
 	// coord.journal, result.json, failed.json}.
 	StateDir string
-	// QueueDepth bounds sweeps accepted but not yet running (default 8).
+	// QueueDepth bounds interactive sweeps accepted but not yet running
+	// (default 8). As on deesimd, batch sweeps queue in their own lane
+	// of QueueDepth/2 (minimum 1) and shed first, once interactive
+	// occupancy reaches that same watermark.
 	QueueDepth int
 	// LeaseTTL is the wall-clock bound on one cell lease; an expired
 	// lease re-dispatches the cell (default 2m). Must exceed the
@@ -110,14 +109,11 @@ type Config struct {
 	// the trace merge aligns worker fragments against. Nil records
 	// nothing (and GET /v1/trace serves worker fragments unadjusted).
 	Frags *obs.FragmentLog
-	// now is the clock seam for tests.
+	// now is the clock seam for tests, and the job host's one clock.
 	now func() time.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 8
-	}
 	if c.LeaseTTL <= 0 {
 		c.LeaseTTL = 2 * time.Minute
 	}
@@ -140,28 +136,15 @@ func (c Config) withDefaults() Config {
 	} else if c.StragglerFactor == 0 {
 		c.StragglerFactor = 3
 	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 10 * time.Second
-	}
-	if c.DrainGrace <= 0 {
-		c.DrainGrace = 15 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 2 * time.Second
-	}
 	if c.CellTimeout <= 0 {
 		c.CellTimeout = c.LeaseTTL + 10*time.Second
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.Logger == nil {
-		c.Logger = obs.Discard
-	}
 	if c.now == nil {
 		c.now = time.Now
 	}
-	c.FS = durable.Or(c.FS)
 	return c
 }
 
@@ -189,51 +172,27 @@ type WorkerStatus struct {
 	LastBeat string `json:"last_beat"` // staleness, e.g. "1.2s"
 }
 
-// sweep is the in-memory record of one distributed sweep; mutable
-// fields are guarded by Coordinator.mu.
+// sweep is the scheduler's view of the host job it runs.
 type sweep struct {
-	id         string
-	spec       server.Spec
-	state      string
-	enqueued   time.Time // when the sweep entered the queue (queue-wait span)
-	cellsDone  int
-	cellsTotal int
-	resumed    bool
-	errText    string
-	errKind    string
+	id   string
+	spec server.Spec
+	job  *server.Job // nil when a scheduler is driven without a host
 }
 
-// traceCtx parses the trace context persisted with the sweep's spec.
-func (sw *sweep) traceCtx() (obs.TraceContext, bool) {
-	return obs.ParseTraceparent(sw.spec.Trace)
-}
-
-// Coordinator is the distributed-sweep control plane. Create with New,
-// start the runner with Start, serve Handler() over HTTP, stop with
-// Drain. Sweeps run one at a time — the fleet is the parallelism.
+// Coordinator is the distributed-sweep control plane: the shared job
+// host (server.Host: admission, lanes, recovery, drain, the /v1/jobs
+// API) running sweeps through the fleet executor, plus the worker
+// registry. Create with New, start the runner with Start, serve
+// Handler() over HTTP, stop with Drain. Sweeps run one at a time — the
+// fleet is the parallelism.
 type Coordinator struct {
-	cfg        Config
-	met        *coordMetrics
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
+	*server.Host
+	cfg Config
+	met *coordMetrics
 
-	// degraded is set when a durable write hits ENOSPC; the
-	// coordinator sheds new sweeps until a probe write succeeds.
-	degraded atomic.Bool
-
-	mu          sync.Mutex
-	workers     map[string]*worker
-	wseq        int
-	sweeps      map[string]*sweep
-	order       []string
-	waiting     int
-	seq         int
-	queue       chan *sweep
-	queueClosed bool
-	draining    bool
-	running     map[string]context.CancelFunc
-
-	wg sync.WaitGroup
+	mu      sync.Mutex // guards the worker registry
+	workers map[string]*worker
+	wseq    int
 }
 
 // New builds a coordinator over StateDir, recovering sweeps a previous
@@ -241,13 +200,6 @@ type Coordinator struct {
 // incomplete ones re-queue and resume from their journals.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
-	if cfg.StateDir == "" {
-		return nil, runx.Newf(runx.KindInvalidInput, stageCoord, "empty state directory")
-	}
-	if err := cfg.FS.MkdirAll(filepath.Join(cfg.StateDir, "sweeps"), 0o755); err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageCoord, "state dir: %w", err)
-	}
-	cfg.FS.SyncDir(cfg.StateDir)
 	if cfg.NewWorkerClient == nil {
 		cfg.NewWorkerClient = func(baseURL string) WorkerClient {
 			c := client.New(baseURL)
@@ -259,240 +211,61 @@ func New(cfg Config) (*Coordinator, error) {
 			return c
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
 	c := &Coordinator{
-		cfg:        cfg,
-		met:        newCoordMetrics(cfg.Metrics),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		workers:    make(map[string]*worker),
-		sweeps:     make(map[string]*sweep),
-		running:    make(map[string]context.CancelFunc),
+		cfg:     cfg,
+		met:     newCoordMetrics(cfg.Metrics),
+		workers: make(map[string]*worker),
 	}
-	pending, err := c.recover()
+	h, err := server.NewHost(server.Config{
+		StateDir:       cfg.StateDir,
+		QueueDepth:     cfg.QueueDepth,
+		Workers:        1,
+		RequestTimeout: cfg.RequestTimeout,
+		DrainGrace:     cfg.DrainGrace,
+		RetryAfter:     cfg.RetryAfter,
+		Logf:           cfg.Logf,
+		Logger:         cfg.Logger,
+		Metrics:        cfg.Metrics,
+		FS:             cfg.FS,
+		Frags:          cfg.Frags,
+	}, server.Daemon{
+		Name: "deesim-coord", Stage: stageCoord, Noun: "sweep", Dir: "sweeps", IDPrefix: "s",
+		Series:  server.Series{Prefix: "deesim_coord", HTTP: "deesim_coord_http", Resumed: "deesim_coord_sweeps_recovered_total"},
+		Execute: c.runSweep,
+		Now:     cfg.now,
+	})
 	if err != nil {
-		cancel()
 		return nil, err
 	}
-	c.queue = make(chan *sweep, cfg.QueueDepth+len(pending)+1)
-	for _, sw := range pending {
-		c.waiting++
-		c.queue <- sw
-	}
+	c.Host = h
 	return c, nil
 }
 
-// recover scans the sweeps directory, mirroring the worker daemon's
-// crash recovery: done and failed sweeps are indexed, anything else is
-// re-queued for journal resumption.
-func (c *Coordinator) recover() ([]*sweep, error) {
-	fsys := c.cfg.FS
-	dir := filepath.Join(c.cfg.StateDir, "sweeps")
-	durable.SweepStale(fsys, dir)
-	entries, err := fsys.ReadDir(dir)
-	if err != nil {
-		return nil, runx.Newf(runx.KindInvalidInput, stageCoord, "scan %s: %w", dir, err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() && e.Name() != durable.QuarantineDir {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	var pending []*sweep
-	for _, id := range names {
-		if n, err := strconv.Atoi(strings.TrimPrefix(id, "s")); err == nil && n > c.seq {
-			c.seq = n
-		}
-		sdir := filepath.Join(dir, id)
-		durable.SweepStale(fsys, sdir)
-		specData, err := durable.ReadFileVerified(fsys, filepath.Join(sdir, "spec.json"))
-		if err != nil {
-			if runx.IsKind(err, runx.KindCorrupt) {
-				qp, _ := durable.Quarantine(fsys, filepath.Join(sdir, "spec.json"))
-				c.met.quarantined.Inc()
-				c.cfg.Logf("deesim-coord: recovery: sweep %s spec corrupt, quarantined to %s: %v", id, qp, err)
-			} else {
-				c.cfg.Logf("deesim-coord: recovery: sweep %s has no readable spec, skipping: %v", id, err)
-			}
-			continue
-		}
-		var sp server.Spec
-		if err := json.Unmarshal(specData, &sp); err != nil {
-			c.cfg.Logf("deesim-coord: recovery: sweep %s spec unparsable, skipping: %v", id, err)
-			continue
-		}
-		sw := &sweep{id: id, spec: sp, cellsTotal: sp.CellsTotal()}
-		switch {
-		case c.verifyOrQuarantine(sw, filepath.Join(sdir, "result.json")):
-			sw.state = server.StateDone
-			sw.cellsDone = sw.cellsTotal
-		case c.verifyOrQuarantine(sw, filepath.Join(sdir, "failed.json")):
-			sw.state = server.StateFailed
-			var f struct{ Error, Kind string }
-			if data, err := fsys.ReadFile(filepath.Join(sdir, "failed.json")); err == nil {
-				if json.Unmarshal(data, &f) == nil {
-					sw.errText, sw.errKind = f.Error, f.Kind
-				}
-			}
-		default:
-			sw.state = server.StateQueued
-			sw.resumed = true
-			pending = append(pending, sw)
-		}
-		c.sweeps[id] = sw
-		c.order = append(c.order, id)
-	}
-	if len(pending) > 0 {
-		c.cfg.Logf("deesim-coord: recovery: re-queued %d incomplete sweep(s)", len(pending))
-	}
-	return pending, nil
-}
-
-// verifyOrQuarantine reports whether a terminal-state artifact exists
-// and passes its digest check; a corrupt one is quarantined and
-// reported absent, which re-queues the sweep — cells replay from the
-// coordinator journal and only the damaged merge re-runs.
-func (c *Coordinator) verifyOrQuarantine(sw *sweep, path string) bool {
-	if _, err := c.cfg.FS.Stat(path); err != nil {
-		return false
-	}
-	if _, err := durable.ReadFileVerified(c.cfg.FS, path); err != nil {
-		qp, qerr := durable.Quarantine(c.cfg.FS, path)
-		if qerr != nil {
-			c.cfg.Logf("deesim-coord: sweep %s: %s corrupt and quarantine failed (%v); treating as absent: %v", sw.id, filepath.Base(path), qerr, err)
-			return false
-		}
-		c.met.quarantined.Inc()
-		c.met.healed.Inc()
-		durable.NoteHealed()
-		c.cfg.Logf("deesim-coord: sweep %s: %s failed integrity check, quarantined to %s; sweep will re-run: %v", sw.id, filepath.Base(path), qp, err)
-		return false
-	}
-	return true
-}
-
-// Start launches the sweep runner. Call once.
-func (c *Coordinator) Start() {
-	c.wg.Add(1)
-	go c.runner()
-}
-
-func (c *Coordinator) runner() {
-	defer c.wg.Done()
-	for sw := range c.queue {
-		c.mu.Lock()
-		if c.draining {
-			c.mu.Unlock()
-			continue // durable on disk; the next process resumes it
-		}
-		c.waiting--
-		sw.state = server.StateRunning
-		sw.cellsDone = 0
-		enqueued := sw.enqueued
-		ctx, cancel := context.WithCancel(c.baseCtx)
-		c.running[sw.id] = cancel
-		c.mu.Unlock()
-
-		if tc, ok := sw.traceCtx(); ok && !enqueued.IsZero() {
-			_ = c.cfg.Frags.Append(obs.SpanFragment{
-				Trace: tc.TraceID, Span: tc.Child().SpanID, Parent: tc.SpanID,
-				Name:  "queue-wait " + sw.id,
-				Start: enqueued.UnixNano(), End: time.Now().UnixNano(),
-				Attrs: map[string]string{"sweep": sw.id},
-			})
-		}
-		err := c.runSweep(ctx, sw)
-		cancel()
-		c.finishSweep(sw, err)
-	}
-}
-
-// runSweep executes one distributed sweep end to end: decompose,
-// lease/collect under the journal, then merge — and prove the merge.
-func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = runx.FromPanic(r, "coord.runSweep")
-		}
-	}()
-	ctx = obs.WithJobID(ctx, sw.id)
-	// Rejoin the trace the submission minted: the sweep span is the
-	// coordinator's dispatch-to-merge record under the submission root,
-	// and every lease span below nests under it.
-	if tc, ok := sw.traceCtx(); ok {
-		ctx = obs.WithTraceContext(ctx, tc)
-		ctx = obs.WithFragments(ctx, c.cfg.Frags)
-		var endSweep func()
-		ctx, endSweep = obs.StartSpan(ctx, "sweep "+sw.id, map[string]string{"sweep": sw.id})
-		defer endSweep()
-	}
+// runSweep is the fleet executor: decompose the sweep, lease and
+// collect its cells under the coordinator journal, then merge — and
+// prove the merge.
+func (c *Coordinator) runSweep(ctx context.Context, j *server.Job) ([]byte, error) {
+	sw := &sweep{id: j.ID(), spec: j.Spec(), job: j}
 	ws, cfg, err := sw.spec.Resolve()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	timeout, err := parseSpecDuration("timeout", sw.spec.Timeout)
-	if err != nil {
-		return err
-	}
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	deadline, err := sw.spec.ParseDeadline()
-	if err != nil {
-		return err
-	}
-	if !deadline.IsZero() {
-		if !c.cfg.now().Before(deadline) {
-			c.met.deadlineTimeouts.Inc()
-			return runx.Newf(runx.KindTimeout, stageCoord,
-				"sweep %s: deadline %s already passed before dispatch", sw.id, deadline.Format(time.RFC3339))
-		}
-		// The absolute SLO deadline rides the sweep context, so every
-		// outstanding lease RPC is cancelled the moment it passes; the
-		// re-label below makes the terminal error name the deadline rather
-		// than a bare context expiry.
-		var dcancel context.CancelFunc
-		ctx, dcancel = context.WithDeadline(ctx, deadline)
-		defer dcancel()
-		defer func() {
-			if err != nil && runx.IsKind(err, runx.KindTimeout) && !time.Now().Before(deadline) {
-				c.met.deadlineTimeouts.Inc()
-				err = runx.Newf(runx.KindTimeout, stageCoord,
-					"sweep %s exceeded its deadline %s: %w", sw.id, deadline.Format(time.RFC3339), err)
-			}
-		}()
-	}
-
 	tasks := experiments.MatrixTasks(ws, cfg)
 	meta := experiments.MatrixMeta(ws, cfg)
-	jpath := filepath.Join(c.sweepDir(sw.id), "coord.journal")
 	var (
 		jr    *Journal
 		prior *State
 	)
-	// Same self-healing rule as the worker daemon: an unusable journal
-	// is quarantined and the sweep restarts from scratch; a full disk
-	// parks it.
-	qp, cause, err := durable.ReopenLog(c.cfg.FS, jpath,
-		func() (err error) {
-			jr, prior, err = ResumeFS(c.cfg.FS, jpath, Tool, meta)
+	if err := c.ReopenJournal(j, "coord.journal",
+		func(fsys durable.FS, path string) (err error) {
+			jr, prior, err = ResumeFS(fsys, path, Tool, meta)
 			return err
 		},
-		func() (err error) {
-			jr, err = CreateFS(c.cfg.FS, jpath, Tool, meta)
+		func(fsys durable.FS, path string) (err error) {
+			jr, err = CreateFS(fsys, path, Tool, meta)
 			return err
-		})
-	if qp != "" {
-		c.met.quarantined.Inc()
-		c.met.healed.Inc()
-		c.cfg.Logf("deesim-coord: sweep %s: journal unusable (%v), quarantined to %s, restarting from scratch", sw.id, cause, qp)
-	}
-	if err != nil {
-		return err
+		}); err != nil {
+		return nil, err
 	}
 	defer jr.Close()
 	if prior != nil {
@@ -520,7 +293,7 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 				continue
 			}
 			if err := jr.Append(Record{Kind: KindDone, Key: key, Worker: "memo", Result: data}); err != nil {
-				return err
+				return nil, err
 			}
 			prior.Done[key] = data
 		}
@@ -530,342 +303,36 @@ func (c *Coordinator) runSweep(ctx context.Context, sw *sweep) (err error) {
 	sched.memo, sched.memoKeys = c.cfg.Memo, memoKeys
 	done, err := sched.run(ctx)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return c.mergeAndWrite(ctx, sw, ws, cfg, tasks, done)
+	return c.merge(ctx, sw, ws, cfg, tasks, done)
 }
 
-// mergeAndWrite replays the collected cell payloads through the SAME
+// merge replays the collected cell payloads through the SAME
 // aggregation path a single-node run uses — RunMatrixContext with the
 // full cell set as prior state executes nothing and merges everything —
-// then writes the result file with the identical final encoding. That
+// and returns the identical final encoding for the host to write. That
 // construction, plus the completeness check below, is the merge proof:
 // there is no coordinator-specific math to diverge.
-func (c *Coordinator) mergeAndWrite(ctx context.Context, sw *sweep, ws []bench.Workload, cfg experiments.Config, tasks []experiments.MatrixTask, done map[string]json.RawMessage) error {
+func (c *Coordinator) merge(ctx context.Context, sw *sweep, ws []bench.Workload, cfg experiments.Config, tasks []experiments.MatrixTask, done map[string]json.RawMessage) ([]byte, error) {
 	ctx, endMerge := obs.StartSpan(ctx, "merge "+sw.id, map[string]string{"sweep": sw.id})
 	defer endMerge()
 	for _, t := range tasks {
 		if _, ok := done[t.Key()]; !ok {
-			return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", sw.id, t.Key())
+			return nil, runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", sw.id, t.Key())
 		}
 	}
 	prior := &superv.State{Done: done}
 	results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{Jobs: 1, Prior: prior})
 	if err != nil {
-		return runx.Annotate(err, "sweep "+sw.id+" merge")
+		return nil, runx.Annotate(err, "sweep "+sw.id+" merge")
 	}
 	c.met.mergeChecks.Inc()
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		return runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", sw.id, err)
+		return nil, runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", sw.id, err)
 	}
-	if err := durable.WriteFileAtomic(c.cfg.FS, filepath.Join(c.sweepDir(sw.id), "result.json"), append(data, '\n')); err != nil {
-		if durable.IsNoSpace(err) {
-			return runx.Newf(runx.KindUnavailable, stageCoord, "sweep %s: write result: %w", sw.id, err)
-		}
-		return runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: write result: %w", sw.id, err)
-	}
-	return nil
-}
-
-// finishSweep mirrors the worker daemon's terminal-state rules: a
-// canceled sweep stays journaled and resumes on restart; every other
-// failure is permanent and recorded so restarts do not retry
-// deterministic errors.
-func (c *Coordinator) finishSweep(sw *sweep, err error) {
-	c.mu.Lock()
-	delete(c.running, sw.id)
-	if err == nil {
-		sw.state = server.StateDone
-		c.mu.Unlock()
-		c.met.sweepsDone.Inc()
-		c.cfg.Logf("deesim-coord: sweep %s: done (%d cells)", sw.id, sw.cellsTotal)
-		return
-	}
-	sw.errText = err.Error()
-	if e, ok := runx.As(err); ok {
-		sw.errKind = e.Kind.String()
-	}
-	if runx.IsKind(err, runx.KindCanceled) || durable.IsNoSpace(err) {
-		// Canceled (drain) and disk-full both park the sweep as
-		// interrupted: the journal's durable prefix is intact and the
-		// sweep resumes without re-running leased cells. A worker-side
-		// KindUnavailable still fails normally below.
-		sw.state = server.StateInterrupted
-		c.mu.Unlock()
-		if durable.IsNoSpace(err) {
-			c.setDegraded(true)
-		}
-		c.cfg.Logf("deesim-coord: sweep %s: interrupted, journaled for resume: %v", sw.id, err)
-		return
-	}
-	sw.state = server.StateFailed
-	kind := sw.errKind
-	c.mu.Unlock()
-	c.met.sweepsFailed.Inc()
-	c.cfg.Logf("deesim-coord: sweep %s: failed permanently: %v", sw.id, err)
-	data, _ := json.Marshal(struct {
-		Error string `json:"error"`
-		Kind  string `json:"kind,omitempty"`
-	}{sw.errText, kind})
-	if werr := durable.WriteFileAtomic(c.cfg.FS, filepath.Join(c.sweepDir(sw.id), "failed.json"), append(data, '\n')); werr != nil {
-		if durable.IsNoSpace(werr) {
-			c.setDegraded(true)
-		}
-		c.cfg.Logf("deesim-coord: sweep %s: could not record failure: %v", sw.id, werr)
-	}
-}
-
-// Submit admits a distributed sweep with the worker daemon's admission
-// contract: shed when full or draining, fsync the spec before the 202.
-func (c *Coordinator) Submit(sp server.Spec) (*server.JobStatus, error) {
-	return c.SubmitCtx(context.Background(), sp)
-}
-
-// SubmitCtx is Submit carrying the caller's context; like the worker
-// daemon, the submission settles the sweep's trace — spec's own, else
-// the request's, else freshly minted — and persists it with the spec,
-// so every lease the fleet runs records under one trace id.
-func (c *Coordinator) SubmitCtx(ctx context.Context, sp server.Spec) (*server.JobStatus, error) {
-	if err := sp.Validate(); err != nil {
-		return nil, err
-	}
-	if _, ok := obs.ParseTraceparent(sp.Trace); !ok {
-		tc, ok := obs.TraceContextFrom(ctx)
-		if !ok {
-			tc = obs.NewTrace()
-		}
-		sp.Trace = tc.Traceparent()
-	}
-	if dl, err := sp.ParseDeadline(); err == nil && !dl.IsZero() && !c.cfg.now().Before(dl) {
-		// A sweep whose deadline already passed is doomed: refuse it now,
-		// typed KindTimeout, instead of queueing work that can only fail.
-		c.met.deadlineTimeouts.Inc()
-		return nil, runx.Newf(runx.KindTimeout, stageCoord,
-			"deadline %s already passed at submission", dl.Format(time.RFC3339))
-	}
-	if c.Degraded() {
-		return nil, runx.Newf(runx.KindUnavailable, stageCoord,
-			"low disk: shedding new sweeps until durable writes succeed; retry after %s", c.cfg.RetryAfter)
-	}
-	c.mu.Lock()
-	if c.draining {
-		c.mu.Unlock()
-		return nil, runx.Newf(runx.KindUnavailable, stageCoord, "draining: not accepting new sweeps")
-	}
-	if c.waiting >= c.cfg.QueueDepth {
-		c.mu.Unlock()
-		return nil, runx.Newf(runx.KindOverload, stageCoord,
-			"admission queue full (%d waiting); retry after %s", c.cfg.QueueDepth, c.cfg.RetryAfter)
-	}
-	c.seq++
-	id := fmt.Sprintf("s%06d", c.seq)
-	sw := &sweep{id: id, spec: sp, state: server.StateQueued, enqueued: time.Now(), cellsTotal: sp.CellsTotal()}
-	c.sweeps[id] = sw
-	c.order = append(c.order, id)
-	c.waiting++
-	c.mu.Unlock()
-
-	specData, err := json.MarshalIndent(sp, "", "  ")
-	if err == nil {
-		if err = c.cfg.FS.MkdirAll(c.sweepDir(id), 0o755); err == nil {
-			// fsync the parent so the new directory entry is durable
-			// before the spec rename that depends on it.
-			c.cfg.FS.SyncDir(filepath.Join(c.cfg.StateDir, "sweeps"))
-			err = durable.WriteFileAtomic(c.cfg.FS, filepath.Join(c.sweepDir(id), "spec.json"), append(specData, '\n'))
-		}
-	}
-	if err != nil {
-		c.mu.Lock()
-		delete(c.sweeps, id)
-		c.order = c.order[:len(c.order)-1]
-		c.waiting--
-		c.mu.Unlock()
-		if durable.IsNoSpace(err) {
-			c.setDegraded(true)
-			return nil, runx.Newf(runx.KindUnavailable, stageCoord, "persist sweep %s: %w", id, err)
-		}
-		return nil, runx.Newf(runx.KindCorrupt, stageCoord, "persist sweep %s: %w", id, err)
-	}
-
-	c.mu.Lock()
-	if !c.queueClosed {
-		c.queue <- sw
-	}
-	st := sweepStatus(sw)
-	c.mu.Unlock()
-	c.cfg.Logf("deesim-coord: sweep %s: accepted (%d cells)", id, sw.cellsTotal)
-	return st, nil
-}
-
-// Status returns one sweep's status snapshot.
-func (c *Coordinator) Status(id string) (*server.JobStatus, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	sw, ok := c.sweeps[id]
-	if !ok {
-		return nil, false
-	}
-	return sweepStatus(sw), true
-}
-
-// List returns every sweep's status in submission order.
-func (c *Coordinator) List() []*server.JobStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]*server.JobStatus, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, sweepStatus(c.sweeps[id]))
-	}
-	return out
-}
-
-func sweepStatus(sw *sweep) *server.JobStatus {
-	st := &server.JobStatus{
-		ID:         sw.id,
-		State:      sw.state,
-		CellsDone:  sw.cellsDone,
-		CellsTotal: sw.cellsTotal,
-		Resumed:    sw.resumed,
-		Error:      sw.errText,
-		Kind:       sw.errKind,
-		Deadline:   sw.spec.Deadline,
-	}
-	if sw.spec.Priority != "" {
-		st.Priority = sw.spec.Class()
-	}
-	return st
-}
-
-// ResultPath returns the path of a done sweep's result file.
-func (c *Coordinator) ResultPath(id string) string {
-	return filepath.Join(c.sweepDir(id), "result.json")
-}
-
-// Draining reports whether drain has begun.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
-}
-
-// Drain gracefully stops the coordinator: admission closes, the
-// running sweep gets DrainGrace to finish, then its context is
-// canceled — every granted lease is already journaled, so the next
-// start resumes without re-running completed cells.
-func (c *Coordinator) Drain(ctx context.Context) error {
-	c.mu.Lock()
-	if !c.draining {
-		c.draining = true
-		if !c.queueClosed {
-			close(c.queue)
-			c.queueClosed = true
-		}
-	}
-	c.mu.Unlock()
-	c.cfg.Logf("deesim-coord: draining: admission closed, waiting up to %s for the running sweep", c.cfg.DrainGrace)
-
-	done := make(chan struct{})
-	go func() {
-		c.wg.Wait()
-		close(done)
-	}()
-	grace := time.NewTimer(c.cfg.DrainGrace)
-	defer grace.Stop()
-	select {
-	case <-done:
-	case <-grace.C:
-		c.cfg.Logf("deesim-coord: drain grace expired, canceling the running sweep (progress stays journaled)")
-		c.cancelRunning()
-		<-done
-	case <-ctx.Done():
-		c.cancelRunning()
-		<-done
-	}
-	c.baseCancel()
-	return nil
-}
-
-func (c *Coordinator) cancelRunning() {
-	c.mu.Lock()
-	cancels := make([]context.CancelFunc, 0, len(c.running))
-	for _, cf := range c.running {
-		cancels = append(cancels, cf)
-	}
-	c.mu.Unlock()
-	for _, cf := range cancels {
-		cf()
-	}
-}
-
-// Close hard-stops the coordinator (tests).
-func (c *Coordinator) Close() {
-	c.mu.Lock()
-	c.draining = true
-	if !c.queueClosed {
-		close(c.queue)
-		c.queueClosed = true
-	}
-	c.mu.Unlock()
-	c.baseCancel()
-	c.wg.Wait()
-}
-
-func (c *Coordinator) sweepDir(id string) string {
-	return filepath.Join(c.cfg.StateDir, "sweeps", id)
-}
-
-// Degraded reports whether the coordinator is in low-disk degraded
-// mode, probing its way back out with a tiny durable write.
-func (c *Coordinator) Degraded() bool {
-	if !c.degraded.Load() {
-		return false
-	}
-	if c.probeDisk() {
-		c.setDegraded(false)
-		return false
-	}
-	return true
-}
-
-func (c *Coordinator) setDegraded(on bool) {
-	was := c.degraded.Swap(on)
-	if was == on {
-		return
-	}
-	if on {
-		c.met.lowDisk.Set(1)
-		durable.SetLowDisk(true)
-		c.cfg.Logf("deesim-coord: durable write hit ENOSPC; entering degraded mode (shedding new sweeps, acked state intact)")
-	} else {
-		c.met.lowDisk.Set(0)
-		durable.SetLowDisk(false)
-		c.cfg.Logf("deesim-coord: disk probe succeeded; leaving degraded mode")
-	}
-}
-
-func (c *Coordinator) probeDisk() bool {
-	path := filepath.Join(c.cfg.StateDir, ".diskprobe")
-	f, err := c.cfg.FS.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return false
-	}
-	_, werr := f.Write([]byte("ok\n"))
-	serr := f.Sync()
-	cerr := f.Close()
-	c.cfg.FS.Remove(path)
-	return werr == nil && serr == nil && cerr == nil
-}
-
-func parseSpecDuration(name, val string) (time.Duration, error) {
-	if val == "" {
-		return 0, nil
-	}
-	d, err := time.ParseDuration(val)
-	if err != nil || d < 0 {
-		return 0, runx.Newf(runx.KindInvalidInput, stageCoord, "bad %s %q (want a non-negative Go duration like \"30s\")", name, val)
-	}
-	return d, nil
+	return append(data, '\n'), nil
 }
 
 // ---- Worker registry ----
@@ -1009,7 +476,7 @@ func (c *Coordinator) adjustLeases(workerID string, delta int) {
 
 // noteCellDone bumps a sweep's progress counter for the status API.
 func (c *Coordinator) noteCellDone(sw *sweep) {
-	c.mu.Lock()
-	sw.cellsDone++
-	c.mu.Unlock()
+	if sw.job != nil {
+		c.CellDone(sw.job)
+	}
 }

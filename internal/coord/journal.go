@@ -6,6 +6,11 @@
 // merges the returned results through the exact aggregation path a
 // single-node run uses — so the merged tables are byte-identical.
 //
+// Admission, priority lanes and brownout, recovery, drain, low-disk
+// mode and the /v1/jobs API are the job host deesimd runs on too
+// (server.Host); this package supplies the host's fleet executor (the
+// lease scheduler and merge) and the worker registry.
+//
 // Durability follows the superv discipline: the sweep journal is a
 // durable.Log of Records, every assignment and completion one fsync'd
 // JSONL record, so a SIGKILL'd coordinator resumes its sweep from the

@@ -1,24 +1,19 @@
 package coord
 
-import (
-	"strconv"
-	"time"
-
-	"deesim/internal/obs"
-)
+import "deesim/internal/obs"
 
 // mJournalFsyncs counts durable coordinator-journal appends. Package
 // level (on the default registry) because the journal API is package
 // level; a monotone counter shared across instances is harmless.
 var mJournalFsyncs = obs.Default.GetOrCreateCounter("deesim_coord_journal_fsyncs_total")
 
-// coordMetrics bundles the coordinator's fleet instrument handles.
-// Same registry discipline as the server: obs.Default in production so
-// /metrics is the whole process, a private registry under test so
-// parallel tests do not fight over gauges.
+// coordMetrics bundles the coordinator's fleet instrument handles; the
+// sweep admission, lifecycle, integrity and HTTP series belong to the
+// job host (server.Host, named deesim_coord_*). Same registry
+// discipline as the host: obs.Default in production so /metrics is the
+// whole process, a private registry under test so parallel tests do
+// not fight over gauges.
 type coordMetrics struct {
-	reg *obs.Registry
-
 	workersLive  *obs.Gauge // registered workers with a fresh heartbeat
 	leasesActive *obs.Gauge // cells currently leased out
 	pendingCells *obs.Gauge // cells queued awaiting a worker
@@ -34,16 +29,14 @@ type coordMetrics struct {
 	specWins       *obs.Counter // speculative copy finished first
 	heartbeats     *obs.Counter
 	workerEvictons *obs.Counter // workers dropped for heartbeat loss
-	sweepsDone     *obs.Counter
-	sweepsFailed   *obs.Counter
 	sweepsResumed  *obs.Counter // journals replayed after a coordinator crash
-	quarantined    *obs.Counter // artifacts moved to .quarantine/
-	healed         *obs.Counter // quarantined sweeps re-entered into the run path
-	lowDisk        *obs.Gauge   // 1 while shedding because durable writes hit ENOSPC
 	mergeChecks    *obs.Counter // merges verified against the journal set
 
-	budgetDenied     *obs.Counter // re-dispatches refused: shared retry budget exhausted
-	deadlineTimeouts *obs.Counter // sweeps failed KindTimeout against their absolute deadline
+	budgetDenied *obs.Counter // re-dispatches refused: shared retry budget exhausted
+	// deadlineTimeouts is the host's deesim_coord_deadline_timeouts_total
+	// (the registry hands back the same counter): the scheduler counts
+	// the sweeps it refuses to re-dispatch past their deadline.
+	deadlineTimeouts *obs.Counter
 }
 
 func newCoordMetrics(reg *obs.Registry) *coordMetrics {
@@ -51,7 +44,6 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 		reg = obs.Default
 	}
 	return &coordMetrics{
-		reg:          reg,
 		workersLive:  reg.GetOrCreateGauge("deesim_coord_workers_live"),
 		leasesActive: reg.GetOrCreateGauge("deesim_coord_leases_active"),
 		pendingCells: reg.GetOrCreateGauge("deesim_coord_cells_pending"),
@@ -67,25 +59,10 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 		specWins:       reg.GetOrCreateCounter("deesim_coord_straggler_wins_total"),
 		heartbeats:     reg.GetOrCreateCounter("deesim_coord_heartbeats_total"),
 		workerEvictons: reg.GetOrCreateCounter("deesim_coord_worker_evictions_total"),
-		sweepsDone:     reg.GetOrCreateCounter("deesim_coord_sweeps_done_total"),
-		sweepsFailed:   reg.GetOrCreateCounter("deesim_coord_sweeps_failed_total"),
 		sweepsResumed:  reg.GetOrCreateCounter("deesim_coord_sweeps_resumed_total"),
-		quarantined:    reg.GetOrCreateCounter("deesim_coord_quarantined_total"),
-		healed:         reg.GetOrCreateCounter("deesim_coord_healed_total"),
-		lowDisk:        reg.GetOrCreateGauge("deesim_coord_low_disk"),
 		mergeChecks:    reg.GetOrCreateCounter("deesim_coord_merge_checks_total"),
 
 		budgetDenied:     reg.GetOrCreateCounter("deesim_coord_budget_denied_total"),
 		deadlineTimeouts: reg.GetOrCreateCounter("deesim_coord_deadline_timeouts_total"),
 	}
-}
-
-// httpRequest mirrors the server's per-endpoint request accounting so
-// coordinator and worker scrape with the same series shapes.
-func (m *coordMetrics) httpRequest(endpoint string, status int, d time.Duration) {
-	m.reg.GetOrCreateCounter(
-		`deesim_coord_http_requests_total{endpoint="` + endpoint + `",status="` + strconv.Itoa(status) + `"}`).Inc()
-	m.reg.GetOrCreateHistogram(
-		`deesim_coord_http_request_duration_seconds{endpoint="`+endpoint+`"}`, obs.DefaultLatencyBuckets).
-		Observe(d.Seconds())
 }

@@ -93,7 +93,7 @@ func newScheduler(c *Coordinator, sw *sweep, tasks []experiments.MatrixTask, jr 
 		retries = c.cfg.CellRetries
 	}
 	backoff := c.cfg.Backoff
-	if d, err := parseSpecDuration("backoff", sw.spec.Backoff); err == nil && d > 0 {
+	if d, err := server.ParseDuration("backoff", sw.spec.Backoff); err == nil && d > 0 {
 		backoff = d
 	}
 	s := &scheduler{

@@ -34,24 +34,24 @@ var traceHTTP = &http.Client{Timeout: 10 * time.Second}
 
 func (c *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	c.mu.Lock()
-	sw, ok := c.sweeps[id]
+	sp, ok := c.Spec(id)
 	var tc obs.TraceContext
 	if ok {
-		tc, ok = sw.traceCtx()
+		tc, ok = obs.ParseTraceparent(sp.Trace)
 	}
+	c.mu.Lock()
 	workers := make([]WorkerStatus, 0, len(c.workers))
 	for _, wk := range c.workers {
 		workers = append(workers, WorkerStatus{ID: wk.id, URL: wk.url})
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.writeError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "sweep %q unknown or untraced", id))
+		c.WriteError(w, runx.Newf(runx.KindInvalidInput, stageCoord, "sweep %q unknown or untraced", id))
 		return
 	}
 	lanes, errs := c.gatherLanes(r.Context(), tc.TraceID, workers)
 	if len(lanes) == 0 {
-		c.writeError(w, runx.Newf(runx.KindUnavailable, stageCoord,
+		c.WriteError(w, runx.Newf(runx.KindUnavailable, stageCoord,
 			"no span fragments for sweep %s (trace %s) yet: %s", id, tc.TraceID, strings.Join(errs, "; ")))
 		return
 	}

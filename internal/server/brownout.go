@@ -9,11 +9,11 @@ import (
 	"deesim/internal/obs"
 )
 
-// Brownout is deesimd's graceful-degradation ladder. Instead of one
-// cliff — queue full, everything sheds — admission walks down a
-// sequence of levels as pressure builds, shedding the least valuable
-// work first. The level is computed from signals the server already
-// tracks (per-class queue occupancy and the low-disk degraded flag),
+// Brownout is the job host's graceful-degradation ladder, the same on
+// deesimd and deesim-coord. Instead of one cliff — queue full,
+// everything sheds — admission walks down a sequence of levels as
+// pressure builds, shedding the least valuable work first. The level
+// is computed from signals the host already tracks (per-class queue occupancy and the low-disk degraded flag),
 // so there is no separate controller to drift out of sync: every
 // admission decision re-derives the level from current state.
 //
@@ -33,8 +33,9 @@ import (
 //
 // Levels are strictly ordered: a higher level implies every lower
 // level's sheds. The current level is exported as the
-// deesim_server_brownout_level gauge, refreshed on every admission
-// decision and every degraded-flag transition.
+// deesim_server_brownout_level (deesimd) or deesim_coord_brownout_level
+// (deesim-coord) gauge, refreshed on every admission decision and
+// every degraded-flag transition.
 const (
 	BrownoutOff       = 0
 	BrownoutShedBatch = 1
@@ -44,12 +45,12 @@ const (
 
 // brownoutLocked computes levels 0–2 from queue occupancy. Level 3
 // (reads only) is owned by the degraded flag and checked before the
-// lock is taken — see Submit. Caller holds s.mu.
-func (s *Server) brownoutLocked() int {
+// lock is taken — see Submit. Caller holds h.mu.
+func (h *Host) brownoutLocked() int {
 	switch {
-	case s.waitingInt >= s.cfg.QueueDepth:
+	case h.waitingInt >= h.cfg.QueueDepth:
 		return BrownoutDeferAll
-	case s.waitingInt >= s.cfg.BrownoutWatermark:
+	case h.waitingInt >= h.cfg.BrownoutWatermark:
 		return BrownoutShedBatch
 	default:
 		return BrownoutOff
@@ -60,49 +61,49 @@ func (s *Server) brownoutLocked() int {
 // transitions. The context is the admission request that tripped the
 // transition: its correlation IDs (trace_id, job ids) ride into the
 // structured log line, so a brownout can be joined to the submission
-// that pushed the queue over the watermark. Caller holds s.mu.
-func (s *Server) noteBrownoutLocked(ctx context.Context, level int) {
-	if level == s.brownout {
+// that pushed the queue over the watermark. Caller holds h.mu.
+func (h *Host) noteBrownoutLocked(ctx context.Context, level int) {
+	if level == h.brownout {
 		return
 	}
-	s.cfg.Logf("deesimd: brownout level %d -> %d (%s)", s.brownout, level, brownoutName(level))
-	s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "brownout transition",
-		slog.Int("from", s.brownout), slog.Int("to", level), slog.String("policy", brownoutName(level)),
-		slog.Int("waiting_interactive", s.waitingInt), slog.Int("waiting_batch", s.waitingBatch))
+	h.logf("brownout level %d -> %d (%s)", h.brownout, level, brownoutName(level))
+	h.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "brownout transition",
+		slog.Int("from", h.brownout), slog.Int("to", level), slog.String("policy", brownoutName(level)),
+		slog.Int("waiting_interactive", h.waitingInt), slog.Int("waiting_batch", h.waitingBatch))
 	attrs := map[string]string{
-		"from": strconv.Itoa(s.brownout), "to": strconv.Itoa(level),
+		"from": strconv.Itoa(h.brownout), "to": strconv.Itoa(level),
 		"policy": brownoutName(level),
 	}
 	if tc, ok := obs.TraceContextFrom(ctx); ok {
 		attrs["trace"] = tc.TraceID
 	}
-	obs.RecordFlight("brownout", "level "+strconv.Itoa(s.brownout)+" -> "+strconv.Itoa(level), attrs)
-	s.brownout = level
-	s.met.brownoutLevel.Set(float64(level))
+	obs.RecordFlight("brownout", "level "+strconv.Itoa(h.brownout)+" -> "+strconv.Itoa(level), attrs)
+	h.brownout = level
+	h.met.brownoutLevel.Set(float64(level))
 }
 
 // noteReadsOnly publishes the level-3 transition from the degraded
-// flag's side (it flips outside s.mu).
-func (s *Server) noteReadsOnly(on bool) {
-	s.mu.Lock()
+// flag's side (it flips outside h.mu).
+func (h *Host) noteReadsOnly(on bool) {
+	h.mu.Lock()
 	if on {
-		s.noteBrownoutLocked(context.Background(), BrownoutReadsOnly)
-	} else if s.brownout == BrownoutReadsOnly {
-		s.noteBrownoutLocked(context.Background(), s.brownoutLocked())
+		h.noteBrownoutLocked(context.Background(), BrownoutReadsOnly)
+	} else if h.brownout == BrownoutReadsOnly {
+		h.noteBrownoutLocked(context.Background(), h.brownoutLocked())
 	}
-	s.mu.Unlock()
+	h.mu.Unlock()
 }
 
 // BrownoutLevel reports the current brownout level for /readyz and
 // diagnostics.
-func (s *Server) BrownoutLevel() int {
-	if s.Degraded() {
+func (h *Host) BrownoutLevel() int {
+	if h.Degraded() {
 		return BrownoutReadsOnly
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	level := s.brownoutLocked()
-	s.noteBrownoutLocked(context.Background(), level)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	level := h.brownoutLocked()
+	h.noteBrownoutLocked(context.Background(), level)
 	return level
 }
 

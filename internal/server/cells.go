@@ -59,26 +59,26 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cr); err != nil {
-		s.writeError(w, runx.Newf(runx.KindInvalidInput, stageServer, "decode cell request: %v", err))
+		s.WriteError(w, runx.Newf(runx.KindInvalidInput, stageServer, "decode cell request: %v", err))
 		return
 	}
 	if s.Draining() || s.Degraded() {
-		s.met.cellSheds.Inc()
-		s.writeError(w, runx.Newf(runx.KindUnavailable, stageServer, "draining: not accepting cells"))
+		s.cellMet.sheds.Inc()
+		s.WriteError(w, runx.Newf(runx.KindUnavailable, stageServer, "draining: not accepting cells"))
 		return
 	}
 	cellDeadline, err := cr.Spec.ParseDeadline()
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	if !cellDeadline.IsZero() && !time.Now().Before(cellDeadline) {
 		// The sweep's absolute deadline already passed: refuse before
 		// burning a slot, typed KindTimeout so the coordinator retires
 		// the sweep instead of re-dispatching the cell.
-		s.met.cellSheds.Inc()
+		s.cellMet.sheds.Inc()
 		s.met.deadlineTimeouts.Inc()
-		s.writeError(w, runx.Newf(runx.KindTimeout, stageServer,
+		s.WriteError(w, runx.Newf(runx.KindTimeout, stageServer,
 			"cell %s past its sweep deadline %s", cr.Task.Key(), cellDeadline.Format(time.RFC3339)))
 		return
 	}
@@ -86,26 +86,26 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	case s.cellSlots <- struct{}{}:
 		defer func() { <-s.cellSlots }()
 	default:
-		s.met.cellSheds.Inc()
-		s.writeError(w, runx.Newf(runx.KindOverload, stageServer,
+		s.cellMet.sheds.Inc()
+		s.WriteError(w, runx.Newf(runx.KindOverload, stageServer,
 			"all %d cell slots busy; retry after %s", cap(s.cellSlots), s.cfg.RetryAfter))
 		return
 	}
-	s.met.cellsInflight.Set(float64(atomic.AddInt64(&s.cellsActive, 1)))
-	defer func() { s.met.cellsInflight.Set(float64(atomic.AddInt64(&s.cellsActive, -1))) }()
+	s.cellMet.inflight.Set(float64(atomic.AddInt64(&s.cellsActive, 1)))
+	defer func() { s.cellMet.inflight.Set(float64(atomic.AddInt64(&s.cellsActive, -1))) }()
 
 	if err := cr.Validate(); err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	ws, cfg, err := cr.Spec.resolve()
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
-	cellDelay, err := parseDuration("cell_delay", cr.Spec.CellDelay)
+	cellDelay, err := ParseDuration("cell_delay", cr.Spec.CellDelay)
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.CellTimeout)
@@ -141,7 +141,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	defer endSpan()
 	res, err := s.runCell(ctx, ws, cfg, cr.Task)
 	if err != nil {
-		s.writeError(w, err)
+		s.WriteError(w, err)
 		return
 	}
 	if cellDelay > 0 {
@@ -155,7 +155,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		}
 		t.Stop()
 	}
-	s.met.cellsServed.Inc()
+	s.cellMet.served.Inc()
 	writeJSON(w, http.StatusOK, res)
 }
 

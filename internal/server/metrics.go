@@ -7,31 +7,29 @@ import (
 	"deesim/internal/obs"
 )
 
-// serverMetrics bundles the daemon's instrument handles. All handles
-// come from one registry — obs.Default in production, so the /metrics
-// endpoint exposes the whole process (simulator core, supervisor, and
-// server series in one scrape); a private registry under test, so
-// parallel server tests do not fight over shared gauges.
-type serverMetrics struct {
-	reg *obs.Registry
+// hostMetrics bundles a job host's instrument handles, named from its
+// daemon's Series table. All handles come from one registry —
+// obs.Default in production, so the /metrics endpoint exposes the
+// whole process (simulator core, supervisor, and service series in one
+// scrape); a private registry under test, so parallel tests do not
+// fight over shared gauges.
+type hostMetrics struct {
+	reg  *obs.Registry
+	http string // per-endpoint request series prefix
 
 	queueDepth *obs.Gauge // jobs accepted but not yet running
 	inflight   *obs.Gauge // jobs currently executing
 
 	accepted    *obs.Counter
 	sheds       *obs.Counter // 429: admission queue full
-	drainSheds  *obs.Counter // 503: draining
-	jobsDone    *obs.Counter
-	jobsFailed  *obs.Counter
-	jobsIntr    *obs.Counter // interrupted (resume on restart)
-	jobsResumed *obs.Counter // re-queued by crash recovery
-
-	cellsInflight *obs.Gauge   // leased distributed-sweep cells executing
-	cellsServed   *obs.Counter // leased cells completed and returned
-	cellSheds     *obs.Counter // leased cells shed (busy or draining)
+	drainSheds  *obs.Counter // 503: draining or low disk
+	done        *obs.Counter
+	failed      *obs.Counter
+	interrupted *obs.Counter // interrupted (resume on restart)
+	resumed     *obs.Counter // re-queued by crash recovery
 
 	lowDisk     *obs.Gauge   // 1 while shedding because durable writes hit ENOSPC
-	quarantined *obs.Counter // artifacts this server moved to .quarantine/
+	quarantined *obs.Counter // artifacts this host moved to .quarantine/
 	healed      *obs.Counter // quarantined jobs re-entered into the run path
 
 	brownoutLevel    *obs.Gauge   // 0 normal … 3 reads-only (see brownout.go)
@@ -44,53 +42,52 @@ type serverMetrics struct {
 	shedsBatch      *obs.Counter
 
 	// Queue-wait vs run-time split, both with trace-ID exemplars: how
-	// long a job sat admitted-but-idle versus how long its sweep ran.
-	// Together they answer "was the slow sweep queued or slow?" and the
-	// exemplar links the offending bucket straight to a fetchable trace.
+	// long a job sat admitted-but-idle versus how long it ran. Together
+	// they answer "was the slow sweep queued or slow?" and the exemplar
+	// links the offending bucket straight to a fetchable trace.
 	queueWait *obs.Histogram
-	jobRun    *obs.Histogram
+	run       *obs.Histogram
 }
 
-func newServerMetrics(reg *obs.Registry) *serverMetrics {
+func newHostMetrics(reg *obs.Registry, d Daemon) *hostMetrics {
 	if reg == nil {
 		reg = obs.Default
 	}
-	return &serverMetrics{
+	p := d.Series.Prefix + "_"
+	jobs := p + d.Noun + "s_"
+	return &hostMetrics{
 		reg:         reg,
-		queueDepth:  reg.GetOrCreateGauge("deesim_server_queue_depth"),
-		inflight:    reg.GetOrCreateGauge("deesim_server_jobs_inflight"),
-		accepted:    reg.GetOrCreateCounter("deesim_server_jobs_accepted_total"),
-		sheds:       reg.GetOrCreateCounter("deesim_server_sheds_total"),
-		drainSheds:  reg.GetOrCreateCounter("deesim_server_drain_sheds_total"),
-		jobsDone:    reg.GetOrCreateCounter("deesim_server_jobs_done_total"),
-		jobsFailed:  reg.GetOrCreateCounter("deesim_server_jobs_failed_total"),
-		jobsIntr:    reg.GetOrCreateCounter("deesim_server_jobs_interrupted_total"),
-		jobsResumed: reg.GetOrCreateCounter("deesim_server_jobs_resumed_total"),
+		http:        d.Series.HTTP,
+		queueDepth:  reg.GetOrCreateGauge(p + "queue_depth"),
+		inflight:    reg.GetOrCreateGauge(jobs + "inflight"),
+		accepted:    reg.GetOrCreateCounter(jobs + "accepted_total"),
+		sheds:       reg.GetOrCreateCounter(p + "sheds_total"),
+		drainSheds:  reg.GetOrCreateCounter(p + "drain_sheds_total"),
+		done:        reg.GetOrCreateCounter(jobs + "done_total"),
+		failed:      reg.GetOrCreateCounter(jobs + "failed_total"),
+		interrupted: reg.GetOrCreateCounter(jobs + "interrupted_total"),
+		resumed:     reg.GetOrCreateCounter(d.Series.Resumed),
 
-		cellsInflight: reg.GetOrCreateGauge("deesim_server_cells_inflight"),
-		cellsServed:   reg.GetOrCreateCounter("deesim_server_cells_served_total"),
-		cellSheds:     reg.GetOrCreateCounter("deesim_server_cell_sheds_total"),
+		lowDisk:     reg.GetOrCreateGauge(p + "low_disk"),
+		quarantined: reg.GetOrCreateCounter(p + "quarantined_total"),
+		healed:      reg.GetOrCreateCounter(p + "healed_total"),
 
-		lowDisk:     reg.GetOrCreateGauge("deesim_server_low_disk"),
-		quarantined: reg.GetOrCreateCounter("deesim_server_quarantined_total"),
-		healed:      reg.GetOrCreateCounter("deesim_server_healed_total"),
+		brownoutLevel:    reg.GetOrCreateGauge(p + "brownout_level"),
+		brownoutSheds:    reg.GetOrCreateCounter(p + "brownout_sheds_total"),
+		deadlineTimeouts: reg.GetOrCreateCounter(p + "deadline_timeouts_total"),
 
-		brownoutLevel:    reg.GetOrCreateGauge("deesim_server_brownout_level"),
-		brownoutSheds:    reg.GetOrCreateCounter("deesim_server_brownout_sheds_total"),
-		deadlineTimeouts: reg.GetOrCreateCounter("deesim_server_deadline_timeouts_total"),
+		queueDepthInt:   reg.GetOrCreateGauge(p + `class_queue_depth{class="interactive"}`),
+		queueDepthBatch: reg.GetOrCreateGauge(p + `class_queue_depth{class="batch"}`),
+		shedsInt:        reg.GetOrCreateCounter(p + `class_sheds_total{class="interactive"}`),
+		shedsBatch:      reg.GetOrCreateCounter(p + `class_sheds_total{class="batch"}`),
 
-		queueDepthInt:   reg.GetOrCreateGauge(`deesim_server_class_queue_depth{class="interactive"}`),
-		queueDepthBatch: reg.GetOrCreateGauge(`deesim_server_class_queue_depth{class="batch"}`),
-		shedsInt:        reg.GetOrCreateCounter(`deesim_server_class_sheds_total{class="interactive"}`),
-		shedsBatch:      reg.GetOrCreateCounter(`deesim_server_class_sheds_total{class="batch"}`),
-
-		queueWait: reg.GetOrCreateHistogram("deesim_server_job_queue_wait_seconds", obs.DefaultLatencyBuckets),
-		jobRun:    reg.GetOrCreateHistogram("deesim_server_job_run_seconds", obs.DefaultLatencyBuckets),
+		queueWait: reg.GetOrCreateHistogram(p+d.Noun+"_queue_wait_seconds", obs.DefaultLatencyBuckets),
+		run:       reg.GetOrCreateHistogram(p+d.Noun+"_run_seconds", obs.DefaultLatencyBuckets),
 	}
 }
 
 // classShed bumps the per-class shed counter.
-func (m *serverMetrics) classShed(class string) {
+func (m *hostMetrics) classShed(class string) {
 	if class == PriorityBatch {
 		m.shedsBatch.Inc()
 	} else {
@@ -99,13 +96,31 @@ func (m *serverMetrics) classShed(class string) {
 }
 
 // httpRequest records one served request. Endpoint is the route name
-// (a closed set fixed by Handler, never the raw URL path) and status
-// an HTTP code, so the label space is small and bounded — the
-// cardinality rule the whole metric scheme follows.
-func (m *serverMetrics) httpRequest(endpoint string, status int, d time.Duration) {
+// (a closed set fixed by the daemon's Handler, never the raw URL path)
+// and status an HTTP code, so the label space is small and bounded —
+// the cardinality rule the whole metric scheme follows.
+func (m *hostMetrics) httpRequest(endpoint string, status int, d time.Duration) {
 	m.reg.GetOrCreateCounter(
-		`deesim_http_requests_total{endpoint="` + endpoint + `",status="` + strconv.Itoa(status) + `"}`).Inc()
+		m.http + `_requests_total{endpoint="` + endpoint + `",status="` + strconv.Itoa(status) + `"}`).Inc()
 	m.reg.GetOrCreateHistogram(
-		`deesim_http_request_duration_seconds{endpoint="`+endpoint+`"}`, obs.DefaultLatencyBuckets).
+		m.http+`_request_duration_seconds{endpoint="`+endpoint+`"}`, obs.DefaultLatencyBuckets).
 		Observe(d.Seconds())
+}
+
+// cellMetrics are deesimd's leased-cell series (POST /v1/cells).
+type cellMetrics struct {
+	inflight *obs.Gauge   // leased distributed-sweep cells executing
+	served   *obs.Counter // leased cells completed and returned
+	sheds    *obs.Counter // leased cells shed (busy or draining)
+}
+
+func newCellMetrics(reg *obs.Registry) *cellMetrics {
+	if reg == nil {
+		reg = obs.Default
+	}
+	return &cellMetrics{
+		inflight: reg.GetOrCreateGauge("deesim_server_cells_inflight"),
+		served:   reg.GetOrCreateCounter("deesim_server_cells_served_total"),
+		sheds:    reg.GetOrCreateCounter("deesim_server_cell_sheds_total"),
+	}
 }

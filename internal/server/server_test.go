@@ -463,3 +463,8 @@ func TestHealthz(t *testing.T) {
 		}
 	}
 }
+
+func fileExists(path string) bool {
+	_, err := os.Stat(path)
+	return err == nil
+}

@@ -151,7 +151,7 @@ func (sp Spec) Validate() error {
 	for _, d := range []struct{ name, val string }{
 		{"timeout", sp.Timeout}, {"backoff", sp.Backoff}, {"cell_delay", sp.CellDelay},
 	} {
-		if _, err := parseDuration(d.name, d.val); err != nil {
+		if _, err := ParseDuration(d.name, d.val); err != nil {
 			return err
 		}
 	}
@@ -180,7 +180,9 @@ func (sp Spec) CellsTotal() int {
 	return experiments.MatrixTaskCount(ws, cfg)
 }
 
-func parseDuration(name, val string) (time.Duration, error) {
+// ParseDuration parses one of a spec's duration fields (timeout,
+// backoff, cell_delay); empty means zero. Errors are KindInvalidInput.
+func ParseDuration(name, val string) (time.Duration, error) {
 	if val == "" {
 		return 0, nil
 	}
