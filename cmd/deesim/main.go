@@ -58,11 +58,13 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"deesim/internal/bench"
 	"deesim/internal/cache"
 	"deesim/internal/dee"
+	"deesim/internal/durable"
 	"deesim/internal/experiments"
 	"deesim/internal/fsck"
 	"deesim/internal/ilpsim"
@@ -141,16 +143,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// Flush telemetry at first SIGINT/SIGTERM, not only on clean exit: a
 	// second signal (or a kill mid-drain) skips the deferred writers, and
 	// an interrupted sweep's metrics and trace are exactly the runs worth
-	// examining. The trace flusher is registered below once -trace-out
-	// has a tracer.
-	var traceFlush func() error
+	// examining. The trace file is a no-op without -trace-out.
+	tw := &traceFile{path: *traceOut, frags: obs.NewMemFragmentLog("deesim")}
 	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
 		fmt.Fprintf(stderr, "deesim: "+format+"\n", args...)
 	}, func() error {
-		if traceFlush != nil {
-			return traceFlush()
-		}
-		return nil
+		_, err := tw.write()
+		return err
 	})
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("deesim")
@@ -244,14 +243,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := runx.MainContext(*timeoutFlag)
 	defer stop()
 	if *traceOut != "" {
-		tracer := obs.NewTracer()
-		ctx = obs.WithTracer(ctx, tracer)
-		traceFlush = func() error { return tracer.WriteFile(*traceOut) }
+		ctx = obs.WithFragments(obs.WithTraceContext(ctx, obs.NewTrace()), tw.frags)
 		defer func() {
-			if err := tracer.WriteFile(*traceOut); err != nil {
+			if n, err := tw.write(); err != nil {
 				fmt.Fprintln(stderr, "deesim: write trace:", err)
 			} else {
-				fmt.Fprintf(stderr, "deesim: wrote %d trace events to %s\n", tracer.Len(), *traceOut)
+				fmt.Fprintf(stderr, "deesim: wrote %d trace events to %s\n", n, *traceOut)
 			}
 		}()
 	}
@@ -553,4 +550,39 @@ func selectWorkloads(s string) ([]bench.Workload, error) {
 		return nil, fmt.Errorf("empty workload list")
 	}
 	return out, nil
+}
+
+// traceFile renders the sweep's in-memory span fragments to the
+// -trace-out path. The first-signal flusher and the exit path may both
+// write it; the mutex serializes them and every write goes through a
+// temp file renamed over the path, so the file always holds one whole
+// document.
+type traceFile struct {
+	mu    sync.Mutex
+	path  string
+	frags *obs.FragmentLog
+}
+
+// write renders every fragment recorded so far and reports how many.
+// A no-op without -trace-out.
+func (t *traceFile) write() (int, error) {
+	if t.path == "" {
+		return 0, nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	frags := t.frags.Fragments()
+	tmp, err := durable.TempFile(nil, t.path, "tmp")
+	if err != nil {
+		return 0, err
+	}
+	defer os.Remove(tmp.Name()) // no-op after the rename
+	err = obs.WriteTimeline(tmp, []obs.Lane{{Name: "deesim", Frags: frags}})
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return len(frags), os.Rename(tmp.Name(), t.path)
 }

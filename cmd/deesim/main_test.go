@@ -2,13 +2,17 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"deesim/internal/dee"
+	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
 )
@@ -264,13 +268,74 @@ func TestObservabilityFlags(t *testing.T) {
 	if err := json.Unmarshal(trace, &tj); err != nil {
 		t.Fatalf("trace not JSON: %v", err)
 	}
-	// 8 cells + build spans, at minimum.
-	if len(tj.TraceEvents) < 9 {
-		t.Errorf("trace has %d events, want >= 9", len(tj.TraceEvents))
+	// One span per cell (2 inputs x 2 models x 2 ETs), plus builds.
+	cells, builds := map[string]int{}, 0
+	for _, ev := range tj.TraceEvents {
+		switch {
+		case ev.Ph == "X" && strings.HasPrefix(ev.Name, "cell "):
+			cells[ev.Name]++
+		case ev.Ph == "X" && strings.HasPrefix(ev.Name, "build "):
+			builds++
+		}
+	}
+	if len(cells) != 8 || builds < 2 {
+		t.Errorf("trace has cell spans %v and %d build spans, want 8 cells once each and >= 2 builds", cells, builds)
+	}
+	for name, n := range cells {
+		if n != 1 {
+			t.Errorf("%s: %d spans, want 1", name, n)
+		}
+	}
+	if _, err := obs.CheckTimeline(trace); err != nil {
+		t.Errorf("trace fails CheckTimeline: %v", err)
 	}
 
 	code, _, stderr = run(t, "-log-level", "nonsense")
 	if code == 0 || !strings.Contains(stderr, "nonsense") {
 		t.Errorf("bad -log-level accepted: code %d, stderr %q", code, stderr)
+	}
+}
+
+// TestTraceFileConcurrentWrites runs the -trace-out writer from several
+// goroutines at once, as the first-signal flusher and the exit path
+// may, while spans are still being recorded (run under -race). Every
+// write must leave one whole, valid timeline at the path.
+func TestTraceFileConcurrentWrites(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	tw := &traceFile{path: path, frags: obs.NewMemFragmentLog("deesim")}
+	ctx := obs.WithFragments(obs.WithTraceContext(context.Background(), obs.NewTrace()), tw.frags)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				_, end := obs.StartSpan(ctx, "cell c"+strconv.Itoa(i), nil)
+				end()
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 10; i++ {
+				if _, err := tw.write(); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	n, err := tw.write()
+	if err != nil || n != 4*50 {
+		t.Fatalf("final write: %d fragments, %v", n, err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := obs.CheckTimeline(raw); err != nil {
+		t.Fatalf("trace file: %v", err)
+	}
+	if left, _ := filepath.Glob(path + ".*"); len(left) != 0 {
+		t.Errorf("temp files left behind: %v", left)
 	}
 }

@@ -77,7 +77,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 	"time"
 
 	"deesim/internal/budget"
@@ -327,7 +326,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		summary, err := checkTimeline(raw)
+		summary, err := obs.CheckTimeline(raw)
 		if err != nil {
 			return fail(runx.Newf(runx.KindCorrupt, "deesimctl", "trace %s: %v", id, err))
 		}
@@ -349,54 +348,4 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "deesimctl: unknown command %q\n", cmd)
 		return runx.ExitUsage
 	}
-}
-
-// checkTimeline validates a fetched Chrome-trace document before
-// re-emitting it: every complete ("X") span must have a nonnegative
-// duration, and event timestamps within each lane must be monotone
-// nondecreasing — the merge sorts them, so a violation means a torn or
-// mis-merged fetch, not clock skew. Returns a one-line summary for the
-// stderr narration (and for CI to assert against).
-func checkTimeline(raw []byte) (string, error) {
-	var doc struct {
-		TraceEvents []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
-			Dur  float64 `json:"dur"`
-			PID  int     `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return "", fmt.Errorf("parse timeline: %v", err)
-	}
-	lastTS := map[int]float64{}
-	lanes := map[int]bool{}
-	spans, cells := 0, 0
-	for _, ev := range doc.TraceEvents {
-		lanes[ev.PID] = true
-		if ev.Ph == "M" { // metadata (lane names) carries no timestamp
-			continue
-		}
-		if ev.TS < 0 {
-			return "", fmt.Errorf("span %q: negative timestamp %v", ev.Name, ev.TS)
-		}
-		if last, ok := lastTS[ev.PID]; ok && ev.TS < last {
-			return "", fmt.Errorf("span %q: timestamp %v precedes %v in lane %d", ev.Name, ev.TS, last, ev.PID)
-		}
-		lastTS[ev.PID] = ev.TS
-		if ev.Ph == "X" {
-			if ev.Dur < 0 {
-				return "", fmt.Errorf("span %q: negative duration %v", ev.Name, ev.Dur)
-			}
-			spans++
-			if strings.HasPrefix(ev.Name, "cell ") {
-				cells++
-			}
-		}
-	}
-	if spans == 0 {
-		return "", fmt.Errorf("timeline has no complete spans")
-	}
-	return fmt.Sprintf("%d spans (%d cell) across %d lanes, timestamps monotone", spans, cells, len(lanes)), nil
 }

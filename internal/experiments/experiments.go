@@ -161,13 +161,13 @@ func RunInputContext(ctx context.Context, name string, prog buildable, cfg Confi
 	if err := cfg.Validate(); err != nil {
 		return nil, runx.Annotate(err, name)
 	}
-	endBuild := obs.TracerFrom(ctx).Span("build "+name, 0, nil)
-	tr, err := recordInput(ctx, name, prog, cfg)
+	bctx, endBuild := obs.StartSpan(ctx, "build "+name, nil)
+	tr, err := recordInput(bctx, name, prog, cfg)
 	if err != nil {
 		endBuild()
 		return nil, err
 	}
-	sim, err := newInputSim(ctx, name, tr, cfg)
+	sim, err := newInputSim(bctx, name, tr, cfg)
 	endBuild()
 	if err != nil {
 		return nil, err
@@ -332,10 +332,9 @@ func RunAllContext(ctx context.Context, ws []bench.Workload, cfg Config) ([]*Wor
 		wg.Add(1)
 		go func(i int, w bench.Workload) {
 			defer wg.Done()
-			// One trace lane per workload goroutine, matching the
-			// journaled path's one-lane-per-worker convention.
-			defer obs.TracerFrom(ctx).Span("workload "+w.Name, i+1, nil)()
-			r, err := RunWorkloadContext(ctx, w, cfg)
+			wctx, endSpan := obs.StartSpan(ctx, "workload "+w.Name, nil)
+			defer endSpan()
+			r, err := RunWorkloadContext(wctx, w, cfg)
 			out[i], errs[i] = r, err
 			if err != nil {
 				cancel() // fail fast: stop sibling workloads

@@ -145,9 +145,9 @@ func (e *inputSim) get(ctx context.Context, cfg Config) (*trace.Trace, *ilpsim.S
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.tr == nil || e.sim == nil {
-		// Builds get trace lane 0 — worker lanes start at 1 — so trace
-		// viewers show the serialized build phase on its own track.
-		defer obs.TracerFrom(ctx).Span("build "+e.name, 0, nil)()
+		var endBuild func()
+		ctx, endBuild = obs.StartSpan(ctx, "build "+e.name, nil)
+		defer endBuild()
 	}
 	if e.tr == nil {
 		tr, err := recordInput(ctx, e.name, e.build, cfg)

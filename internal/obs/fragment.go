@@ -10,12 +10,15 @@ import (
 	"time"
 )
 
-// Span fragments are the durable half of distributed tracing: each
-// process appends the spans it observes (submit, queue wait, lease,
-// cell run, merge) to a per-process JSONL fragment file, fsync'd per
-// record, tagged with the process identity. The coordinator's
-// /v1/trace/<sweep> endpoint later gathers fragment sets from the
-// fleet and merges them into one timeline (timeline.go). Fragments
+// Span fragments are the one span record: StartSpan and Instant turn
+// every span a process observes (submit, queue wait, lease, build,
+// cell run, merge) into a SpanFragment tagged with the process
+// identity, and append it to the context's FragmentLog. The log has
+// two sinks. Daemons open a file log: a per-process JSONL fragment
+// file, fsync'd per record, which the coordinator's /v1/trace/<sweep>
+// endpoint later gathers from the fleet and merges into one timeline
+// (timeline.go). One-shot CLI runs use a memory log and render its
+// fragments with the same WriteTimeline on exit. Fragments
 // deliberately carry raw wall-clock nanoseconds from their own
 // process's clock; cross-machine skew is corrected at merge time
 // against the coordinator's lease timestamps, not at record time.
@@ -32,14 +35,34 @@ type SpanFragment struct {
 	Attrs  map[string]string `json:"attrs,omitempty"`
 }
 
-// FragmentLog appends span fragments durably to one JSONL file. All
-// methods are nil-receiver safe no-ops, so callers thread a possibly
-// absent log without guards.
+// FragmentLog is the sink span fragments are appended to: durably to
+// one JSONL file (OpenFragmentLog), or to a buffer in memory
+// (NewMemFragmentLog). All methods are nil-receiver safe no-ops, so
+// callers thread a possibly absent log without guards.
 type FragmentLog struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
-	proc string
+	mu    sync.Mutex
+	f     *os.File // file sink; nil for a memory log and once closed
+	path  string
+	proc  string
+	mem   bool
+	frags []SpanFragment // memory sink
+}
+
+// NewMemFragmentLog returns a log that buffers fragments in memory;
+// proc names the recording process in every fragment.
+func NewMemFragmentLog(proc string) *FragmentLog {
+	return &FragmentLog{proc: proc, mem: true}
+}
+
+// Fragments returns a copy of the fragments a memory log has buffered
+// (nil for a file log).
+func (l *FragmentLog) Fragments() []SpanFragment {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]SpanFragment(nil), l.frags...)
 }
 
 // OpenFragmentLog opens (creating if needed) the fragment file at
@@ -63,13 +86,20 @@ func (l *FragmentLog) Path() string {
 	return l.path
 }
 
-// Append writes one fragment durably (write + fsync under the lock).
+// Append records one fragment: a memory log buffers it, a file log
+// writes it durably (write + fsync under the lock).
 func (l *FragmentLog) Append(fr SpanFragment) error {
 	if l == nil {
 		return nil
 	}
 	if fr.Proc == "" {
 		fr.Proc = l.proc
+	}
+	if l.mem {
+		l.mu.Lock()
+		l.frags = append(l.frags, fr)
+		l.mu.Unlock()
+		return nil
 	}
 	line, err := json.Marshal(fr)
 	if err != nil {
@@ -87,7 +117,8 @@ func (l *FragmentLog) Append(fr SpanFragment) error {
 	return l.f.Sync()
 }
 
-// Close closes the underlying file; later Appends become no-ops.
+// Close closes a file log's file; its later Appends become no-ops.
+// Closing a memory log does nothing.
 func (l *FragmentLog) Close() error {
 	if l == nil {
 		return nil

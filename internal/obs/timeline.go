@@ -2,19 +2,25 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"time"
 )
 
-// Timeline rendering: the coordinator gathers span-fragment sets from
-// the fleet, assigns each process a lane and a clock-skew correction,
-// and this file turns the lot into one Chrome-trace-event JSON
-// document ({"traceEvents":[...]}) that Perfetto and chrome://tracing
-// load directly. Lanes become trace "processes" (named via metadata
-// events), fragments become complete ("X") events — or instant ("i")
-// events when zero-length — with timestamps rebased to the earliest
-// adjusted span start so the timeline starts at zero.
+// Timeline rendering, the repository's one Chrome-trace encoder: the
+// coordinator gathers span-fragment sets from the fleet, assigns each
+// process a lane and a clock-skew correction, and `deesim -trace-out`
+// hands over its one in-memory lane; this file turns the lot into one
+// Chrome-trace-event JSON document ({"traceEvents":[...]}) that
+// Perfetto and chrome://tracing load directly. Lanes become trace
+// "processes" (named via metadata events), fragments become complete
+// ("X") events — or instant ("i") events when zero-length — with
+// timestamps rebased to the earliest adjusted span start so the
+// timeline starts at zero. Within a process each event gets a computed
+// track (tid), so concurrent spans draw side by side and spans on one
+// track nest (tracks).
 
 // Lane is one process's contribution to a merged timeline.
 type Lane struct {
@@ -42,7 +48,8 @@ type timelineEvent struct {
 
 // WriteTimeline merges the lanes into one Chrome-trace JSON document
 // on w. Events within each lane are sorted by adjusted start time, so
-// per-lane timestamps are monotone by construction.
+// per-lane timestamps are monotone by construction, and complete
+// events on one track nest or are disjoint (CheckTimeline's rules).
 func WriteTimeline(w io.Writer, lanes []Lane) error {
 	var events []timelineEvent
 	t0 := int64(0)
@@ -61,8 +68,14 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 			Args: map[string]any{"name": ln.Name},
 		})
 		frags := append([]SpanFragment(nil), ln.Frags...)
-		sort.SliceStable(frags, func(i, j int) bool { return frags[i].Start < frags[j].Start })
-		for _, fr := range frags {
+		sort.SliceStable(frags, func(i, j int) bool {
+			if frags[i].Start != frags[j].Start {
+				return frags[i].Start < frags[j].Start
+			}
+			return frags[i].End > frags[j].End // a parent before the child it shares a start with
+		})
+		tids := tracks(frags)
+		for i, fr := range frags {
 			args := map[string]any{"trace": fr.Trace, "span": fr.Span}
 			if fr.Parent != "" {
 				args["parent"] = fr.Parent
@@ -77,6 +90,7 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 				Name: fr.Name,
 				TS:   float64(fr.Start-int64(ln.Skew)-t0) / 1e3,
 				PID:  pid,
+				TID:  tids[i],
 				Args: args,
 			}
 			if fr.End > fr.Start {
@@ -95,6 +109,108 @@ func WriteTimeline(w io.Writer, lanes []Lane) error {
 	}{TraceEvents: events, DisplayTimeUnit: "ms"}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
+}
+
+// tracks assigns each of one lane's fragments, sorted by start (the
+// longer first on ties), the lowest track on which it either nests
+// inside the track's innermost open span or starts after that span
+// ends. Complete events on one (pid, tid) then nest or are disjoint,
+// as the trace-event model expects, and concurrent spans — leases in
+// flight together, cell RPCs on a multi-slot worker — get tracks of
+// their own.
+func tracks(frags []SpanFragment) []int {
+	var open [][]int64 // per track: end times of its open spans, outermost first
+	tids := make([]int, len(frags))
+	for i, fr := range frags {
+		tid := 0
+		for ; tid < len(open); tid++ {
+			ends := open[tid]
+			for len(ends) > 0 && ends[len(ends)-1] <= fr.Start {
+				ends = ends[:len(ends)-1]
+			}
+			open[tid] = ends
+			if len(ends) == 0 || fr.End <= ends[len(ends)-1] {
+				break
+			}
+		}
+		if tid == len(open) {
+			open = append(open, nil)
+		}
+		open[tid] = append(open[tid], fr.End)
+		tids[i] = tid
+	}
+	return tids
+}
+
+// timelineSlack absorbs float rounding when CheckTimeline compares
+// span ends rebuilt from microsecond ts+dur: one nanosecond, the
+// fragments' own resolution.
+const timelineSlack = 1e-3
+
+// CheckTimeline validates a Chrome-trace document such as
+// WriteTimeline writes: every complete ("X") span has a nonnegative
+// duration, event timestamps within each process lane are monotone
+// nondecreasing — the merge sorts them, so a violation means a torn or
+// mis-merged document, not clock skew — and complete spans on one
+// (pid, tid) track nest or are disjoint. It returns a one-line summary
+// for narration (and for CI to assert against).
+func CheckTimeline(raw []byte) (string, error) {
+	var doc struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			TS   float64 `json:"ts"`
+			Dur  float64 `json:"dur"`
+			PID  int     `json:"pid"`
+			TID  int     `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return "", fmt.Errorf("parse timeline: %v", err)
+	}
+	type track struct{ pid, tid int }
+	lastTS := map[int]float64{}
+	open := map[track][]float64{} // end times of each track's open spans
+	lanes := map[int]bool{}
+	spans, cells := 0, 0
+	for _, ev := range doc.TraceEvents {
+		lanes[ev.PID] = true
+		if ev.Ph == "M" { // metadata (lane names) carries no timestamp
+			continue
+		}
+		if ev.TS < 0 {
+			return "", fmt.Errorf("span %q: negative timestamp %v", ev.Name, ev.TS)
+		}
+		if last, ok := lastTS[ev.PID]; ok && ev.TS < last {
+			return "", fmt.Errorf("span %q: timestamp %v precedes %v in lane %d", ev.Name, ev.TS, last, ev.PID)
+		}
+		lastTS[ev.PID] = ev.TS
+		if ev.Ph != "X" {
+			continue
+		}
+		if ev.Dur < 0 {
+			return "", fmt.Errorf("span %q: negative duration %v", ev.Name, ev.Dur)
+		}
+		spans++
+		if strings.HasPrefix(ev.Name, "cell ") {
+			cells++
+		}
+		k := track{ev.PID, ev.TID}
+		ends := open[k]
+		for len(ends) > 0 && ends[len(ends)-1] <= ev.TS+timelineSlack {
+			ends = ends[:len(ends)-1]
+		}
+		end := ev.TS + ev.Dur
+		if len(ends) > 0 && end > ends[len(ends)-1]+timelineSlack {
+			return "", fmt.Errorf("span %q: [%v, %v] overlaps a span ending at %v on lane %d track %d without nesting",
+				ev.Name, ev.TS, end, ends[len(ends)-1], ev.PID, ev.TID)
+		}
+		open[k] = append(ends, end)
+	}
+	if spans == 0 {
+		return "", fmt.Errorf("timeline has no complete spans")
+	}
+	return fmt.Sprintf("%d spans (%d cell) across %d lanes, timestamps monotone", spans, cells, len(lanes)), nil
 }
 
 // EstimateSkew estimates how far a remote lane's clock runs ahead of

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"strconv"
 	"strings"
 )
 
@@ -67,8 +68,9 @@ func (tc TraceContext) Traceparent() string {
 }
 
 // ParseTraceparent decodes the wire form. It accepts any version
-// field, requires well-formed IDs, and rejects the all-zero IDs the
-// W3C spec reserves as invalid.
+// field, requires well-formed IDs, rejects the all-zero IDs the W3C
+// spec reserves as invalid, and reads the flags as a bit field whose
+// bit 0 is "sampled".
 func ParseTraceparent(s string) (TraceContext, bool) {
 	parts := strings.Split(strings.TrimSpace(s), "-")
 	if len(parts) != 4 || len(parts[0]) != 2 || !isHex(parts[0], 2) {
@@ -81,7 +83,8 @@ func ParseTraceparent(s string) (TraceContext, bool) {
 	if tc.TraceID == strings.Repeat("0", 32) || tc.SpanID == strings.Repeat("0", 16) {
 		return TraceContext{}, false
 	}
-	tc.Sampled = parts[3] == "01"
+	flags, _ := strconv.ParseUint(parts[3], 16, 8)
+	tc.Sampled = flags&1 == 1 // bit 0; other bits (e.g. random-trace-id) are ignored
 	return tc, true
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -191,19 +192,17 @@ func Run(ctx context.Context, tasks []Task, cfg Config) error {
 		cancel()
 	}
 	queue := make(chan Task)
-	for w := 0; w < cfg.Jobs; w++ {
+	for range cfg.Jobs {
 		wg.Add(1)
-		// Worker index w is the task's trace lane (tid), so a sweep's
-		// Chrome trace renders one horizontal track per pool worker.
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for t := range queue {
-				if err := runTask(ctx, t, cfg, &emitMu, w); err != nil {
+				if err := runTask(ctx, t, cfg, &emitMu); err != nil {
 					fail(err)
 					return
 				}
 			}
-		}(w)
+		}()
 	}
 feed:
 	for _, t := range todo {
@@ -225,10 +224,8 @@ feed:
 	return firstErr
 }
 
-// runTask drives one task through its attempt/retry loop. lane is the
-// worker index, used as the trace tid.
-func runTask(ctx context.Context, t Task, cfg Config, emitMu *sync.Mutex, lane int) error {
-	tracer := obs.TracerFrom(ctx)
+// runTask drives one task through its attempt/retry loop.
+func runTask(ctx context.Context, t Task, cfg Config, emitMu *sync.Mutex) error {
 	for attempt := 1; ; attempt++ {
 		if err := runx.CtxErr(ctx, stageRun); err != nil {
 			return runx.Annotate(err, t.Key)
@@ -239,9 +236,7 @@ func runTask(ctx context.Context, t Task, cfg Config, emitMu *sync.Mutex, lane i
 			}
 		}
 		mTasksStarted.Inc()
-		endSpan := tracer.Span(t.Key, lane+1, map[string]any{"attempt": attempt})
 		payload, err := runAttempt(ctx, t)
-		endSpan()
 		if err == nil {
 			mTasksDone.Inc()
 			if cfg.Journal != nil {
@@ -277,7 +272,7 @@ func runTask(ctx context.Context, t Task, cfg Config, emitMu *sync.Mutex, lane i
 		}
 		delay := cfg.Retry.Delay(t.Key, attempt+1)
 		mRetries.Inc()
-		tracer.Instant("retry "+t.Key, lane+1, map[string]any{"attempt": attempt + 1, "delay": delay.String()})
+		obs.Instant(ctx, "retry "+t.Key, map[string]string{"attempt": strconv.Itoa(attempt + 1), "delay": delay.String()})
 		if cfg.OnRetry != nil {
 			emitMu.Lock()
 			cfg.OnRetry(t.Key, attempt+1, delay, err)
