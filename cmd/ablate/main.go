@@ -28,19 +28,23 @@
 //	[-retries N] [-backoff 500ms]
 //	[-memo-dir path] [-memo-mem bytes]
 //
+// Every study runs as a supervised task on a -jobs worker pool, with
+// retryable failures retried -retries times under exponential
+// -backoff. Studies print in canonical order once the run ends.
+//
 // Studies run under a cancellable context: SIGINT/SIGTERM or an expired
 // -timeout stops the current simulation at the next checkpoint, the
-// studies already printed stand, and the process exits non-zero with a
-// structured error naming the model, ET, and cycle that was running.
+// studies that completed are printed, and the process exits non-zero
+// with a structured error naming the model, ET, and cycle that was
+// running.
 //
-// With -journal, every study runs as a supervised task whose rendered
-// output is recorded durably on completion; a killed run restarts with
-// -resume, replaying finished studies from the journal and re-running
-// only the rest, with retryable failures retried -retries times under
-// exponential -backoff.
+// With -journal, every study's rendered output is also recorded durably
+// on completion; a killed run restarts with -resume, replaying finished
+// studies from the journal and re-running only the rest.
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -93,7 +97,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		dlFlag      = fs.Int("deadlock-limit", 0, fmt.Sprintf("abort a simulation after this many cycles without progress (0 = default %d)", ilpsim.DefaultDeadlockLimit))
 		journalFlag = fs.String("journal", "", "record completed studies to a crash-safe run journal at this path")
 		resumeFlag  = fs.String("resume", "", "resume an interrupted run from this journal (re-runs only unfinished studies)")
-		jobsFlag    = fs.Int("jobs", 1, "worker-pool size for the journaled run (studies are independent)")
+		jobsFlag    = fs.Int("jobs", 1, "worker-pool size (studies are independent)")
 		retriesFlag = fs.Int("retries", 2, "retries per study after the first attempt (retryable failures only)")
 		backoffFlag = fs.Duration("backoff", 500*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
 		memoDir     = fs.String("memo-dir", "", "content-addressed result-cache directory: repeated runs replay cached studies (empty = caching off)")
@@ -197,9 +201,17 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	for i, et := range ets {
 		etParts[i] = strconv.Itoa(et)
 	}
-	runStudy := func(ctx context.Context, name string, run func(context.Context, io.Writer, *trace.Trace, []int) error, out io.Writer) error {
+	runStudy := func(ctx context.Context, name string, run func(context.Context, io.Writer, *trace.Trace, []int) error) (string, error) {
+		render := func(ctx context.Context) ([]byte, error) {
+			var b bytes.Buffer
+			if err := run(ctx, &b, tr, ets); err != nil {
+				return nil, err
+			}
+			return b.Bytes(), nil
+		}
 		if mm == nil {
-			return run(ctx, out, tr, ets)
+			data, err := render(ctx)
+			return string(data), err
 		}
 		key := strings.Join([]string{
 			"ablate", experiments.MemoSalt,
@@ -209,31 +221,12 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			"max=" + strconv.FormatUint(*max, 10),
 			"deadlock=" + strconv.Itoa(*dlFlag),
 		}, "|")
-		data, err := mm.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
-			var b strings.Builder
-			if err := run(ctx, &b, tr, ets); err != nil {
-				return nil, err
-			}
-			return []byte(b.String()), nil
-		})
-		if err != nil {
-			return err
-		}
-		_, err = out.Write(data)
-		return err
+		data, err := mm.Do(ctx, key, render)
+		return string(data), err
 	}
 
-	if *journalFlag == "" && *resumeFlag == "" {
-		for _, i := range selected {
-			if err := runStudy(ctx, studies[i].name, studies[i].run, stdout); err != nil {
-				return fail(err)
-			}
-		}
-		return 0
-	}
-
-	// Supervised path: each study is a journaled task whose payload is
-	// its rendered text; resume replays finished studies byte-for-byte.
+	// Each study is a supervised task whose payload is its rendered
+	// text; with a journal, resume replays finished studies byte for byte.
 	meta := map[string]string{
 		"study": *study, "bench": *benchFlag, "et": *etFlag,
 		"max": strconv.FormatUint(*max, 10),
@@ -250,10 +243,14 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "ablate: resuming %s: %s\n", path, prior.Summary(len(selected)))
-	} else if j, err = superv.Create(path, "ablate", meta); err != nil {
-		return fail(err)
+	} else if path != "" {
+		if j, err = superv.Create(path, "ablate", meta); err != nil {
+			return fail(err)
+		}
 	}
-	defer j.Close()
+	if j != nil {
+		defer j.Close()
+	}
 
 	var tasks []superv.Task
 	outputs := make(map[string]string, len(selected))
@@ -262,11 +259,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		tasks = append(tasks, superv.Task{
 			Key: "study/" + st.name,
 			Run: func(ctx context.Context) (any, error) {
-				var b strings.Builder
-				if err := runStudy(ctx, st.name, st.run, &b); err != nil {
+				out, err := runStudy(ctx, st.name, st.run)
+				if err != nil {
 					return nil, err
 				}
-				return studyOutput{Study: st.name, Output: b.String()}, nil
+				return studyOutput{Study: st.name, Output: out}, nil
 			},
 		})
 	}
@@ -293,8 +290,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintf(stderr, "ablate: %d of %d studies completed — resume with: ablate -resume %s\n",
-			len(outputs), len(selected), path)
+		fmt.Fprintf(stderr, "ablate: %d of %d studies completed", len(outputs), len(selected))
+		if j != nil {
+			fmt.Fprintf(stderr, " — resume with: ablate -resume %s", path)
+		}
+		fmt.Fprintln(stderr)
 		return fail(runErr)
 	}
 	return 0

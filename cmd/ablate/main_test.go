@@ -23,10 +23,10 @@ func fastArgs(extra ...string) []string {
 	}, extra...)
 }
 
-// TestJournaledStudiesMatchPlain: the supervised path must reprint the
-// studies byte-identically to the direct path (both emit in canonical
-// study order), and a resume of the finished journal must replay the
-// same bytes without re-running anything.
+// TestJournaledStudiesMatchPlain: a journaled run must print the
+// studies byte-identically to a run without a journal (both emit in
+// canonical study order), and a resume of the finished journal must
+// replay the same bytes without re-running anything.
 func TestJournaledStudiesMatchPlain(t *testing.T) {
 	args := fastArgs("-study", "penalty")
 	code, plain, stderr := run(t, args...)

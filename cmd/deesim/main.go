@@ -31,14 +31,17 @@
 // panels completed, and exits non-zero with a structured error naming
 // the failing model, ET, benchmark, and cycle.
 //
-// With -journal, the sweep runs under the crash-safe supervisor: every
-// (input × model × ET) cell is recorded to a durable append-only
-// journal as it starts and finishes, cells run on a -jobs worker pool,
-// and retryable failures (deadline, deadlock, panic) are retried
-// -retries times with exponential -backoff and deterministic jitter. A
-// killed run restarts with -resume: completed cells replay from the
-// journal, only unfinished ones re-execute, and the merged tables are
-// byte-identical to an uninterrupted run's.
+// The sweep is a matrix of (input × model × ET) cells run on a -jobs
+// worker pool; retryable failures (deadline, deadlock, panic) are
+// retried -retries times with exponential -backoff and deterministic
+// jitter. Panels print in -bench order once the sweep ends, so the
+// output does not depend on -jobs or on whether a journal is kept.
+//
+// With -journal, every cell is also recorded to a durable append-only
+// journal as it starts and finishes. A killed run restarts with
+// -resume: completed cells replay from the journal, only unfinished
+// ones re-execute, and the merged tables are byte-identical to an
+// uninterrupted run's.
 //
 // With -golden, the finished sweep is compared against a golden
 // baseline snapshot; any speedup drifting beyond the tolerance exits
@@ -104,7 +107,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fsckFlag    = fs.Bool("fsck", false, "integrity-check the -journal file and exit (no sweep runs)")
 		journalFlag = fs.String("journal", "", "record the sweep to a crash-safe run journal at this path")
 		resumeFlag  = fs.String("resume", "", "resume an interrupted sweep from this journal (re-runs only unfinished cells)")
-		jobsFlag    = fs.Int("jobs", 4, "worker-pool size for the journaled sweep")
+		jobsFlag    = fs.Int("jobs", 4, "worker-pool size for the sweep's cells")
 		retriesFlag = fs.Int("retries", 2, "retries per cell after the first attempt (retryable failures only)")
 		backoffFlag = fs.Duration("backoff", 500*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
 		memoDir     = fs.String("memo-dir", "", "content-addressed result-cache directory: repeated sweeps reuse cached cells (empty = caching off)")
@@ -228,18 +231,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	printed := make(map[string]bool)
-	emit := func(r *experiments.WorkloadResult) {
-		printed[r.Workload] = true
-		fmt.Fprintln(stdout, experiments.Render(r, cfg))
-		if *statsFlag && r.Workload != "harmonic-mean" {
-			printRootStats(stdout, r, cfg)
-		}
-		if *csvFlag {
-			fmt.Fprintln(stdout, renderCSV(r, cfg))
-		}
-	}
-
 	ctx, stop := runx.MainContext(*timeoutFlag)
 	defer stop()
 	if *traceOut != "" {
@@ -253,30 +244,20 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	var results []*experiments.WorkloadResult
-	if *journalFlag != "" || *resumeFlag != "" || mm != nil {
-		// -memo-dir alone also routes through the supervised matrix path:
-		// that is the decomposition whose cells carry canonical memo keys,
-		// and its merged tables are byte-identical to the streaming path's.
-		results, err = runJournaled(ctx, ws, cfg, journaledOpts{
-			journal: *journalFlag, resume: *resumeFlag,
-			jobs: *jobsFlag, retries: *retriesFlag, backoff: *backoffFlag,
-			memo: mm,
-		}, stderr)
-		// The supervised path emits nothing until the merge; print every
-		// completed panel (canonical order) whether or not the run failed.
-		for _, r := range results {
-			emit(r)
+	results, err := runSweep(ctx, ws, cfg, sweepOpts{
+		journal: *journalFlag, resume: *resumeFlag,
+		jobs: *jobsFlag, retries: *retriesFlag, backoff: *backoffFlag,
+		memo: mm,
+	}, stderr)
+	// Every panel that completed, in -bench order, whether or not the
+	// sweep failed.
+	for _, r := range results {
+		fmt.Fprintln(stdout, experiments.Render(r, cfg))
+		if *statsFlag && r.Workload != "harmonic-mean" {
+			printRootStats(stdout, r, cfg)
 		}
-	} else {
-		// Stream each workload's panel as it completes, so a cancelled or
-		// failed sweep still shows everything that finished.
-		cfg.OnResult = emit
-		results, err = experiments.RunAllContext(ctx, ws, cfg)
-		for _, r := range results {
-			if !printed[r.Workload] {
-				emit(r)
-			}
+		if *csvFlag {
+			fmt.Fprintln(stdout, renderCSV(r, cfg))
 		}
 	}
 	if err != nil {
@@ -353,18 +334,18 @@ func runPerf(ctx context.Context, o perfOpts, stdout, stderr io.Writer, fail fun
 	return 0
 }
 
-type journaledOpts struct {
+type sweepOpts struct {
 	journal, resume string
 	jobs, retries   int
 	backoff         time.Duration
 	memo            *memo.Memo
 }
 
-// runJournaled runs the sweep under the crash-safe supervisor,
-// creating or resuming the run journal. With no journal path (the
-// -memo-dir-only case) the supervisor runs unjournaled: the memo store
-// is the durability layer instead.
-func runJournaled(ctx context.Context, ws []bench.Workload, cfg experiments.Config, o journaledOpts, stderr io.Writer) ([]*experiments.WorkloadResult, error) {
+// runSweep runs the sweep through experiments.RunMatrixContext,
+// creating or resuming the run journal when one is given. Without one
+// the sweep runs unjournaled and an interrupted run starts over (or,
+// with -memo-dir, replays its finished cells from the memo store).
+func runSweep(ctx context.Context, ws []bench.Workload, cfg experiments.Config, o sweepOpts, stderr io.Writer) ([]*experiments.WorkloadResult, error) {
 	meta := experiments.MatrixMeta(ws, cfg)
 	total := experiments.MatrixTaskCount(ws, cfg)
 	var (

@@ -25,12 +25,12 @@ func synthWorkload(name string, iters, work int) bench.Workload {
 	}
 }
 
-// TestRunAllContextCancelMidSweep emulates a SIGINT arriving mid-sweep:
-// the first workload to finish cancels the shared context, and
-// RunAllContext must come back promptly with the completed results plus
+// TestMatrixCancelMidSweep emulates a SIGINT arriving mid-sweep: the
+// first workload to finish cancels the shared context, and
+// RunMatrixContext must come back promptly with the completed results plus
 // a typed cancellation error — not hang on, and not discard, the work
 // already done.
-func TestRunAllContextCancelMidSweep(t *testing.T) {
+func TestMatrixCancelMidSweep(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
@@ -52,7 +52,7 @@ func TestRunAllContextCancelMidSweep(t *testing.T) {
 		synthWorkload("tiny", 50, 1),
 		synthWorkload("huge", 200_000, 16),
 	}
-	done, err := RunAllContext(ctx, ws, cfg)
+	done, err := RunMatrixContext(ctx, ws, cfg, MatrixConfig{Jobs: 2})
 	if err == nil {
 		t.Fatal("expected a cancellation error, got full completion")
 	}
@@ -73,12 +73,12 @@ func TestRunAllContextCancelMidSweep(t *testing.T) {
 	t.Fatalf("completed workload missing from partial results: %v", done)
 }
 
-// TestRunAllContextDeadline checks an already-expired deadline aborts
+// TestMatrixDeadline checks an already-expired deadline aborts
 // the sweep with a typed deadline error.
-func TestRunAllContextDeadline(t *testing.T) {
+func TestMatrixDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 0)
 	defer cancel()
-	done, err := RunAllContext(ctx, []bench.Workload{synthWorkload("w", 2000, 2)}, Config{Resources: []int{8}})
+	done, err := RunMatrixContext(ctx, []bench.Workload{synthWorkload("w", 2000, 2)}, Config{Resources: []int{8}}, MatrixConfig{})
 	if err == nil {
 		t.Fatal("expected a deadline error")
 	}

@@ -55,12 +55,12 @@ type CellResult struct {
 	RootRate float64 `json:"rootrate"`
 }
 
-// MatrixConfig parameterizes the supervised (journaled, resumable)
-// sweep.
+// MatrixConfig parameterizes how RunMatrixContext executes a sweep:
+// worker pool, retries, and the optional journal and memo.
 type MatrixConfig struct {
-	// Jobs bounds the worker pool (minimum 1). Cells of the same input
-	// serialize on that input's shared simulator; distinct inputs run
-	// concurrently.
+	// Jobs bounds the worker pool (minimum 1). An input is built once,
+	// by its first cell; its remaining cells then run concurrently on
+	// the shared prepared simulator.
 	Jobs int
 	// Retry is the per-cell retry policy (see superv.RetryPolicy).
 	Retry superv.RetryPolicy
@@ -166,6 +166,14 @@ func (e *inputSim) get(ctx context.Context, cfg Config) (*trace.Trace, *ilpsim.S
 	return e.tr, e.sim, nil
 }
 
+// release drops the trace and prepared simulator once the input's last
+// cell has merged; nothing in the sweep reads them again.
+func (e *inputSim) release() {
+	e.mu.Lock()
+	e.tr, e.sim = nil, nil
+	e.mu.Unlock()
+}
+
 // drop discards the shared simulator if it is still the given one, so
 // the next cell (or the retry) rebuilds from scratch. Concurrent cells
 // already running on the old simulator finish on it safely; only new
@@ -236,26 +244,24 @@ func modelByName(name string, cfg Config) (ilpsim.Model, error) {
 			return m, nil
 		}
 	}
-	return ilpsim.Model{}, runx.Newf(runx.KindInvalidInput, "experiments.RunMatrix", "model %q not in this run's configuration", name)
+	return ilpsim.Model{}, runx.Newf(runx.KindInvalidInput, "experiments.RunMatrixContext", "model %q not in this run's configuration", name)
 }
 
-// RunMatrix is RunMatrixContext under context.Background.
-func RunMatrix(ws []bench.Workload, cfg Config, mcfg MatrixConfig) ([]*WorkloadResult, error) {
-	return RunMatrixContext(context.Background(), ws, cfg, mcfg)
-}
-
-// RunMatrixContext is the crash-safe counterpart of RunAllContext: it
-// decomposes the sweep into addressable (input × model × ET) tasks,
-// runs them on a bounded worker pool under per-task retry, and — when
-// a journal is configured — records every start/finish durably so an
-// interrupted run resumes where it stopped. Results merged from a
-// resumed journal flow through the same aggregation as fresh ones
-// (aggregateWorkload, crossWorkloadMean), so the final tables are
-// byte-identical to an uninterrupted run's.
+// RunMatrixContext runs a sweep: it decomposes the sweep into
+// addressable (input × model × ET) tasks (MatrixTasks), runs them on a
+// bounded worker pool under per-task retry, and — when a journal is
+// configured — records every start/finish durably so an interrupted run
+// resumes where it stopped. Results merged from a resumed journal flow
+// through the same aggregation as fresh ones (aggregateWorkload,
+// crossWorkloadMean), so the final tables are byte-identical to an
+// uninterrupted run's. Once an input's last cell has merged, its trace
+// and prepared simulator are released, so a sweep holds only the
+// inputs it is still running.
 //
-// Workload results that completed before a failure are returned
-// alongside the error, mirroring RunAllContext. cfg.OnResult fires once
-// per completed workload (serialized), in completion order.
+// On failure or cancellation the first error cancels the remaining
+// cells, and the workload results that did complete are returned
+// alongside it, in configured order. cfg.OnResult fires once per
+// completed workload (serialized), in completion order.
 func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg MatrixConfig) ([]*WorkloadResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -265,51 +271,45 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		return nil, err
 	}
 
-	sims := make(map[string]*inputSim)
 	type inputAgg struct {
+		sim       *inputSim
 		res       *InputResult
-		remaining int
+		remaining int // cells not yet merged
 	}
+	perInput := len(cfg.Models) * len(cfg.Resources)
 	inputAggs := make(map[string]*inputAgg) // key "workload/input"
 	workRemaining := make(map[string]int)   // cells left per workload
 	inputOrder := make(map[string][]string) // workload -> input keys in order
-
-	var tasks []superv.Task
 	for _, w := range ws {
 		for _, in := range w.Inputs {
 			ikey := w.Name + "/" + in.Name
-			sims[ikey] = &inputSim{build: in.Build, name: ikey}
 			inputAggs[ikey] = &inputAgg{
+				sim: &inputSim{build: in.Build, name: ikey},
 				res: &InputResult{
 					Input:    ikey,
 					Speedup:  make(map[string]map[int]float64),
 					RootRate: make(map[string]map[int]float64),
 				},
-				remaining: len(cfg.Models) * len(cfg.Resources),
+				remaining: perInput,
 			}
 			inputOrder[w.Name] = append(inputOrder[w.Name], ikey)
-			workRemaining[w.Name] += len(cfg.Models) * len(cfg.Resources)
-			for _, m := range cfg.Models {
-				for _, et := range cfg.Resources {
-					mt := MatrixTask{Workload: w.Name, Input: in.Name, Model: m.String(), ET: et}
-					ent := sims[ikey]
-					tasks = append(tasks, superv.Task{
-						Key: mt.Key(),
-						Run: func(ctx context.Context) (any, error) {
-							if mcfg.Memo != nil {
-								return memoizedCell(ctx, mcfg.Memo, mt, cfg, func(ctx context.Context) (*CellResult, error) {
-									return ent.run(ctx, mt, cfg)
-								})
-							}
-							cell, err := ent.run(ctx, mt, cfg)
-							if err != nil {
-								return nil, err
-							}
-							return cell, nil
-						},
-					})
+			workRemaining[w.Name] += perInput
+		}
+	}
+
+	mts := MatrixTasks(ws, cfg)
+	tasks := make([]superv.Task, len(mts))
+	for i, mt := range mts {
+		ent := inputAggs[mt.Workload+"/"+mt.Input].sim
+		run := func(ctx context.Context) (*CellResult, error) { return ent.run(ctx, mt, cfg) }
+		tasks[i] = superv.Task{
+			Key: mt.Key(),
+			Run: func(ctx context.Context) (any, error) {
+				if mcfg.Memo != nil {
+					return memoizedCell(ctx, mcfg.Memo, mt, cfg, run)
 				}
-			}
+				return run(ctx)
+			},
 		}
 	}
 
@@ -323,7 +323,7 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		if err := json.Unmarshal(payload, &cell); err != nil {
 			mu.Lock()
 			if mergeErr == nil {
-				mergeErr = runx.Newf(runx.KindCorrupt, "experiments.RunMatrix", "journaled result %s: %w", key, err)
+				mergeErr = runx.Newf(runx.KindCorrupt, "experiments.RunMatrixContext", "journaled result %s: %w", key, err)
 			}
 			mu.Unlock()
 			return
@@ -349,7 +349,9 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		}
 		r.Speedup[cell.Model][cell.ET] = cell.Speedup
 		r.RootRate[cell.Model][cell.ET] = cell.RootRate
-		agg.remaining--
+		if agg.remaining--; agg.remaining == 0 {
+			agg.sim.release()
+		}
 		workRemaining[cell.Workload]--
 		if workRemaining[cell.Workload] == 0 {
 			inputs := make([]*InputResult, len(inputOrder[cell.Workload]))
@@ -413,22 +415,17 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 // MatrixTaskCount reports how many journal tasks a sweep decomposes
 // into — for progress summaries.
 func MatrixTaskCount(ws []bench.Workload, cfg Config) int {
-	cfg = cfg.withDefaults()
-	n := 0
-	for _, w := range ws {
-		n += len(w.Inputs) * len(cfg.Models) * len(cfg.Resources)
-	}
-	return n
+	return len(MatrixTasks(ws, cfg))
 }
 
-// MatrixTasks enumerates the sweep's cells in the same deterministic
-// order RunMatrixContext queues them (workloads as given, then inputs,
-// models, resource levels). A distributed coordinator uses this as the
-// authoritative task decomposition, so its cells are exactly the cells
-// a single-node journaled run would execute.
+// MatrixTasks enumerates the sweep's cells in deterministic order
+// (workloads as given, then inputs, models, resource levels). It is the
+// one task decomposition: RunMatrixContext queues exactly these cells
+// in this order, and a distributed coordinator leases them, so a fleet
+// runs exactly the cells a single-node run would.
 func MatrixTasks(ws []bench.Workload, cfg Config) []MatrixTask {
 	cfg = cfg.withDefaults()
-	tasks := make([]MatrixTask, 0, MatrixTaskCount(ws, cfg))
+	var tasks []MatrixTask
 	for _, w := range ws {
 		for _, in := range w.Inputs {
 			for _, m := range cfg.Models {

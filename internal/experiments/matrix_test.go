@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +14,7 @@ import (
 
 	"deesim/internal/bench"
 	"deesim/internal/ilpsim"
+	"deesim/internal/isa"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
 )
@@ -50,36 +54,126 @@ func renderAll(rs []*WorkloadResult, cfg Config) string {
 	return b.String()
 }
 
-// TestMatrixMatchesRunAll: the supervised matrix decomposition must
-// reproduce RunAllContext's aggregate tables byte for byte.
-func TestMatrixMatchesRunAll(t *testing.T) {
+// referenceSweep is the sweep's definition written out sequentially:
+// RunCell over every MatrixTasks entry, folded through the same
+// aggregation RunMatrixContext uses.
+func referenceSweep(t *testing.T, ws []bench.Workload, cfg Config) []*WorkloadResult {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	inputs := map[string]*InputResult{}
+	for _, mt := range MatrixTasks(ws, cfg) {
+		c, err := RunCell(context.Background(), ws, cfg, mt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ikey := mt.Workload + "/" + mt.Input
+		ir := inputs[ikey]
+		if ir == nil {
+			ir = &InputResult{Input: ikey, Speedup: map[string]map[int]float64{}, RootRate: map[string]map[int]float64{}}
+			inputs[ikey] = ir
+		}
+		ir.Insts, ir.Accuracy, ir.Oracle = c.Insts, c.Accuracy, c.Oracle
+		if ir.Speedup[c.Model] == nil {
+			ir.Speedup[c.Model], ir.RootRate[c.Model] = map[int]float64{}, map[int]float64{}
+		}
+		ir.Speedup[c.Model][c.ET], ir.RootRate[c.Model][c.ET] = c.Speedup, c.RootRate
+	}
+	var out []*WorkloadResult
+	for _, w := range ws {
+		var irs []*InputResult
+		for _, in := range w.Inputs {
+			irs = append(irs, inputs[w.Name+"/"+in.Name])
+		}
+		wr, err := aggregateWorkload(w.Name, irs, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, wr)
+	}
+	hm, err := crossWorkloadMean(out, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, hm)
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestMatrixMatchesCellReference: the concurrent runner must produce
+// exactly the bytes of the sequential cell-by-cell reference, whatever
+// the pool size.
+func TestMatrixMatchesCellReference(t *testing.T) {
 	cfg := matrixTestConfig()
 	ws := matrixTestWorkloads(t)
-	direct, err := RunAllContext(context.Background(), ws, cfg)
-	if err != nil {
+	want := mustJSON(t, referenceSweep(t, ws, cfg))
+	for _, jobs := range []int{1, 4} {
+		got, err := RunMatrixContext(context.Background(), ws, cfg, MatrixConfig{Jobs: jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := mustJSON(t, got); g != want {
+			t.Errorf("Jobs %d: matrix results differ from the cell reference:\n--- matrix ---\n%s\n--- reference ---\n%s", jobs, g, want)
+		}
+	}
+}
+
+// TestMatrixReleasesFinishedInputs: once an input's last cell has
+// merged, the runner must drop its trace and prepared simulator, so a
+// sweep's live heap tracks the inputs in flight, not every input seen.
+// Six equal inputs run one cell at a time; the live heap measured at
+// the last input's cells must stay well under what six retained inputs
+// would hold.
+func TestMatrixReleasesFinishedInputs(t *testing.T) {
+	const inputs = 6
+	w := bench.Workload{Name: "big"}
+	for i := range inputs {
+		w.Inputs = append(w.Inputs, bench.Input{
+			Name: "in" + strconv.Itoa(i),
+			Build: func(int) (*isa.Program, error) {
+				return bench.BuildSynthetic(bench.SyntheticConfig{
+					Iterations: 40_000, BranchesPerIter: 2, Bias: 85, Seed: uint32(i + 1), Work: 4,
+				})
+			},
+		})
+	}
+	cfg := Config{
+		MaxInstrs: 400_000,
+		Resources: []int{8},
+		Models:    []ilpsim.Model{ilpsim.ModelSP, ilpsim.ModelDEECDMF},
+	}
+	liveHeap := func() int64 {
+		// Two collections: the first only moves sync.Pool contents (the
+		// simulators' run arenas) to the victim cache; the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := liveHeap()
+	var first, last int64
+	mcfg := MatrixConfig{Jobs: 1}
+	mcfg.testCellHook = func(key string) {
+		switch {
+		case strings.HasPrefix(key, "big/in0|"):
+			first = max(first, liveHeap()-base)
+		case strings.HasPrefix(key, "big/in"+strconv.Itoa(inputs-1)+"|"):
+			last = max(last, liveHeap()-base)
+		}
+	}
+	if _, err := RunMatrixContext(context.Background(), []bench.Workload{w}, cfg, mcfg); err != nil {
 		t.Fatal(err)
 	}
-	matrix, err := RunMatrixContext(context.Background(), ws, cfg, MatrixConfig{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := renderAll(matrix, cfg), renderAll(direct, cfg); got != want {
-		t.Errorf("matrix tables differ from direct run:\n--- matrix ---\n%s\n--- direct ---\n%s", got, want)
-	}
-	// Root-resolution statistics must survive the cell merge too.
-	for _, r := range matrix {
-		if r.Workload == "harmonic-mean" {
-			continue
-		}
-		for _, in := range r.Inputs {
-			for _, m := range cfg.Models {
-				for _, et := range cfg.Resources {
-					if _, ok := in.RootRate[m.String()][et]; !ok {
-						t.Errorf("%s %v ET=%d: RootRate lost in merge", in.Input, m, et)
-					}
-				}
-			}
-		}
+	t.Logf("live heap above baseline: %d B during the first input, %d B during the last", first, last)
+	if first <= 0 || last > 2*first {
+		t.Errorf("live heap grew from %d B during the first input to %d B during the last of %d inputs; finished inputs were not released", first, last, inputs)
 	}
 }
 
@@ -94,11 +188,7 @@ func TestMatrixKillAndResume(t *testing.T) {
 	total := MatrixTaskCount(ws, cfg)
 
 	// Reference: uninterrupted, journal-free run.
-	want, err := RunAllContext(context.Background(), ws, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantTables := renderAll(want, cfg)
+	wantTables := renderAll(referenceSweep(t, ws, cfg), cfg)
 
 	// Run 1: journaled, killed after a handful of cells.
 	path := filepath.Join(t.TempDir(), "run.journal")
@@ -203,10 +293,6 @@ func TestDuplicateWorkloadsRejected(t *testing.T) {
 	w, err := bench.ByName("xlisp")
 	if err != nil {
 		t.Fatal(err)
-	}
-	_, err = RunAllContext(context.Background(), []bench.Workload{w, w}, matrixTestConfig())
-	if !runx.IsKind(err, runx.KindInvalidInput) {
-		t.Errorf("RunAllContext accepted duplicate workloads: %v", err)
 	}
 	_, err = RunMatrixContext(context.Background(), []bench.Workload{w, w}, matrixTestConfig(), MatrixConfig{})
 	if !runx.IsKind(err, runx.KindInvalidInput) {

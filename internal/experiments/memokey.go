@@ -2,11 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
-	"deesim/internal/bench"
 	"deesim/internal/ilpsim"
 )
 
@@ -53,29 +51,4 @@ func cellMemoKey(salt string, cfg Config, t MatrixTask) string {
 func canonOpts(o ilpsim.Options) string {
 	return fmt.Sprintf("designp=%g,penalty=%d,strictmem=%t,deadlock=%d,pes=%d,lat=%v,cache=%t,mem=%t",
 		o.DesignP, o.Penalty, o.StrictMemory, o.DeadlockLimit, o.PEs, o.Lat, o.Cache != nil, o.Mem != nil)
-}
-
-// SweepMemoKey renders a whole sweep's canonical cache identity — the
-// sorted MatrixMeta fields under the same salt. deesimd uses it to
-// collapse duplicate whole-spec submissions onto one in-flight sweep.
-// Execution knobs (timeouts, retries, priority, deadline) are
-// deliberately absent: they change how a sweep runs, never what it
-// computes.
-func SweepMemoKey(ws []bench.Workload, cfg Config) string {
-	return sweepMemoKey(MemoSalt, ws, cfg)
-}
-
-func sweepMemoKey(salt string, ws []bench.Workload, cfg Config) string {
-	meta := MatrixMeta(ws, cfg)
-	keys := make([]string, 0, len(meta))
-	for k := range meta {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, 0, len(keys)+2)
-	parts = append(parts, "sweep", salt)
-	for _, k := range keys {
-		parts = append(parts, k+"="+meta[k])
-	}
-	return strings.Join(parts, "|")
 }

@@ -89,42 +89,11 @@ func TestCellMemoKeyCoversResultRelevantFields(t *testing.T) {
 
 func TestMemoKeySaltChangesEveryKey(t *testing.T) {
 	cfg := Config{}
-	ws := bench.All()[:1]
 	if a, b := cellMemoKey("deesim-sim/v1", cfg, paperTask()), cellMemoKey("deesim-sim/v2", cfg, paperTask()); a == b {
 		t.Fatal("cell key identical across salt bump; a sim change would serve poisoned hits")
 	}
-	if a, b := sweepMemoKey("deesim-sim/v1", ws, cfg), sweepMemoKey("deesim-sim/v2", ws, cfg); a == b {
-		t.Fatal("sweep key identical across salt bump")
-	}
 	if !strings.Contains(CellMemoKey(cfg, paperTask()), MemoSalt) {
 		t.Fatal("CellMemoKey does not embed MemoSalt")
-	}
-	if !strings.Contains(SweepMemoKey(ws, cfg), MemoSalt) {
-		t.Fatal("SweepMemoKey does not embed MemoSalt")
-	}
-}
-
-func TestSweepMemoKeyDefaultInsensitiveAndDeterministic(t *testing.T) {
-	ws := bench.All()[:2]
-	zero := SweepMemoKey(ws, Config{})
-	explicit := SweepMemoKey(ws, Config{
-		Resources: PaperResources,
-		Models:    ilpsim.PaperModels,
-		Predictor: "2bit",
-		Opts:      ilpsim.DefaultOptions(),
-	})
-	if zero != explicit {
-		t.Fatalf("zero-value and explicitly-defaulted sweep keys disagree:\n  %s\n  %s", zero, explicit)
-	}
-	// Map iteration must not leak into the key: repeated renders agree.
-	for i := 0; i < 16; i++ {
-		if again := SweepMemoKey(ws, Config{}); again != zero {
-			t.Fatalf("SweepMemoKey is nondeterministic:\n  %s\n  %s", zero, again)
-		}
-	}
-	// Workload set is part of sweep identity.
-	if one := SweepMemoKey(ws[:1], Config{}); one == zero {
-		t.Fatal("sweep key ignores the workload set")
 	}
 }
 

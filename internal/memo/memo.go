@@ -260,6 +260,12 @@ func (m *Memo) Do(ctx context.Context, key string, fn func(ctx context.Context) 
 			}
 			return nil, f.err
 		}
+		if _, ok := m.byHash[hash]; ok {
+			// A winner stored its result and retired its flight after our
+			// lookup above missed: serve that result, don't recompute it.
+			m.mu.Unlock()
+			continue
+		}
 		f := &flight{done: make(chan struct{})}
 		m.flights[hash] = f
 		m.mu.Unlock()

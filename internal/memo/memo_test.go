@@ -516,3 +516,35 @@ func TestHitMissMetrics(t *testing.T) {
 		t.Fatalf("misses advanced by %d, want 1", d)
 	}
 }
+
+// TestDoComputesEachKeyOnce: callers racing on one key must never run
+// fn twice, even when one looks the key up just before another caller's
+// flight stores its result and retires.
+func TestDoComputesEachKeyOnce(t *testing.T) {
+	m, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, callers = 2000, 4
+	var calls atomic.Int64
+	for k := 0; k < keys; k++ {
+		key := fmt.Sprintf("cell|%d", k)
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := m.Do(context.Background(), key, func(context.Context) ([]byte, error) {
+					calls.Add(1)
+					return []byte(key), nil
+				}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := calls.Load(); n != keys {
+		t.Fatalf("fn ran %d times for %d keys, want exactly once per key", n, keys)
+	}
+}

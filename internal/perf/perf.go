@@ -294,7 +294,7 @@ func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
 			for _, et := range cfg.ETs {
 				var res ilpsim.Result
 				eventNs, iters, err := measure(ctx, cfg, func(ctx context.Context) error {
-					r, err := sim.RunEventContext(ctx, m, et)
+					r, err := sim.RunContext(ctx, m, et)
 					res = r
 					return err
 				})

@@ -84,8 +84,8 @@ func TestThunderingHerdCollapsesToOneSweep(t *testing.T) {
 	if d := started.Value() - s0; d != wantCells {
 		t.Errorf("herd of %d started %d simulations, want %d (one sweep)", herd, d, wantCells)
 	}
-	// Every non-winning job resolved as exactly one spec-level hit or
-	// collapse: the hit-rate series must account for all 31 of them.
+	// Every non-winning job's cells resolved as memo hits or collapses:
+	// the hit-rate series must account for at least one per job.
 	if d := (hits.Value() - h0) + (collapsed.Value() - c0); d < herd-1 {
 		t.Errorf("hits+collapsed advanced by %d, want >= %d", d, herd-1)
 	}

@@ -117,10 +117,11 @@ type Config struct {
 	// sweeps' cell retries draw from. Nil means unlimited retries — the
 	// pre-budget behavior.
 	Budget *budget.Budget
-	// Memo, if non-nil, is the content-addressed result cache: repeated
-	// sweeps replay cached cells, identical concurrent submissions
-	// (whole specs and leased cells alike) collapse onto one in-flight
-	// computation, and every caller receives byte-identical results.
+	// Memo, if non-nil, is the content-addressed cell-result cache:
+	// repeated sweeps replay cached cells, identical concurrent cells
+	// (from duplicate submissions or leases alike) collapse onto one
+	// in-flight computation, and every caller receives byte-identical
+	// results.
 	// Nil — the default — keeps every submission simulating from
 	// scratch, which byte-identity-sensitive golden jobs rely on.
 	Memo *memo.Memo
@@ -307,29 +308,13 @@ func (s *Server) execute(ctx context.Context, jb *Job) ([]byte, error) {
 			}
 		},
 	}
-	compute := func(ctx context.Context) ([]byte, error) {
-		results, err := experiments.RunMatrixContext(ctx, ws, cfg, mcfg)
-		if err != nil {
-			return nil, err
-		}
-		data, err := json.MarshalIndent(results, "", "  ")
-		if err != nil {
-			return nil, runx.Newf(runx.KindUnknown, stageServer, "job %s: marshal results: %w", jb.id, err)
-		}
-		return append(data, '\n'), nil
+	results, err := experiments.RunMatrixContext(ctx, ws, cfg, mcfg)
+	if err != nil {
+		return nil, err
 	}
-	if s.cfg.Memo == nil {
-		return compute(ctx)
+	data, err := json.MarshalIndent(results, "", "  ")
+	if err != nil {
+		return nil, runx.Newf(runx.KindUnknown, stageServer, "job %s: marshal results: %w", jb.id, err)
 	}
-	// Whole-spec singleflight: a thundering herd of identical
-	// submissions blocks on the first one's sweep and shares its bytes —
-	// each job still writes (and acks) its own result.json, so the
-	// per-job durability contract is unchanged.
-	data, err := s.cfg.Memo.Do(ctx, experiments.SweepMemoKey(ws, cfg), compute)
-	if err == nil {
-		s.mu.Lock()
-		jb.cellsDone = jb.cellsTotal // shared or replayed cells count as done
-		s.mu.Unlock()
-	}
-	return data, err
+	return append(data, '\n'), nil
 }

@@ -61,8 +61,8 @@ type Spec struct {
 	// resumed job rejoins the trace that submitted it — and travels
 	// inside every leased cell's Spec, stitching the fleet's span
 	// fragments into one timeline. Absent or malformed means untraced;
-	// it is never part of a memo key (the same sweep bytes must hit the
-	// same cache entry regardless of who traced it).
+	// it is never part of a memo key (the same cell must hit the same
+	// cache entry regardless of who traced it).
 	Trace string `json:"trace,omitempty"`
 }
 
