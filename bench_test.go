@@ -19,9 +19,7 @@
 package deesim_test
 
 import (
-	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 
@@ -34,7 +32,6 @@ import (
 	"deesim/internal/ilpsim"
 	"deesim/internal/isa"
 	"deesim/internal/levo"
-	"deesim/internal/perf"
 	"deesim/internal/predictor"
 	"deesim/internal/trace"
 	"deesim/internal/unroll"
@@ -91,28 +88,6 @@ func sim(b *testing.B, name string) *ilpsim.Sim {
 	s := ilpsim.MustNew(tr, predictor.NewTwoBit(), ilpsim.DefaultOptions())
 	simCache[name] = s
 	return s
-}
-
-// TestMain hooks the perf pipeline into the go-test harness: when
-// BENCH_CORE_OUT names a file, a successful run additionally measures
-// the ILP core (event scheduler vs the legacy scanner, same cells as
-// `deesim -bench-out`) at the harness trace cap and writes the
-// benchstat-compatible suite there.
-func TestMain(m *testing.M) {
-	code := m.Run()
-	if out := os.Getenv("BENCH_CORE_OUT"); out != "" && code == 0 {
-		suite, err := perf.RunCore(context.Background(), perf.CoreConfig{TraceCap: BenchTraceCap})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_CORE_OUT:", err)
-			os.Exit(1)
-		}
-		suite.Benchstat(os.Stderr)
-		if err := suite.WriteFile(out); err != nil {
-			fmt.Fprintln(os.Stderr, "BENCH_CORE_OUT:", err)
-			os.Exit(1)
-		}
-	}
-	os.Exit(code)
 }
 
 // --- Figure 1 & 2: analytic trees ---

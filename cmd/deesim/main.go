@@ -14,17 +14,7 @@
 //	       [-memo-dir path] [-memo-mem bytes]
 //	       [-golden results/golden/figure5.json] [-write-golden out.json]
 //	       [-figure name]
-//	       [-bench-out BENCH_core.json] [-bench-baseline BENCH_core.json]
-//	       [-bench-regress] [-bench-cap N]
 //	       [-fsck -journal run.journal]
-//
-// With -bench-out or -bench-baseline the command runs in perf mode
-// instead of sweeping: it measures the ILP core per (workload × model ×
-// ET) cell — event-scheduler ns/op plus the same-run wall-clock speedup
-// over the legacy scan loop — prints the suite benchstat-style, writes
-// it to -bench-out, and exits non-zero with a regression error if any
-// shared cell lost more than 20% of its baseline speedup_vs_legacy (or,
-// with -bench-regress, grew ns/op by more than 20%).
 //
 // The run is cancellable: SIGINT/SIGTERM or an expired -timeout stops
 // the sweep at the next cycle-loop checkpoint, prints whatever workload
@@ -73,7 +63,6 @@ import (
 	"deesim/internal/ilpsim"
 	"deesim/internal/memo"
 	"deesim/internal/obs"
-	"deesim/internal/perf"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
 )
@@ -115,11 +104,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		goldenFlag  = fs.String("golden", "", "compare the finished sweep against this golden baseline snapshot")
 		writeGolden = fs.String("write-golden", "", "write a golden baseline snapshot of the finished sweep to this path")
 		figureFlag  = fs.String("figure", "figure5", "figure name recorded in a written golden snapshot")
-
-		benchOut      = fs.String("bench-out", "", "measure the ILP core (perf mode) and write the BENCH_core.json suite to this path")
-		benchBaseline = fs.String("bench-baseline", "", "perf mode: compare the fresh suite against this baseline; exit non-zero on >20% regression")
-		benchRegress  = fs.Bool("bench-regress", false, "perf mode: additionally gate raw ns/op against the baseline (same-machine comparisons only)")
-		benchCap      = fs.Int("bench-cap", 0, "perf mode: dynamic instruction cap per workload (0 = 60000)")
 
 		traceOut = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the sweep to this path (load in chrome://tracing or Perfetto)")
 	)
@@ -171,15 +155,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		return 0
-	}
-
-	if *benchOut != "" || *benchBaseline != "" {
-		ctx, stop := runx.MainContext(*timeoutFlag)
-		defer stop()
-		return runPerf(ctx, perfOpts{
-			out: *benchOut, baseline: *benchBaseline, strictNs: *benchRegress,
-			cap: *benchCap, workloads: *benchFlag,
-		}, stdout, stderr, fail)
 	}
 
 	cfg := experiments.Config{
@@ -281,55 +256,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			return fail(err)
 		}
 		fmt.Fprintf(stderr, "deesim: %d golden cells within tolerance of %s\n", len(g.Points), *goldenFlag)
-	}
-	return 0
-}
-
-type perfOpts struct {
-	out, baseline string
-	strictNs      bool
-	cap           int
-	workloads     string
-}
-
-// runPerf is the benchmark-regression pipeline entry: measure the ILP
-// core (event scheduler ns/op plus same-run speedup over the legacy
-// scanner), write the suite, print it benchstat-style, and gate against
-// a baseline when one is given.
-func runPerf(ctx context.Context, o perfOpts, stdout, stderr io.Writer, fail func(error) int) int {
-	cfg := perf.CoreConfig{TraceCap: o.cap}
-	if o.workloads != "all" && o.workloads != "" {
-		ws, err := selectWorkloads(o.workloads)
-		if err != nil {
-			return fail(err)
-		}
-		for _, w := range ws {
-			cfg.Workloads = append(cfg.Workloads, w.Name)
-		}
-	}
-	suite, err := perf.RunCore(ctx, cfg)
-	if err != nil {
-		return fail(err)
-	}
-	suite.Benchstat(stdout)
-	fmt.Fprintf(stderr, "deesim: geomean speedup_vs_legacy %.2fx over %d cells\n",
-		suite.GeomeanVsLegacy(), len(suite.Records))
-	if o.out != "" {
-		if err := suite.WriteFile(o.out); err != nil {
-			return fail(fmt.Errorf("write %s: %w", o.out, err))
-		}
-		fmt.Fprintf(stderr, "deesim: wrote perf suite %s\n", o.out)
-	}
-	if o.baseline != "" {
-		base, err := perf.ReadFile(o.baseline)
-		if err != nil {
-			return fail(err)
-		}
-		if err := perf.Compare(base, suite, perf.CompareOpts{MinVsLegacy: 1.5, StrictNs: o.strictNs}); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "deesim: no perf regression against %s (%d baseline cells)\n",
-			o.baseline, len(base.Records))
 	}
 	return 0
 }

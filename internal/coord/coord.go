@@ -1,17 +1,37 @@
+// Package coord is the distributed-sweep control plane: a coordinator
+// that runs a matrix sweep through the same RunMatrixContext a
+// single-node run uses, but computes each cell by leasing it to a
+// registered deesimd worker instead of simulating it locally. Leases
+// are time-bounded; a lease whose worker crashes, partitions or stalls
+// expires, and the cell is retried like any failed attempt. Because the
+// journal, retry, memo and merge are the single-node ones, the merged
+// tables are byte-identical.
+//
+// Admission, priority lanes and brownout, recovery, drain, low-disk
+// mode and the /v1/jobs API are the job host deesimd runs on too
+// (server.Host); this package supplies the host's fleet executor (the
+// leased-cell executor and the merge) and the worker registry.
+//
+// Durability is superv's: the sweep journal is a superv journal under
+// the tool name Tool, every attempt start and completion one fsync'd
+// record, so a SIGKILL'd coordinator resumes its sweep without
+// re-running finished cells.
 package coord
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"deesim/internal/bench"
 	"deesim/internal/budget"
 	"deesim/internal/client"
 	"deesim/internal/durable"
@@ -22,6 +42,9 @@ import (
 	"deesim/internal/server"
 	"deesim/internal/superv"
 )
+
+// Tool is the tool name in every coordinator journal header.
+const Tool = "deesim-coord"
 
 const stageCoord = "coord"
 
@@ -56,15 +79,15 @@ type Config struct {
 	// (default HeartbeatTimeout/3).
 	HeartbeatEvery time.Duration
 	// CellRetries bounds re-dispatches per cell beyond the first attempt
-	// (default 2). Lease expiries and retryable worker errors consume
-	// the same budget.
+	// (default 2). Lease expiries and retryable worker errors are both
+	// failed attempts and consume the same budget.
 	CellRetries int
 	// Backoff seeds the per-cell re-dispatch backoff (superv's capped
 	// seeded-jitter policy; default 250ms).
 	Backoff time.Duration
-	// StragglerFactor triggers speculation: once the pending queue is
-	// empty, a lease running longer than factor × the median completed
-	// cell duration gets a speculative duplicate on an idle worker
+	// StragglerFactor triggers speculation: while no cell waits for a
+	// slot, a lease running longer than factor × the median completed
+	// cell duration gets one speculative duplicate on another worker
 	// (default 3; 0 disables).
 	StragglerFactor float64
 	// RequestTimeout bounds each API request (default 10s).
@@ -87,18 +110,18 @@ type Config struct {
 	// per-worker breaker. Tests inject fakes here.
 	NewWorkerClient func(baseURL string) WorkerClient
 	// Budget is the shared retry budget cell re-dispatch draws from: each
-	// re-dispatch after an expiry or retryable worker failure withdraws
-	// one token under the "coord" layer label, and an exhausted budget
-	// fails the sweep instead of re-dispatching — bounding total retry
-	// amplification across the fleet no matter how many cells are
-	// flapping. Nil means unlimited (the pre-budget behavior).
+	// re-dispatch after an expiry or retryable worker failure is a superv
+	// retry and withdraws one token under the "superv" layer label; an
+	// exhausted budget fails the sweep instead of re-dispatching —
+	// bounding total retry amplification across the fleet no matter how
+	// many cells are flapping. Nil means unlimited.
 	Budget *budget.Budget
-	// Memo, if non-nil, is the content-addressed cell-result cache: a
-	// sweep consults it before leasing any cell to the fleet (hits are
-	// journaled as done by the pseudo-worker "memo" without a dispatch),
-	// and every fleet-computed result is recorded back into it, so the
-	// next sweep over overlapping cells skips them. Nil — the default —
-	// dispatches every cell, which byte-identity proofs rely on.
+	// Memo, if non-nil, is the content-addressed cell-result cache: each
+	// cell consults it before it is leased (a hit is journaled done
+	// without a dispatch), and every fleet-computed result is recorded
+	// back into it, so the next sweep over overlapping cells skips them.
+	// Nil — the default — dispatches every cell, which byte-identity
+	// proofs rely on.
 	Memo *memo.Memo
 	// FS is the filesystem every durable write goes through; nil means
 	// the real one. Tests inject faultinject.FaultyFS here.
@@ -148,16 +171,18 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// worker is one registered deesimd instance.
+// worker is one registered deesimd instance. id, url and client never
+// change after registration; the rest is guarded by Coordinator.mu.
 type worker struct {
 	id       string
 	url      string
 	slots    int
-	state    string // last advertised tri-state (or "lost")
+	state    string // last advertised tri-state
 	inflight int    // worker-reported cells executing
 	lastBeat time.Time
-	lost     bool // heartbeat stale beyond HeartbeatTimeout
-	leases   int  // coordinator-side outstanding leases
+	lost     bool   // heartbeat stale beyond HeartbeatTimeout
+	leases   int    // coordinator-side outstanding leases
+	lastSeq  uint64 // grant sequence number of its latest lease
 	client   WorkerClient
 }
 
@@ -170,13 +195,6 @@ type WorkerStatus struct {
 	Inflight int    `json:"inflight"`
 	Leases   int    `json:"leases"`
 	LastBeat string `json:"last_beat"` // staleness, e.g. "1.2s"
-}
-
-// sweep is the scheduler's view of the host job it runs.
-type sweep struct {
-	id   string
-	spec server.Spec
-	job  *server.Job // nil when a scheduler is driven without a host
 }
 
 // Coordinator is the distributed-sweep control plane: the shared job
@@ -193,6 +211,16 @@ type Coordinator struct {
 	mu      sync.Mutex // guards the worker registry
 	workers map[string]*worker
 	wseq    int
+	leases  int           // outstanding leases, fleet-wide
+	grants  uint64        // leases granted, fleet-wide
+	changed chan struct{} // closed and replaced when a slot may have freed
+	// Dispatch order of the running sweep (one runs at a time): waiting
+	// holds the task indices of cells waiting for a slot, ascending;
+	// seen marks tasks that reached the executor or merged without it;
+	// front is the lowest task index not yet seen.
+	waiting []int
+	seen    []bool
+	front   int
 }
 
 // New builds a coordinator over StateDir, recovering sweeps a previous
@@ -203,9 +231,9 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.NewWorkerClient == nil {
 		cfg.NewWorkerClient = func(baseURL string) WorkerClient {
 			c := client.New(baseURL)
-			// One attempt per dispatch: the lease state machine owns cell
-			// retry; the HTTP budget outlasts the lease so the lease — not
-			// the transport — decides when to give up.
+			// One attempt per dispatch: superv owns cell retry; the HTTP
+			// budget outlasts the lease so the lease — not the transport —
+			// decides when to give up.
 			c.Retry = superv.RetryPolicy{Attempts: 1}
 			c.HTTP = &http.Client{Timeout: cfg.CellTimeout}
 			return c
@@ -215,6 +243,7 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg:     cfg,
 		met:     newCoordMetrics(cfg.Metrics),
 		workers: make(map[string]*worker),
+		changed: make(chan struct{}),
 	}
 	h, err := server.NewHost(server.Config{
 		StateDir:       cfg.StateDir,
@@ -241,28 +270,30 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// runSweep is the fleet executor: decompose the sweep, lease and
-// collect its cells under the coordinator journal, then merge — and
-// prove the merge.
+// runSweep is the fleet executor, the same shape as deesimd's: one
+// RunMatrixContext under a superv journal, with each cell computed by
+// the leased-cell executor instead of a local simulator. Journal,
+// retry, retry budget, memo and merge are therefore the single-node
+// ones.
 func (c *Coordinator) runSweep(ctx context.Context, j *server.Job) ([]byte, error) {
-	sw := &sweep{id: j.ID(), spec: j.Spec(), job: j}
-	ws, cfg, err := sw.spec.Resolve()
+	sp := j.Spec()
+	ws, cfg, err := sp.Resolve()
 	if err != nil {
 		return nil, err
 	}
 	tasks := experiments.MatrixTasks(ws, cfg)
 	meta := experiments.MatrixMeta(ws, cfg)
 	var (
-		jr    *Journal
-		prior *State
+		jr    *superv.Journal
+		prior *superv.State
 	)
 	if err := c.ReopenJournal(j, "coord.journal",
 		func(fsys durable.FS, path string) (err error) {
-			jr, prior, err = ResumeFS(fsys, path, Tool, meta)
+			jr, prior, err = superv.ResumeFS(fsys, path, Tool, meta)
 			return err
 		},
 		func(fsys durable.FS, path string) (err error) {
-			jr, err = CreateFS(fsys, path, Tool, meta)
+			jr, err = superv.CreateFS(fsys, path, Tool, meta)
 			return err
 		}); err != nil {
 		return nil, err
@@ -270,67 +301,68 @@ func (c *Coordinator) runSweep(ctx context.Context, j *server.Job) ([]byte, erro
 	defer jr.Close()
 	if prior != nil {
 		c.met.sweepsResumed.Inc()
-		c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", sw.id, prior.Summary(len(tasks)))
+		c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", j.ID(), prior.Summary(len(tasks)))
 	}
 
-	// Memo prefill: cells the cache already holds become durable done
-	// records from the pseudo-worker "memo" before any lease is granted,
-	// so the fleet only computes what no prior sweep has. The journal
-	// record makes the hit crash-safe the same way a real completion is.
-	memoKeys := make(map[string]string)
-	if c.cfg.Memo != nil {
-		if prior == nil {
-			prior = &State{Done: make(map[string]json.RawMessage)}
-		}
-		for _, t := range tasks {
-			key := t.Key()
-			memoKeys[key] = experiments.CellMemoKey(cfg, t)
-			if _, ok := prior.Done[key]; ok {
-				continue
-			}
-			data, ok := c.cfg.Memo.Get(memoKeys[key])
-			if !ok {
-				continue
-			}
-			if err := jr.Append(Record{Kind: KindDone, Key: key, Worker: "memo", Result: data}); err != nil {
-				return nil, err
-			}
-			prior.Done[key] = data
-		}
+	retries := sp.Retries
+	if retries <= 0 {
+		retries = c.cfg.CellRetries
 	}
-
-	sched := newScheduler(c, sw, tasks, jr, prior)
-	sched.memo, sched.memoKeys = c.cfg.Memo, memoKeys
-	done, err := sched.run(ctx)
+	backoff := c.cfg.Backoff
+	if d, err := server.ParseDuration("backoff", sp.Backoff); err == nil && d > 0 {
+		backoff = d
+	}
+	sw := &sweep{c: c, id: j.ID(), spec: sp, index: make(map[string]int), attempts: make([]int, len(tasks))}
+	for i, t := range tasks {
+		sw.index[t.Key()] = i
+	}
+	c.order(len(tasks))
+	merged := 0
+	results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{
+		// Every cell waits for its slot concurrently: the fleet, not a
+		// local pool, bounds how many run at once.
+		Jobs:    len(tasks),
+		Retry:   superv.RetryPolicy{Attempts: retries + 1, Backoff: backoff},
+		Journal: jr,
+		Prior:   prior,
+		Budget:  c.cfg.Budget,
+		Memo:    c.cfg.Memo,
+		Exec:    sw.runCell,
+		OnCell: func(key string, _ bool) {
+			merged++
+			c.see(sw.index[key])
+			c.CellDone(j)
+		},
+		OnRetry: func(key string, attempt int, delay string, err error) {
+			c.met.redispatches.Inc()
+			obs.RecordFlight("redispatch", key, map[string]string{
+				"sweep": sw.id, "attempt": strconv.Itoa(attempt - 1), "cause": err.Error(),
+			})
+			c.cfg.Logf("deesim-coord: sweep %s: cell %s attempt %d failed (%v), re-dispatching in %s", sw.id, key, attempt-1, err, delay)
+		},
+	})
 	if err != nil {
+		if errors.Is(err, superv.ErrBudgetExhausted) {
+			c.met.budgetDenied.Inc()
+		}
 		return nil, err
 	}
-	return c.merge(ctx, sw, ws, cfg, tasks, done)
+	return c.merge(ctx, sw.id, len(tasks), merged, results)
 }
 
-// merge replays the collected cell payloads through the SAME
-// aggregation path a single-node run uses — RunMatrixContext with the
-// full cell set as prior state executes nothing and merges everything —
-// and returns the identical final encoding for the host to write. That
-// construction, plus the completeness check below, is the merge proof:
-// there is no coordinator-specific math to diverge.
-func (c *Coordinator) merge(ctx context.Context, sw *sweep, ws []bench.Workload, cfg experiments.Config, tasks []experiments.MatrixTask, done map[string]json.RawMessage) ([]byte, error) {
-	ctx, endMerge := obs.StartSpan(ctx, "merge "+sw.id, map[string]string{"sweep": sw.id})
+// merge encodes the folded results exactly as deesimd does. The fold
+// is RunMatrixContext's own, so there is no coordinator-specific math
+// to diverge; the proof left to make is that every cell was folded in.
+func (c *Coordinator) merge(ctx context.Context, id string, total, merged int, results []*experiments.WorkloadResult) ([]byte, error) {
+	_, endMerge := obs.StartSpan(ctx, "merge "+id, map[string]string{"sweep": id})
 	defer endMerge()
-	for _, t := range tasks {
-		if _, ok := done[t.Key()]; !ok {
-			return nil, runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: cell %s has no result", sw.id, t.Key())
-		}
-	}
-	prior := &superv.State{Done: done}
-	results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{Jobs: 1, Prior: prior})
-	if err != nil {
-		return nil, runx.Annotate(err, "sweep "+sw.id+" merge")
+	if merged != total {
+		return nil, runx.Newf(runx.KindCorrupt, stageCoord, "sweep %s: merge refused: %d of %d cells have a result", id, merged, total)
 	}
 	c.met.mergeChecks.Inc()
 	data, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
-		return nil, runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", sw.id, err)
+		return nil, runx.Newf(runx.KindUnknown, stageCoord, "sweep %s: marshal results: %w", id, err)
 	}
 	return append(data, '\n'), nil
 }
@@ -356,7 +388,7 @@ func (c *Coordinator) RegisterWorker(url string, slots int) (id string, every ti
 			w.lastBeat = c.cfg.now()
 			w.lost = false
 			w.state = server.WorkerReady
-			c.updateWorkersLiveLocked()
+			c.changedLocked()
 			return w.id, c.cfg.HeartbeatEvery, nil
 		}
 	}
@@ -370,7 +402,7 @@ func (c *Coordinator) RegisterWorker(url string, slots int) (id string, every ti
 		lastBeat: c.cfg.now(),
 		client:   c.cfg.NewWorkerClient(url),
 	}
-	c.updateWorkersLiveLocked()
+	c.changedLocked()
 	c.cfg.Logf("deesim-coord: worker %s registered (%s, %d slots)", id, url, slots)
 	return id, c.cfg.HeartbeatEvery, nil
 }
@@ -390,7 +422,7 @@ func (c *Coordinator) HeartbeatWorker(id, state string, inflight int) error {
 	w.state = state
 	w.inflight = inflight
 	c.met.heartbeats.Inc()
-	c.updateWorkersLiveLocked()
+	c.changedLocked()
 	return nil
 }
 
@@ -398,11 +430,12 @@ func (c *Coordinator) HeartbeatWorker(id, state string, inflight int) error {
 func (c *Coordinator) Fleet() []WorkerStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.reapLocked()
 	now := c.cfg.now()
 	out := make([]WorkerStatus, 0, len(c.workers))
 	for _, w := range c.workers {
 		st := w.state
-		if w.lost || now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
+		if w.lost {
 			st = "lost"
 		}
 		out = append(out, WorkerStatus{
@@ -415,68 +448,138 @@ func (c *Coordinator) Fleet() []WorkerStatus {
 	return out
 }
 
-// workerSnap is the scheduler's race-free view of one worker: a value
-// snapshot taken under the registry lock, so the event loop never
-// touches live registry fields concurrently with heartbeat handlers.
-type workerSnap struct {
-	id     string
-	slots  int
-	leases int
-	state  string
-	lost   bool
-	client WorkerClient
-}
-
-// sweepWorkers marks stale workers lost (counting each transition) and
-// returns the registry snapshot the scheduler picks from.
-func (c *Coordinator) sweepWorkers() []*workerSnap {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// reapLocked marks workers whose heartbeat went stale lost, counting
+// each transition, and republishes the live-worker gauge.
+func (c *Coordinator) reapLocked() {
 	now := c.cfg.now()
-	out := make([]*workerSnap, 0, len(c.workers))
+	live := 0
 	for _, w := range c.workers {
 		if !w.lost && now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
 			w.lost = true
 			c.met.workerEvictons.Inc()
 			c.cfg.Logf("deesim-coord: worker %s (%s) lost: heartbeat stale by %s", w.id, w.url, now.Sub(w.lastBeat).Round(time.Millisecond))
 		}
-		out = append(out, &workerSnap{
-			id: w.id, slots: w.slots, leases: w.leases,
-			state: w.state, lost: w.lost, client: w.client,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].id < out[j].id })
-	c.updateWorkersLiveLocked()
-	return out
-}
-
-func (c *Coordinator) updateWorkersLiveLocked() {
-	now := c.cfg.now()
-	live := 0
-	for _, w := range c.workers {
-		if !w.lost && now.Sub(w.lastBeat) <= c.cfg.HeartbeatTimeout {
+		if !w.lost {
 			live++
 		}
 	}
 	c.met.workersLive.Set(float64(live))
 }
 
-// adjustLeases moves a worker's coordinator-side outstanding-lease
-// count (delta ±1) under the registry lock.
-func (c *Coordinator) adjustLeases(workerID string, delta int) {
-	c.mu.Lock()
-	if w, ok := c.workers[workerID]; ok {
-		w.leases += delta
-		if w.leases < 0 {
-			w.leases = 0
-		}
-	}
-	c.mu.Unlock()
+// changedLocked wakes every cell waiting for a slot: a lease ended or
+// a worker registered or beat, so one may have become eligible.
+func (c *Coordinator) changedLocked() {
+	c.reapLocked()
+	close(c.changed)
+	c.changed = make(chan struct{})
 }
 
-// noteCellDone bumps a sweep's progress counter for the status API.
-func (c *Coordinator) noteCellDone(sw *sweep) {
-	if sw.job != nil {
-		c.CellDone(sw.job)
+// lost reports whether a worker's heartbeat has gone stale.
+func (c *Coordinator) lost(w *worker) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.reapLocked()
+	return w.lost
+}
+
+// order starts a sweep's dispatch order over n tasks.
+func (c *Coordinator) order(n int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seen, c.front = make([]bool, n), 0
+}
+
+// see marks task i as having reached the executor or merged without it
+// (replayed, or served by the memo).
+func (c *Coordinator) see(i int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.seeLocked(i)
+}
+
+func (c *Coordinator) seeLocked(i int) {
+	c.seen[i] = true
+	for c.front < len(c.seen) && c.seen[c.front] {
+		c.front++
 	}
+	c.changedLocked()
+}
+
+// acquire takes a lease slot on the least-loaded live, non-draining
+// worker other than skip; ties go to the worker leased least recently,
+// then to the lowest id, so cells that arrive one at a time still
+// spread across the fleet. Cell task (its index in the sweep) waits
+// until a slot frees or ctx ends, and slots go out in task order: a
+// cell waits while an earlier task waits or has not been seen yet, so
+// whichever cell's goroutine happens to start first cannot jump the
+// queue. A speculative duplicate (task -1) never waits; it gets nil
+// when no slot is free.
+func (c *Coordinator) acquire(ctx context.Context, skip *worker, task int) (*worker, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if task >= 0 {
+		c.seeLocked(task)
+		c.waiting = slices.Insert(c.waiting, sort.SearchInts(c.waiting, task), task)
+		defer func() {
+			i := sort.SearchInts(c.waiting, task)
+			c.waiting = slices.Delete(c.waiting, i, i+1)
+			c.met.pendingCells.Set(float64(len(c.waiting)))
+			c.changedLocked() // the next cell in line may go
+		}()
+	}
+	for {
+		c.reapLocked()
+		if task < 0 || task == c.waiting[0] && task < c.front {
+			var best *worker
+			for _, w := range c.workers {
+				if w == skip || w.lost || w.state == server.WorkerDraining || w.leases >= w.slots {
+					continue
+				}
+				if best == nil || w.leases < best.leases || w.leases == best.leases &&
+					(w.lastSeq < best.lastSeq || w.lastSeq == best.lastSeq && w.id < best.id) {
+					best = w
+				}
+			}
+			if best != nil {
+				c.grants++
+				best.lastSeq = c.grants
+				best.leases++
+				c.leases++
+				c.met.leasesActive.Set(float64(c.leases))
+				return best, nil
+			}
+			if task < 0 {
+				return nil, nil
+			}
+		}
+		c.met.pendingCells.Set(float64(len(c.waiting)))
+		changed := c.changed
+		c.mu.Unlock()
+		select {
+		case <-ctx.Done():
+		case <-changed:
+		}
+		c.mu.Lock()
+		if err := runx.CtxErr(ctx, stageLease); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// release returns a lease slot taken by acquire.
+func (c *Coordinator) release(w *worker) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	w.leases--
+	c.leases--
+	c.met.leasesActive.Set(float64(c.leases))
+	c.changedLocked()
+}
+
+// idle reports whether no cell is waiting for a slot — the condition
+// under which straggler speculation may spend one.
+func (c *Coordinator) idle() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.waiting) == 0
 }

@@ -368,36 +368,26 @@ func TestStragglerSpeculation(t *testing.T) {
 	}
 }
 
-// TestDuplicateResolution drives the scheduler's completion handler
-// directly: first durable completion wins, identical duplicates are
+// TestDuplicateResolution drives a cell's race between leases
+// directly: the first completion wins, identical duplicates are
 // discarded with a counter, conflicting duplicates poison the sweep
 // with a typed corruption error.
 func TestDuplicateResolution(t *testing.T) {
 	c := newTestCoord(t, nil, nil)
-	jr, err := Create(filepath.Join(t.TempDir(), "j"), "deesim-coord", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jr.Close()
-	s := &scheduler{
-		c: c, sw: &sweep{id: "s000001"}, jr: jr,
-		leases: make(map[string]*lease),
-		byKey:  make(map[string]int),
-		done:   make(map[string]json.RawMessage),
-	}
+	r := &race{c: c, key: "k"}
 
-	if err := s.complete(completion{leaseID: "l1", key: "k", workerID: "w1", payload: json.RawMessage(`{"v": 1}`)}); err != nil {
+	if err := r.complete("w1", json.RawMessage(`{"v": 1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if string(s.done["k"]) != `{"v": 1}` {
-		t.Fatalf("first completion not durable: %q", s.done["k"])
+	if string(r.winner) != `{"v": 1}` {
+		t.Fatalf("first completion not durable: %q", r.winner)
 	}
 
 	// Identical duplicate (insignificant whitespace differs): discarded.
-	if err := s.complete(completion{leaseID: "l2", key: "k", workerID: "w2", payload: json.RawMessage(`{"v":1}`)}); err != nil {
+	if err := r.complete("w2", json.RawMessage(`{"v":1}`)); err != nil {
 		t.Fatalf("identical duplicate rejected: %v", err)
 	}
-	if string(s.done["k"]) != `{"v": 1}` {
+	if string(r.winner) != `{"v": 1}` {
 		t.Error("duplicate overwrote the durable winner")
 	}
 	if got := counter(c, "deesim_coord_duplicate_completions_total"); got != 1 {
@@ -405,7 +395,7 @@ func TestDuplicateResolution(t *testing.T) {
 	}
 
 	// Conflicting duplicate: typed corruption, sweep poison.
-	err = s.complete(completion{leaseID: "l3", key: "k", workerID: "w3", payload: json.RawMessage(`{"v":2}`)})
+	err := r.complete("w3", json.RawMessage(`{"v":2}`))
 	if !runx.IsKind(err, runx.KindCorrupt) {
 		t.Fatalf("conflicting duplicate = %v, want KindCorrupt", err)
 	}
@@ -571,4 +561,74 @@ func TestSubmitAdmission(t *testing.T) {
 func fileExists(path string) bool {
 	_, err := os.Stat(path)
 	return err == nil
+}
+
+// TestLeaseTTLRunsFromGrant: one single-slot worker, four cells of D
+// each, LeaseTTL = 3D. Cells queue for the slot up to 3D before their
+// lease is granted, so the TTL must start at the grant, not when the
+// attempt starts, or the last cells expire while merely waiting.
+func TestLeaseTTLRunsFromGrant(t *testing.T) {
+	const d = 150 * time.Millisecond
+	f := &fakeWorker{behavior: func(ctx context.Context, _ int, req server.CellRequest) (json.RawMessage, error) {
+		select {
+		case <-ctx.Done():
+			return nil, runx.CtxErr(ctx, "fakeWorker.delay")
+		case <-time.After(d):
+		}
+		return runRealCell(ctx, req)
+	}}
+	c := newTestCoord(t, map[string]*fakeWorker{"http://w1": f}, func(cfg *Config) {
+		cfg.LeaseTTL = 3 * d
+	})
+	registerWorker(t, c, "http://w1", 1)
+	c.Start()
+
+	st, err := c.Submit(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := waitSweep(t, c, st.ID, 10*time.Second)
+	if final.State != server.StateDone {
+		t.Fatalf("sweep ended %s: %s", final.State, final.Error)
+	}
+	if got := counter(c, "deesim_coord_lease_expiries_total"); got != 0 {
+		t.Errorf("lease expiries = %d, want 0: time waiting for the slot counted against the TTL", got)
+	}
+	merged, err := os.ReadFile(c.ResultPath(st.ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if golden := goldenResult(t, smokeSpec()); string(merged) != string(golden) {
+		t.Error("result differs from single-node golden")
+	}
+}
+
+// TestSweepWaitsForFirstWorker: a sweep submitted to an empty fleet
+// waits for a worker rather than failing or burning attempts, and
+// completes without a single re-dispatch once one registers.
+func TestSweepWaitsForFirstWorker(t *testing.T) {
+	f := &fakeWorker{}
+	c := newTestCoord(t, map[string]*fakeWorker{"http://w1": f}, nil)
+	c.Start()
+
+	st, err := c.Submit(smokeSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if cur, _ := c.Status(st.ID); cur.State != server.StateRunning || cur.CellsDone != 0 {
+		t.Fatalf("sweep with no workers: %+v, want running with 0 cells done", cur)
+	}
+	registerWorker(t, c, "http://w1", 2)
+
+	final := waitSweep(t, c, st.ID, 10*time.Second)
+	if final.State != server.StateDone {
+		t.Fatalf("sweep ended %s: %s", final.State, final.Error)
+	}
+	if got := counter(c, "deesim_coord_redispatches_total"); got != 0 {
+		t.Errorf("redispatches = %d, want 0", got)
+	}
+	if got := f.callCount(); got != 4 {
+		t.Errorf("worker saw %d calls, want 4", got)
+	}
 }

@@ -4,13 +4,15 @@ import (
 	"testing"
 
 	"deesim/internal/durable/durabletest"
+	"deesim/internal/superv"
 )
 
-// FuzzCoordJournal holds the shared log decoder, folding coordinator
-// records, to the recovery contract the superv fuzzer enforces
-// (durabletest.CheckDecode: typed errors, valid completions, torn-tail
-// truncation confined to the final line), plus the coordinator's own
-// rule that no cell is both done and awaiting re-queue.
+// FuzzCoordJournal holds superv's decoder, replaying coordinator
+// journals, to the recovery contract (durabletest.CheckDecode: typed
+// errors, valid completions, torn-tail truncation confined to the final
+// line), plus the coordinator's rule that no cell is both done and
+// awaiting re-queue. The seeds are the coordinator's own record shapes;
+// superv's FuzzJournalDecode carries the same ones for the CI fuzz run.
 func FuzzCoordJournal(f *testing.F) {
 	f.Add([]byte(`{"kind":"header","v":1,"tool":"deesim-coord"}` + "\n"))
 	f.Add([]byte(`{"kind":"header","v":1,"tool":"t"}` + "\n" +
@@ -25,13 +27,13 @@ func FuzzCoordJournal(f *testing.F) {
 	f.Add([]byte("\x00\x01\x02 torn garbage"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		st, err := Decode(data)
+		st, err := superv.Decode(data)
 		d, _ := decoded(st, err)
 		durabletest.CheckDecode(t, data, d, err)
 		if err != nil {
 			return
 		}
-		for k := range st.Attempts {
+		for k := range st.Pending {
 			if k == "" {
 				t.Fatal("recovered attempt record without a key")
 			}

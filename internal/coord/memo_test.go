@@ -11,11 +11,12 @@ import (
 	"deesim/internal/experiments"
 	"deesim/internal/memo"
 	"deesim/internal/server"
+	"deesim/internal/superv"
 )
 
 // The coordinator's two memo duties: record fleet-computed cells into
-// the cache, and serve cached cells from the journal-side prefill so
-// they are never dispatched at all.
+// the cache, and serve cached cells from it so they are never
+// dispatched at all.
 
 func newMemoCoord(t *testing.T, fakes map[string]*fakeWorker) (*Coordinator, *memo.Memo) {
 	t.Helper()
@@ -57,8 +58,8 @@ func TestCoordRecordsFleetResultsAndPrefillsRepeat(t *testing.T) {
 		}
 	}
 
-	// A repeated sweep dispatches nothing: the prefill satisfies every
-	// cell from the cache before the scheduler sees it.
+	// A repeated sweep dispatches nothing: the cache satisfies every
+	// cell before it is leased.
 	st2, err := c.Submit(smokeSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -83,11 +84,12 @@ func TestCoordRecordsFleetResultsAndPrefillsRepeat(t *testing.T) {
 		}
 	}
 
-	// Crash safety: each prefilled cell is a fsync'd done record from
-	// pseudo-worker "memo" in the warm sweep's journal, so a coordinator
-	// killed mid-sweep still resumes without re-dispatching them.
+	// Crash safety: each cache-served cell is a fsync'd done record in
+	// the warm sweep's journal (none was dispatched, see above), so a
+	// coordinator killed mid-sweep still resumes without re-dispatching
+	// them.
 	jpath := filepath.Join(c.sweepDir(st2.ID), "coord.journal")
-	stt, err := LoadFS(nil, jpath)
+	stt, err := superv.LoadFS(nil, jpath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,16 +105,16 @@ func TestCoordRecordsFleetResultsAndPrefillsRepeat(t *testing.T) {
 		if line == "" {
 			continue
 		}
-		var rec Record
+		var rec superv.Record
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			continue
 		}
-		if rec.Kind == KindDone && rec.Worker == "memo" {
+		if rec.Kind == superv.KindDone {
 			memoRecords++
 		}
 	}
 	if memoRecords != len(tasks) {
-		t.Errorf("warm journal has %d done records from pseudo-worker \"memo\", want %d", memoRecords, len(tasks))
+		t.Errorf("warm journal has %d done records served from the cache, want %d", memoRecords, len(tasks))
 	}
 }
 

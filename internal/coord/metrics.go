@@ -2,11 +2,6 @@ package coord
 
 import "deesim/internal/obs"
 
-// mJournalFsyncs counts durable coordinator-journal appends. Package
-// level (on the default registry) because the journal API is package
-// level; a monotone counter shared across instances is harmless.
-var mJournalFsyncs = obs.Default.GetOrCreateCounter("deesim_coord_journal_fsyncs_total")
-
 // coordMetrics bundles the coordinator's fleet instrument handles; the
 // sweep admission, lifecycle, integrity and HTTP series belong to the
 // job host (server.Host, named deesim_coord_*). Same registry
@@ -15,12 +10,12 @@ var mJournalFsyncs = obs.Default.GetOrCreateCounter("deesim_coord_journal_fsyncs
 // not fight over gauges.
 type coordMetrics struct {
 	workersLive  *obs.Gauge // registered workers with a fresh heartbeat
-	leasesActive *obs.Gauge // cells currently leased out
-	pendingCells *obs.Gauge // cells queued awaiting a worker
+	leasesActive *obs.Gauge // leases outstanding, fleet-wide
+	pendingCells *obs.Gauge // cells waiting for a free slot
 
 	leasesGranted  *obs.Counter
 	leaseExpiries  *obs.Counter // TTL or heartbeat-staleness revocations
-	redispatches   *obs.Counter // cells re-queued after expiry/failure
+	redispatches   *obs.Counter // cell retries after expiry/failure
 	cellsDone      *obs.Counter
 	cellsFailed    *obs.Counter // terminal (non-retryable) cell failures
 	dupDiscards    *obs.Counter // identical duplicate completions discarded
@@ -32,11 +27,7 @@ type coordMetrics struct {
 	sweepsResumed  *obs.Counter // journals replayed after a coordinator crash
 	mergeChecks    *obs.Counter // merges verified against the journal set
 
-	budgetDenied *obs.Counter // re-dispatches refused: shared retry budget exhausted
-	// deadlineTimeouts is the host's deesim_coord_deadline_timeouts_total
-	// (the registry hands back the same counter): the scheduler counts
-	// the sweeps it refuses to re-dispatch past their deadline.
-	deadlineTimeouts *obs.Counter
+	budgetDenied *obs.Counter // sweeps failed: shared retry budget exhausted
 }
 
 func newCoordMetrics(reg *obs.Registry) *coordMetrics {
@@ -62,7 +53,6 @@ func newCoordMetrics(reg *obs.Registry) *coordMetrics {
 		sweepsResumed:  reg.GetOrCreateCounter("deesim_coord_sweeps_resumed_total"),
 		mergeChecks:    reg.GetOrCreateCounter("deesim_coord_merge_checks_total"),
 
-		budgetDenied:     reg.GetOrCreateCounter("deesim_coord_budget_denied_total"),
-		deadlineTimeouts: reg.GetOrCreateCounter("deesim_coord_deadline_timeouts_total"),
+		budgetDenied: reg.GetOrCreateCounter("deesim_coord_budget_denied_total"),
 	}
 }

@@ -59,7 +59,6 @@ func (h *Heartbeater) traceparent() string {
 // retry on a fixed cadence — on start the coordinator may simply not
 // be up yet; the fleet converges whenever it arrives.
 func (h *Heartbeater) Run(ctx context.Context) {
-	every := h.Every
 	for {
 		id, assigned, err := h.register(ctx)
 		if err != nil {
@@ -69,6 +68,9 @@ func (h *Heartbeater) Run(ctx context.Context) {
 			}
 			continue
 		}
+		// Re-read on every registration: a restarted coordinator may
+		// assign a different cadence than the one that came before it.
+		every := h.Every
 		if every <= 0 {
 			every = assigned
 		}

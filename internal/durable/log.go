@@ -267,18 +267,6 @@ func ReplayLog[R any](data []byte, k LogKind, apply func(R) error) (Replayed, er
 	return rp, nil
 }
 
-// LogTool returns the tool named by the header of log bytes data, or
-// "" when the first line is not a readable header. It picks a decoder
-// and verifies nothing; ReplayLog does the checking.
-func LogTool(data []byte) string {
-	line, _, _ := bytes.Cut(data, []byte{'\n'})
-	var h header
-	if json.Unmarshal(line, &h) != nil || h.Kind != kindHeader {
-		return ""
-	}
-	return h.Tool
-}
-
 // ResumeLog reopens the log at path for a continued run: it replays
 // the existing records through apply (tolerating a torn tail), checks
 // that the header names the same tool and agrees with every meta key

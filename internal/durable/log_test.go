@@ -38,9 +38,6 @@ func TestLogLineFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := LogTool(data); got != "tool" {
-		t.Errorf("LogTool = %q, want tool", got)
-	}
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	if len(lines) != 3 || len(lines[2]) != 0 {
 		t.Fatalf("log holds %q, want header + one record", data)

@@ -56,7 +56,8 @@ type CellResult struct {
 }
 
 // MatrixConfig parameterizes how RunMatrixContext executes a sweep:
-// worker pool, retries, and the optional journal and memo.
+// worker pool, retries, the optional journal and memo, and where cells
+// run.
 type MatrixConfig struct {
 	// Jobs bounds the worker pool (minimum 1). An input is built once,
 	// by its first cell; its remaining cells then run concurrently on
@@ -89,6 +90,11 @@ type MatrixConfig struct {
 	// the historical behavior — every cell simulates — which is what
 	// byte-identity-sensitive golden jobs run with.
 	Memo *memo.Memo
+	// Exec, if non-nil, computes each cell in place of the local path
+	// (the input's shared prepared simulator). Journal, retry, memo and
+	// merge are unchanged around it; deesim-coord passes one that leases
+	// the cell to its fleet.
+	Exec func(ctx context.Context, t MatrixTask) (*CellResult, error)
 
 	// testCellHook, when set by tests, observes each freshly-executed
 	// cell key — the seam kill-and-resume tests use to cancel mid-sweep.
@@ -302,6 +308,9 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 	for i, mt := range mts {
 		ent := inputAggs[mt.Workload+"/"+mt.Input].sim
 		run := func(ctx context.Context) (*CellResult, error) { return ent.run(ctx, mt, cfg) }
+		if mcfg.Exec != nil {
+			run = func(ctx context.Context) (*CellResult, error) { return mcfg.Exec(ctx, mt) }
+		}
 		tasks[i] = superv.Task{
 			Key: mt.Key(),
 			Run: func(ctx context.Context) (any, error) {

@@ -61,7 +61,7 @@ func TestMatrixMemoWarmRunSkipsAllSimulations(t *testing.T) {
 func TestRunCellMemoSharesEntriesWithMatrix(t *testing.T) {
 	// A sweep and a lone cell RPC that describe the same simulation must
 	// share a cache entry: that is what content addressing buys the
-	// fleet (a coordinator prefills from cells workers computed, and
+	// fleet (a coordinator's cells hit entries workers computed, and
 	// vice versa).
 	cfg := matrixTestConfig()
 	ws := matrixTestWorkloads(t)

@@ -23,7 +23,6 @@ import (
 	"sort"
 	"strings"
 
-	"deesim/internal/coord"
 	"deesim/internal/durable"
 	"deesim/internal/memo"
 	"deesim/internal/runx"
@@ -171,34 +170,22 @@ func File(fsys durable.FS, path string) Verdict {
 }
 
 // Journal checks a JSONL journal by full replay, which verifies every
-// record's content digest. The header's tool picks the record decoder:
-// coordinator journals hold coord records, every other tool's hold
-// superv records.
+// record's content digest. Every tool's journal, the coordinator's
+// included, holds superv records.
 func Journal(fsys durable.FS, path string) Verdict {
 	data, err := durable.Or(fsys).ReadFile(path)
 	if err != nil {
 		return Verdict{Path: path, Status: StatusCorrupt, Detail: err.Error()}
 	}
-	var done, torn int
-	if durable.LogTool(data) == coord.Tool {
-		var st *coord.State
-		if st, err = coord.Decode(data); err == nil {
-			done, torn = len(st.Done), st.Truncated
-		}
-	} else {
-		var st *superv.State
-		if st, err = superv.Decode(data); err == nil {
-			done, torn = len(st.Done), st.Truncated
-		}
-	}
+	st, err := superv.Decode(data)
 	switch {
 	case err != nil:
 		return Verdict{Path: path, Status: StatusCorrupt, Detail: err.Error()}
-	case torn > 0:
+	case st.Truncated > 0:
 		return Verdict{Path: path, Status: StatusTorn,
-			Detail: fmt.Sprintf("%d done record(s); %d torn byte(s) will drop on resume and re-run", done, torn)}
+			Detail: fmt.Sprintf("%d done record(s); %d torn byte(s) will drop on resume and re-run", len(st.Done), st.Truncated)}
 	default:
-		return Verdict{Path: path, Status: StatusOK, Detail: fmt.Sprintf("%d done record(s)", done)}
+		return Verdict{Path: path, Status: StatusOK, Detail: fmt.Sprintf("%d done record(s)", len(st.Done))}
 	}
 }
 

@@ -43,11 +43,11 @@ func writeTree(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	cj, err := coord.Create(filepath.Join(jobDir, "coord.journal"), "deesim-coord", nil)
+	cj, err := superv.Create(filepath.Join(jobDir, "coord.journal"), coord.Tool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cj.Append(coord.Record{Kind: coord.KindAssign, Key: "a", Worker: "w1", Lease: "l1", Attempt: 1}); err != nil {
+	if err := cj.Append(superv.Record{Kind: "assign", Key: "a", Worker: "w1", Lease: "l1", Attempt: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cj.Close(); err != nil {
@@ -184,19 +184,18 @@ func TestJournalTornIsNotCorrupt(t *testing.T) {
 	}
 }
 
-// TestJournalDecoderFromHeader: the header's tool, not the file name,
-// picks the record decoder, so a coordinator journal under any name
-// replays as one — its worker-stamped done records would fail a superv
-// replay's sums.
+// TestJournalDecoderFromHeader: a coordinator journal written before
+// the fleet shared superv's journal replays under any file name — its
+// worker-stamped legacy records verify against the one decoder.
 func TestJournalDecoderFromHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "renamed.journal")
-	cj, err := coord.Create(path, coord.Tool, nil)
+	cj, err := superv.Create(path, coord.Tool, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rec := range []coord.Record{
-		{Kind: coord.KindAssign, Key: "a", Worker: "w1", Lease: "l1", Attempt: 1},
-		{Kind: coord.KindDone, Key: "a", Worker: "w1", Lease: "l1", Attempt: 1, Result: json.RawMessage(`{"v":1}`)},
+	for _, rec := range []superv.Record{
+		{Kind: "assign", Key: "a", Worker: "w1", Lease: "l1", Attempt: 1},
+		{Kind: superv.KindDone, Key: "a", Worker: "w1", Lease: "l1", Attempt: 1, Result: json.RawMessage(`{"v":1}`)},
 	} {
 		if err := cj.Append(rec); err != nil {
 			t.Fatal(err)

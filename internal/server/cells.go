@@ -18,7 +18,7 @@ import (
 // submission uses; its execution knobs are ignored here, the
 // coordinator owns retry policy), Task addresses the one cell to run.
 // Lease is the coordinator's lease id, echoed into logs so a worker's
-// access log lines up with the coordinator's journal.
+// access log lines up with the coordinator's log and lease span.
 type CellRequest struct {
 	Spec  Spec                   `json:"spec"`
 	Task  experiments.MatrixTask `json:"task"`
@@ -50,8 +50,8 @@ func (cr CellRequest) Validate() error {
 // non-blocking slot acquire (a worker at capacity sheds with 429 so the
 // coordinator leases elsewhere), execution is the same single-cell code
 // path a journaled sweep runs, and the response body is the CellResult
-// JSON the coordinator journals verbatim. A draining worker sheds with
-// 503 before touching a slot. Stalls and partitions need no handling
+// JSON the coordinator's sweep folds and journals. A draining worker
+// sheds with 503 before touching a slot. Stalls and partitions need no handling
 // here — the coordinator's lease expiry re-dispatches the cell, and the
 // duplicate-completion rule discards whichever result loses the race.
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {

@@ -31,18 +31,33 @@ const (
 	// error text, its runx kind, and whether the supervisor deemed it
 	// retryable.
 	KindFail = "fail"
+
+	// Coordinator journals written before the fleet ran its sweeps
+	// through Run used their own names for the same events: a lease
+	// grant and a revoked lease. Replay reads them as start and fail.
+	legacyAssign = "assign"
+	legacyExpire = "expire"
 )
 
 // Record is one post-header journal line. Kind selects which fields
 // are meaningful; the log adds the content digest as a final "sum" key.
+//
+// Worker, Lease, Speculative and Reason are never written any more.
+// Legacy coordinator journals carry them, and a record's sum covers
+// every field it was written with, so they stay declared, in the
+// order those journals wrote them, for old lines to verify.
 type Record struct {
-	Kind      string          `json:"kind"`
-	Key       string          `json:"key,omitempty"`
-	Attempt   int             `json:"attempt,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	ErrKind   string          `json:"errkind,omitempty"`
-	Retryable bool            `json:"retryable,omitempty"`
+	Kind        string          `json:"kind"`
+	Key         string          `json:"key,omitempty"`
+	Worker      string          `json:"worker,omitempty"`
+	Lease       string          `json:"lease,omitempty"`
+	Attempt     int             `json:"attempt,omitempty"`
+	Speculative bool            `json:"spec,omitempty"`
+	Result      json.RawMessage `json:"result,omitempty"`
+	Error       string          `json:"error,omitempty"`
+	ErrKind     string          `json:"errkind,omitempty"`
+	Retryable   bool            `json:"retryable,omitempty"`
+	Reason      string          `json:"reason,omitempty"`
 }
 
 // State is the digest of a journal replay: which tasks completed (with
@@ -56,6 +71,9 @@ type State struct {
 	// Pending maps task keys that were started or failed but never
 	// completed to the number of attempts the journal records for them.
 	Pending map[string]int
+	// Duplicates counts done records for keys already done: the first
+	// done record wins, later ones are discarded.
+	Duplicates int `json:",omitempty"`
 }
 
 // Journal is an open, appendable run journal.
@@ -131,7 +149,7 @@ func (st *State) apply(rec Record) error {
 		return fmt.Errorf("%s record without a task key", rec.Kind)
 	}
 	switch rec.Kind {
-	case KindStart:
+	case KindStart, legacyAssign:
 		if _, done := st.Done[rec.Key]; !done {
 			if rec.Attempt > st.Pending[rec.Key] {
 				st.Pending[rec.Key] = rec.Attempt
@@ -143,9 +161,13 @@ func (st *State) apply(rec Record) error {
 		if len(rec.Result) == 0 {
 			return fmt.Errorf("done record for %s without a result payload", rec.Key)
 		}
+		if _, dup := st.Done[rec.Key]; dup {
+			st.Duplicates++
+			return nil
+		}
 		st.Done[rec.Key] = rec.Result
 		delete(st.Pending, rec.Key)
-	case KindFail:
+	case KindFail, legacyExpire:
 		if _, done := st.Done[rec.Key]; !done {
 			if rec.Attempt > st.Pending[rec.Key] {
 				st.Pending[rec.Key] = rec.Attempt

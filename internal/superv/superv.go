@@ -3,6 +3,7 @@ package superv
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -15,6 +16,10 @@ import (
 )
 
 const stageRun = "superv.Run"
+
+// ErrBudgetExhausted is in the chain of the error Run returns when the
+// shared retry budget refused a retry.
+var ErrBudgetExhausted = errors.New("retry budget exhausted")
 
 // Task is one addressable unit of an experiment matrix. Key must be
 // unique within a run: it is the task's identity in the journal, so a
@@ -262,13 +267,16 @@ func runTask(ctx context.Context, t Task, cfg Config, emitMu *sync.Mutex) error 
 				return jerr
 			}
 		}
-		if !retryable || attempt >= cfg.Retry.Attempts {
+		if !retryable {
 			return err
+		}
+		if attempt >= cfg.Retry.Attempts {
+			return fmt.Errorf("%w: failed after %d attempt(s)", err, attempt)
 		}
 		if !cfg.Budget.Allow("superv") {
 			mBudgetDenied.Inc()
 			return runx.Annotate(runx.Newf(runx.KindUnavailable, stageRun,
-				"retry budget exhausted after attempt %d: %w", attempt, err), t.Key)
+				"%w after attempt %d: %w", ErrBudgetExhausted, attempt, err), t.Key)
 		}
 		delay := cfg.Retry.Delay(t.Key, attempt+1)
 		mRetries.Inc()
