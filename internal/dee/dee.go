@@ -702,6 +702,38 @@ func (s Shape) CoveredCounts(falseCount, firstFalse, j int) bool {
 	panic("dee: CoveredCounts unsupported for " + s.Strategy.String())
 }
 
+// CoveredDepth is the coverage horizon of the closed-form shapes (SP,
+// EE, DEE): given the window depths first < second of the first two
+// unknown-direction pending branches (-1 when absent), paths P_0..P_j
+// are covered for every j up to the returned depth and no deeper path
+// up to MaxDepth is. It agrees with CoveredCounts on 1..MaxDepth, so a
+// simulator can stop its window walk there instead of querying every
+// depth. DEEPure has no such horizon; calling CoveredDepth on it
+// panics.
+func (s Shape) CoveredDepth(first, second int) int {
+	switch s.Strategy {
+	case SP:
+		if first < 0 {
+			return s.ML
+		}
+		return min(first, s.ML)
+	case EE:
+		return s.LEE
+	case DEE:
+		if first < 0 {
+			return s.ML
+		}
+		if first+1 > s.H {
+			return min(first, s.ML) // no side path below the first mispredict
+		}
+		if second < 0 {
+			return s.H
+		}
+		return min(second, s.H)
+	}
+	panic("dee: CoveredDepth unsupported for " + s.Strategy.String())
+}
+
 func maxInt(a, b int) int {
 	if a > b {
 		return a

@@ -346,6 +346,45 @@ func TestCoverageClosedFormsMatchTrees(t *testing.T) {
 	}
 }
 
+// TestCoveredDepthMatchesCounts: the coverage horizon must be exactly
+// the prefix of window depths CoveredCounts accepts, for every
+// placement of the first two unknown branches (a third or later one
+// cannot uncover anything the second has not already cut).
+func TestCoveredDepthMatchesCounts(t *testing.T) {
+	for _, c := range []struct {
+		strategy Strategy
+		p        float64
+		et       int
+	}{
+		{SP, 0.9, 1}, {SP, 0.9, 40}, {EE, 0.9, 1}, {EE, 0.9, 62},
+		{DEE, 0.9, 8}, {DEE, 0.9, 34}, {DEE, 0.85, 64}, {DEE, 0.92, 256}, {DEE, 0.99, 16},
+	} {
+		shape := NewShape(c.strategy, c.p, c.et)
+		maxd := shape.MaxDepth()
+		for first := -1; first < maxd; first++ {
+			for second := -1; second < maxd; second++ {
+				if second >= 0 && (first < 0 || second <= first) {
+					continue
+				}
+				h := shape.CoveredDepth(first, second)
+				for j := 1; j <= maxd; j++ {
+					fc := 0
+					if first >= 0 && first < j {
+						fc++
+					}
+					if second >= 0 && second < j {
+						fc++
+					}
+					if got, want := j <= h, shape.CoveredCounts(fc, first, j); got != want {
+						t.Fatalf("%v p=%v et=%d: CoveredDepth(%d,%d) = %d, but CoveredCounts(%d,%d,%d) = %v",
+							c.strategy, c.p, c.et, first, second, h, fc, first, j, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEEHeight(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 0, 2: 1, 5: 1, 6: 2, 8: 2, 13: 2, 14: 3, 16: 3, 30: 4, 32: 4, 62: 5, 64: 5, 126: 6, 128: 6, 254: 7, 256: 7}
 	for et, want := range cases {

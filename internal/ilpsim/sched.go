@@ -20,7 +20,7 @@
 //     does not move, the machine state is frozen until the next event,
 //     so simulated time jumps straight to the earliest of (a) the next
 //     scheduled wakeup, (b) the next known-direction transition of an
-//     unresolved mispredicted window branch (finish+penalty+1), and
+//     issued mispredicted branch (finish+penalty+1), and
 //     (c) the root path's release (pathDone, or the misprediction
 //     restart hold finish+penalty). Jumps are clamped so the deadlock
 //     watchdog and the absolute cycle limit trip at exactly the cycle
@@ -33,7 +33,43 @@
 // finish >= c, and dependents require finish < cycle), which is why
 // wakeup-at-finish+1 reproduces the legacy dependency scan exactly.
 //
-// Coverage checks run on dee.BitVec bitsets (Shape.CoveredBits,
+// Coverage horizon. Coverage is also paid per event, not per window
+// slot. The window's unknown-direction branches live in a deque of
+// absolute path positions (runState.unk) that changes only when the
+// root advances, the window extends past a new branch, or a
+// mispredicted branch's known transition (finish+penalty+1, queued in
+// runState.knownQ when the branch issues) comes due — the same events
+// the cycle-skip already waits for. Under the closed-form shapes, base
+// coverage is a prefix of the window whose end follows from the first
+// two unknown branches alone (dee.Shape.CoveredDepth): SP stops at the
+// first unknown branch, DEE at the second (or at the first when it sits
+// past the DEE region, or at H), EE covers all of its LEE levels and so
+// tracks no branches at all. Paths with ready instructions are tracked
+// in a bitset over absolute path positions (runState.readyBits), so a
+// cycle visits only non-empty ready lists, and under the Restrictive
+// models only those up to the horizon. The tree-based strategies
+// (DEEPure, DEEProfile) rebuild their known bitset from the deque each
+// cycle and keep the per-path tree queries and relaxation.
+//
+// Control parking. Under the CD models a closed-form shape's ready
+// instruction past the horizon is tested against the unknown branches
+// in front of it. SP covers it only when it relaxes past all of them;
+// if it does not, it leaves its ready list and waits on the deepest
+// branch it cannot relax past, and returns to its ready list only when
+// that branch leaves the deque. Parking is exact because everything
+// the test depends on is monotone while the instruction waits. Whether
+// instruction k relaxes past unknown branch u is static: u's join <= k,
+// and k reads nothing u's wrong side may write. The set of unknown
+// branches in front of k only shrinks: directions only become known,
+// the root never passes an unknown branch under a non-EE shape, and the
+// window grows only behind k's own path. So while the awaited branch is
+// unknown, k stays uncovered, and re-testing it every cycle would only
+// re-derive that. DEE, which may cover one unrelaxed branch from its
+// side path, keeps its uncovered instructions on their ready lists and
+// re-tests them each cycle; the walk stops at the second unrelaxed
+// branch.
+//
+// Tree coverage checks run on dee.BitVec bitsets (Shape.CoveredBits,
 // Tree.ContainsBits) instead of bool vectors, and all per-run buffers
 // come from a per-Sim sync.Pool arena so repeated runs — including the
 // eight paper models fanned out concurrently over one Sim — allocate
@@ -42,36 +78,110 @@ package ilpsim
 
 import (
 	"context"
+	"math"
+	"math/bits"
 	"slices"
 
 	"deesim/internal/dee"
 	"deesim/internal/runx"
 )
 
+// unkBranch is one unknown-direction window branch: the absolute path
+// it terminates, with the static half of the CD relaxation test hoisted
+// in when it enters the window.
+type unkBranch struct {
+	p    int32  // absolute path index
+	join int32  // join position; math.MaxInt32 when unknown (relaxes nothing)
+	regs uint32 // registers the wrong side may write
+	mem  bool   // the wrong side may store
+	wait int32  // head of the instructions parked on this branch; -1 when none
+}
+
+// relaxes reports whether instruction k, with source-register mask sm
+// and load flag ld, is control independent of the branch and cannot
+// have had an operand written by its wrong side — the legacy loop's CD
+// relaxation. It depends on nothing that changes during a run.
+func (u *unkBranch) relaxes(k int32, sm uint32, ld bool) bool {
+	return u.join <= k && sm&u.regs == 0 && !(ld && u.mem)
+}
+
+// knownEvt schedules the cycle at which an issued mispredicted branch's
+// direction becomes known (finish+penalty+1).
+type knownEvt struct {
+	at int64
+	p  int32 // absolute path the branch terminates
+}
+
+// fifo is a slice-backed queue that reuses its storage across runs:
+// popped slots are reclaimed by compaction when an append would
+// otherwise reallocate.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) live() []T { return q.buf[q.head:] }
+
+func (q *fifo[T]) reset() { q.buf, q.head = q.buf[:0], 0 }
+
+func (q *fifo[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		q.buf, q.head = q.buf[:copy(q.buf, q.buf[q.head:])], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() {
+	if q.head++; q.head == len(q.buf) {
+		q.reset()
+	}
+}
+
+// remove deletes live()[i].
+func (q *fifo[T]) remove(i int) {
+	i += q.head
+	q.buf = append(q.buf[:i], q.buf[i+1:]...)
+	if q.head == len(q.buf) {
+		q.reset()
+	}
+}
+
+// waitNode is one entry of a parking list: a waiting instruction and
+// the slab index of the next entry (-1 ends the list).
+type waitNode struct{ k, next int32 }
+
 // runState is the per-run arena: every mutable buffer one RunContext
 // call needs. Instances are recycled through Sim.pool; all slices keep
 // their capacity across runs, so steady-state runs allocate only what
-// the ready lists and calendar buckets grow by.
+// the ready lists, parking lists and calendar buckets grow by.
 type runState struct {
 	finish        []int64   // 0 = not issued; else completion cycle
 	pending       []uint8   // remaining dependency (+serialization) count
 	pathRemaining []int32   // unissued instructions per path
 	pathDone      []int64   // completion cycle of the path's latest instruction
-	ready         [][]int32 // per path: dep-ready, unissued instructions
+	ready         [][]int32 // per path: dep-ready, unissued, unparked instructions
 	readyDirty    []bool    // per path: ready list needs re-sorting
+	readyBits     []uint64  // bit per path: its ready list is non-empty
 	buckets       [][]int32 // calendar ring of completion events (producer positions)
 	mask          int64     // len(buckets)-1; len is a power of two
 	inFlight      int       // scheduled, undrained completion events
-	known         dee.BitVec
-	scratch       dee.BitVec
-	unknown       []int32   // window depths of unknown-direction branches
-	psBuf         []float64 // profile-tree rebuild scratch
-	// Per-cycle CD-relaxation tables, parallel to unknown: the join
-	// position and wrong-side write set of each unknown window branch,
-	// hoisted out of the per-candidate relaxation loop.
-	relJ    []int32
-	relRegs []uint32
-	relMem  []bool
+
+	// unk holds the unknown-direction branches of paths [hp, winEnd) in
+	// ascending path order; knownQ the pending known transitions of
+	// issued mispredicted branches, in ascending cycle order.
+	unk    fifo[unkBranch]
+	winEnd int
+	knownQ fifo[knownEvt]
+	// Control parking (SP under the CD models): an unknown branch's
+	// wait list holds the instructions waiting for it to leave unk. The
+	// lists live in one slab with a free list, so parking memory follows
+	// the peak number of waiting instructions, not the trace length.
+	waitNodes []waitNode
+	freeNode  int32 // head of the slab's free list; -1 when empty
+
+	known   dee.BitVec // tree strategies: this cycle's known-direction bits
+	scratch dee.BitVec
+	psBuf   []float64 // profile-tree rebuild scratch
 }
 
 // growSlice returns s with length n, reallocating only when capacity is
@@ -93,9 +203,9 @@ func nextPow2(n int) int {
 }
 
 // getRunState fetches an arena from the pool and resets it for a run
-// over n instructions, np paths, a known-vector of words uint64 words,
-// and a calendar ring of ring slots.
-func (s *Sim) getRunState(n, np, words, ring int) *runState {
+// over n instructions, np paths and window depths up to maxDepth, with
+// a calendar ring of ring slots.
+func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
 	st, _ := s.pool.Get().(*runState)
 	if st == nil {
 		st = new(runState)
@@ -114,17 +224,23 @@ func (s *Sim) getRunState(n, np, words, ring int) *runState {
 	for i := range st.ready {
 		st.ready[i] = st.ready[i][:0]
 	}
+	st.waitNodes = st.waitNodes[:0]
+	st.freeNode = -1
 	st.readyDirty = growSlice(st.readyDirty, np)
 	clear(st.readyDirty)
+	st.readyBits = growSlice(st.readyBits, (np+63)/64)
+	clear(st.readyBits)
 	st.buckets = growSlice(st.buckets, ring)
 	for i := range st.buckets {
 		st.buckets[i] = st.buckets[i][:0]
 	}
 	st.mask = int64(ring - 1)
 	st.inFlight = 0
-	st.known = growSlice(st.known, words)
-	st.scratch = growSlice(st.scratch, words)
-	st.unknown = st.unknown[:0]
+	st.unk.reset()
+	st.winEnd = 0
+	st.knownQ.reset()
+	st.known = growSlice(st.known, (maxDepth+63)/64)
+	st.scratch = growSlice(st.scratch, (maxDepth+63)/64)
 	return st
 }
 
@@ -137,25 +253,119 @@ func (st *runState) push(ap int32, k int32) {
 		st.readyDirty[ap] = true
 	}
 	st.ready[ap] = append(rl, k)
+	st.readyBits[ap>>6] |= 1 << (uint(ap) & 63)
 }
 
-// buildRelax hoists the loop-invariant half of the CD relaxation — each
-// unknown window branch's join position and wrong-side write set — into
-// tables parallel to st.unknown, so the per-candidate loop is pure
-// table lookups.
-func (s *Sim) buildRelax(st *runState, hp int) {
-	nu := len(st.unknown)
-	st.relJ = growSlice(st.relJ, nu)
-	st.relRegs = growSlice(st.relRegs, nu)
-	st.relMem = growSlice(st.relMem, nu)
-	for i, ur := range st.unknown {
-		j := s.pathJoin[hp+int(ur)]
-		st.relJ[i] = j
-		if j >= 0 {
-			w := s.wrongSideWrites(s.pathBranch[hp+int(ur)])
-			st.relRegs[i] = w.Regs
-			st.relMem[i] = w.Mem
+// wait adds instruction k, just taken off its ready list, to the
+// parking list headed by *head.
+func (st *runState) wait(head *int32, k int32) {
+	i := st.freeNode
+	if i >= 0 {
+		st.freeNode = st.waitNodes[i].next
+	} else {
+		i = int32(len(st.waitNodes))
+		st.waitNodes = append(st.waitNodes, waitNode{})
+	}
+	st.waitNodes[i] = waitNode{k: k, next: *head}
+	*head = i
+}
+
+// wake returns the waiting instructions of the list headed by *head to
+// their ready lists and empties it.
+func (s *Sim) wake(st *runState, head *int32) {
+	for i := *head; i >= 0; {
+		nd := st.waitNodes[i]
+		st.push(s.d.path[nd.k], nd.k)
+		st.waitNodes[i].next = st.freeNode
+		st.freeNode = i
+		i = nd.next
+	}
+	*head = -1
+}
+
+// deepestUnrelaxed returns the index of the deepest of unk[:i] that
+// instruction k cannot relax past, or -1 when it relaxes past them all.
+func (s *Sim) deepestUnrelaxed(unk []unkBranch, i int, k int32) int {
+	sm, ld := s.srcMask[k], s.isLoad[k]
+	for i--; i >= 0 && unk[i].relaxes(k, sm, ld); i-- {
+	}
+	return i
+}
+
+// treeCovered is the CD coverage test for the tree strategies (tree is
+// the profile tree under DEE-profile, nil otherwise): instruction k on
+// window path ap is covered if the tree holds the path once every
+// unknown branch in front of it that k relaxes past counts as known.
+func (s *Sim) treeCovered(st *runState, shape dee.Shape, tree *dee.Tree, unk []unkBranch, k int32, ap, hp int) bool {
+	sm, ld := s.srcMask[k], s.isLoad[k]
+	st.scratch.CopyFrom(st.known)
+	for ui := range unk {
+		if int(unk[ui].p) >= ap {
+			break
 		}
+		if unk[ui].relaxes(k, sm, ld) {
+			st.scratch.Set(int(unk[ui].p) - hp)
+		}
+	}
+	if tree != nil {
+		return tree.ContainsBits(st.scratch, ap-hp)
+	}
+	return shape.CoveredBits(st.scratch, ap-hp)
+}
+
+// advanceKnown brings the unknown-branch deque up to date at the start
+// of a cycle: due known transitions leave it, branches the root has
+// passed are dropped, and the window's newly reachable branches join it
+// (unless their direction is already known). Instructions parked on a
+// branch that left are woken.
+func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
+	for q := st.knownQ.live(); len(q) > 0 && q[0].at <= cycle; q = st.knownQ.live() {
+		p := q[0].p
+		st.knownQ.pop()
+		for i, u := range st.unk.live() {
+			if u.p >= p {
+				if u.p == p {
+					s.wake(st, &st.unk.live()[i].wait)
+					st.unk.remove(i)
+				}
+				break
+			}
+		}
+	}
+	for u := st.unk.live(); len(u) > 0 && int(u[0].p) < hp; u = st.unk.live() {
+		s.wake(st, &u[0].wait)
+		st.unk.pop()
+	}
+	st.winEnd = max(st.winEnd, hp)
+	for ; st.winEnd < end; st.winEnd++ {
+		p := st.winEnd
+		if s.pathCorrect[p] {
+			continue
+		}
+		bp := s.pathBranch[p]
+		if f := st.finish[bp]; f > 0 && cycle > f+penalty {
+			continue
+		}
+		u := unkBranch{p: int32(p), join: s.pathJoin[p], wait: -1}
+		if u.join < 0 {
+			u.join = math.MaxInt32
+		} else {
+			w := s.wrongSideWrites(bp)
+			u.regs, u.mem = w.Regs, w.Mem
+		}
+		st.unk.push(u)
+	}
+}
+
+// queueKnown records that the issued mispredicted branch ending path p
+// becomes known at cycle at (its finish+penalty+1). Branch latencies
+// are uniform, so events almost always arrive in order; the insertion
+// walk keeps the queue sorted when they do not.
+func (st *runState) queueKnown(p int32, at int64) {
+	st.knownQ.push(knownEvt{at: at, p: p})
+	q := st.knownQ.live()
+	for i := len(q) - 1; i > 0 && q[i-1].at > q[i].at; i-- {
+		q[i-1], q[i] = q[i], q[i-1]
 	}
 }
 
@@ -175,6 +385,9 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 	vectorCov := m.Strategy == dee.DEEPure || m.Strategy == dee.DEEProfile
 	profile := m.Strategy == dee.DEEProfile
 	mf := m.CDMode == CDMF
+	// EE's coverage and root release ignore branch directions, so it
+	// tracks no unknown branches at all.
+	track := m.Strategy != dee.EE
 
 	shape, res, maxDepth := s.runSetup(m, et)
 
@@ -184,7 +397,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 	limit := int64(s.opts.DeadlockLimit)
 
 	ring := nextPow2(int(s.maxLat) + 1)
-	st := s.getRunState(n, np, (maxDepth+63)/64, ring)
+	st := s.getRunState(n, np, maxDepth, ring)
 	defer s.pool.Put(st)
 
 	// Seed dependency counters and the initial ready lists from the
@@ -197,8 +410,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 	}
 	copy(st.pending, s.initPending[si])
 	for _, k := range s.initReady[si] {
-		ap := s.d.path[k]
-		st.ready[ap] = append(st.ready[ap], k) // ascending k: stays sorted
+		st.push(s.d.path[k], k) // ascending k: stays sorted
 	}
 
 	// DEE-profile: dynamic greedy tree over per-branch accuracies,
@@ -243,6 +455,10 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		}
 		*b = (*b)[:0]
 
+		if track {
+			s.advanceKnown(st, hp, min(hp+maxDepth, np-1), cycle, penalty)
+		}
+
 		if profile && hp != lastHP {
 			ps := st.psBuf[:0]
 			for d := 0; d < maxDepth && hp+d < np; d++ {
@@ -268,132 +484,132 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		if hp+depth > np-1 {
 			depth = np - 1 - hp
 		}
-		st.known.Reset()
-		st.unknown = st.unknown[:0]
-		for r := 0; r < depth; r++ {
-			if s.pathCorrect[hp+r] {
-				st.known.Set(r)
-				continue
+
+		// cov is the base-coverage horizon: paths hp..hp+cov are covered
+		// outright. lim is the deepest path that can issue at all.
+		unk := st.unk.live()
+		cov, lim := depth, depth
+		if vectorCov {
+			// Tree shapes: known bits for depths 0..depth-1 (bits at or
+			// past depth are never read), checked per path below.
+			for w := range st.known {
+				st.known[w] = ^uint64(0)
 			}
-			f := st.finish[s.pathBranch[hp+r]]
-			if f > 0 && cycle > f+penalty {
-				st.known.Set(r)
-			} else {
-				st.unknown = append(st.unknown, int32(r))
+			for _, u := range unk {
+				if r := int(u.p) - hp; r < depth {
+					st.known.Clear(r)
+				}
+			}
+		} else {
+			first, second := -1, -1
+			if len(unk) > 0 {
+				first = int(unk[0].p) - hp
+			}
+			if len(unk) > 1 {
+				second = int(unk[1].p) - hp
+			}
+			cov = min(shape.CoveredDepth(first, second), depth)
+			if m.CDMode == Restrictive {
+				lim = cov
 			}
 		}
 
 		executed := 0
-		ui := 0 // unknown[:ui] holds the depths < r
-		fc, ff := 0, -1
 		capHit := false
-		relBuilt := false // relaxation tables built lazily, once per cycle
-		for r := 0; r <= depth && !capHit; r++ {
-			for ui < len(st.unknown) && int(st.unknown[ui]) < r {
-				if fc == 0 {
-					ff = int(st.unknown[ui])
+		lo, hi := hp, hp+lim
+		for w := lo >> 6; w <= hi>>6 && !capHit; w++ {
+			word := st.readyBits[w]
+			if w == lo>>6 {
+				word &= ^uint64(0) << (uint(lo) & 63)
+			}
+			if w == hi>>6 {
+				word &= ^uint64(0) >> (63 - uint(hi)&63)
+			}
+			for ; word != 0 && !capHit; word &= word - 1 {
+				ap := w<<6 | bits.TrailingZeros64(word)
+				r := ap - hp
+				rl := st.ready[ap]
+				if len(rl) > tally.readyHW {
+					tally.readyHW = len(rl)
 				}
-				fc++
-				ui++
-			}
-			ap := hp + r
-			rl := st.ready[ap]
-			if len(rl) == 0 {
-				continue
-			}
-			if len(rl) > tally.readyHW {
-				tally.readyHW = len(rl)
-			}
-			baseCov := r == 0
-			if !baseCov {
-				if vectorCov {
+				baseCov := r <= cov
+				if vectorCov && r > 0 {
 					if profile {
 						baseCov = profTree.ContainsBits(st.known, r)
 					} else {
 						baseCov = shape.CoveredBits(st.known, r)
 					}
-				} else {
-					baseCov = shape.CoveredCounts(fc, ff, r)
-				}
-			}
-			if !baseCov && m.CDMode == Restrictive {
-				continue
-			}
-			if st.readyDirty[ap] {
-				slices.Sort(rl)
-				st.readyDirty[ap] = false
-			}
-			if !baseCov && !relBuilt {
-				s.buildRelax(st, hp)
-				relBuilt = true
-			}
-			keep := rl[:0]
-			for i, k := range rl {
-				kk := int(k)
-				if !baseCov {
-					// CD relaxation, exactly as in runLegacy: an unknown
-					// branch this instruction is control independent of
-					// (and whose wrong side cannot have written an
-					// operand) does not count against coverage.
-					fck, ffk := 0, -1
-					if vectorCov {
-						st.scratch.CopyFrom(st.known)
-					}
-					sm, ld := s.srcMask[kk], s.isLoad[kk]
-					for uidx, ur := range st.unknown[:ui] {
-						if j := st.relJ[uidx]; j >= 0 && j <= k {
-							if sm&st.relRegs[uidx] == 0 && !(ld && st.relMem[uidx]) {
-								if vectorCov {
-									st.scratch.Set(int(ur))
-								}
-								continue // relaxed
-							}
-						}
-						if fck == 0 {
-							ffk = int(ur)
-						}
-						fck++
-					}
-					covOK := false
-					if vectorCov {
-						if profile {
-							covOK = profTree.ContainsBits(st.scratch, r)
-						} else {
-							covOK = shape.CoveredBits(st.scratch, r)
-						}
-					} else {
-						covOK = shape.CoveredCounts(fck, ffk, r)
-					}
-					if !covOK {
-						keep = append(keep, k)
+					if !baseCov && m.CDMode == Restrictive {
 						continue
 					}
 				}
-				f := cycle + int64(s.lat[kk]) - 1
-				st.finish[kk] = f
-				if f > st.pathDone[ap] {
-					st.pathDone[ap] = f
+				if st.readyDirty[ap] {
+					slices.Sort(rl)
+					st.readyDirty[ap] = false
 				}
-				st.pathRemaining[ap]--
-				executed++
-				if r == 0 && s.misp[kk] {
-					res.RootResolvedMispredicts++
+				keep := rl[:0]
+				front := -1 // unk[:front] lies in front of path ap
+				for i, k := range rl {
+					kk := int(k)
+					if !baseCov && vectorCov {
+						if !s.treeCovered(st, shape, profTree, unk, k, ap, hp) {
+							keep = append(keep, k)
+							continue
+						}
+					} else if !baseCov {
+						if front < 0 {
+							front, _ = slices.BinarySearchFunc(unk, int32(ap), func(u unkBranch, p int32) int {
+								return int(u.p - p)
+							})
+						}
+						// SP covers k only when it relaxes past every
+						// unknown branch in front of it; DEE also when
+						// exactly one remains and the side path reaches k.
+						if d := s.deepestUnrelaxed(unk, front, k); d >= 0 {
+							if shape.Strategy == dee.SP {
+								st.wait(&unk[d].wait, k)
+								continue
+							}
+							if s.deepestUnrelaxed(unk, d, k) >= 0 || !shape.CoveredCounts(1, int(unk[d].p)-hp, ap-hp) {
+								keep = append(keep, k)
+								continue
+							}
+						}
+					}
+					f := cycle + int64(s.lat[kk]) - 1
+					st.finish[kk] = f
+					if f > st.pathDone[ap] {
+						st.pathDone[ap] = f
+					}
+					st.pathRemaining[ap]--
+					executed++
+					if s.misp[kk] {
+						if r == 0 {
+							res.RootResolvedMispredicts++
+						}
+						if track {
+							st.queueKnown(s.d.path[kk], f+penalty+1)
+						}
+					}
+					// Schedule the completion event only if someone listens:
+					// data-dependent consumers, or the next branch under the
+					// serialized models.
+					if s.wakeOff[kk+1] > s.wakeOff[kk] || (!mf && s.nextBranch[kk] >= 0) {
+						slot := (f + 1) & st.mask
+						st.buckets[slot] = append(st.buckets[slot], k)
+						st.inFlight++
+					}
+					if s.opts.PEs > 0 && executed >= s.opts.PEs {
+						keep = append(keep, rl[i+1:]...)
+						capHit = true
+						break
+					}
 				}
-				// Schedule the completion event only if someone listens:
-				// data-dependent consumers, or the next branch under the
-				// serialized models.
-				if s.wakeOff[kk+1] > s.wakeOff[kk] || (!mf && s.nextBranch[kk] >= 0) {
-					slot := (f + 1) & st.mask
-					st.buckets[slot] = append(st.buckets[slot], k)
-					st.inFlight++
-				}
-				if s.opts.PEs > 0 && executed >= s.opts.PEs {
-					keep = append(keep, rl[i+1:]...)
-					capHit = true
-					break
+				st.ready[ap] = keep
+				if len(keep) == 0 {
+					st.readyBits[w] &^= 1 << (uint(ap) & 63)
 				}
 			}
-			st.ready[ap] = keep
 		}
 
 		if executed > res.MaxPEs {
@@ -425,7 +641,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		// never past the cycle where the watchdog or the absolute cycle
 		// limit would fire in the legacy loop.
 		if executed == 0 && hp == hpBefore && hp < np {
-			next := s.nextEventCycle(st, m, hp, depth, cycle, penalty)
+			next := s.nextEventCycle(st, m, hp, cycle, penalty)
 			wdTrip := cycle + (limit - wd.Idle()) + 1
 			if next == 0 || next > wdTrip {
 				next = wdTrip
@@ -450,11 +666,10 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 
 // nextEventCycle returns the earliest future cycle at which a frozen
 // (nothing-issued, root-unmoved) window can change state: the next
-// scheduled completion wakeup, the next known-direction transition of
-// an unresolved mispredicted window branch, or the root path's release.
-// 0 means no event is scheduled (the watchdog clamp then bounds the
-// jump).
-func (s *Sim) nextEventCycle(st *runState, m Model, hp, depth int, cycle, penalty int64) int64 {
+// scheduled completion wakeup, the next queued known-direction
+// transition, or the root path's release. 0 means no event is
+// scheduled (the watchdog clamp then bounds the jump).
+func (s *Sim) nextEventCycle(st *runState, m Model, hp int, cycle, penalty int64) int64 {
 	next := int64(0)
 	cand := func(c int64) {
 		if c > cycle && (next == 0 || c < next) {
@@ -470,13 +685,10 @@ func (s *Sim) nextEventCycle(st *runState, m Model, hp, depth int, cycle, penalt
 			}
 		}
 	}
-	// A mispredicted window branch that has issued becomes "known" —
-	// re-forming coverage along the actual path — at finish+penalty+1.
-	for _, ur := range st.unknown {
-		bp := s.pathBranch[hp+int(ur)]
-		if f := st.finish[bp]; f > 0 {
-			cand(f + penalty + 1)
-		}
+	// An issued mispredicted branch becomes "known" — re-forming
+	// coverage along the actual path — at finish+penalty+1.
+	if q := st.knownQ.live(); len(q) > 0 {
+		cand(q[0].at)
 	}
 	// The drained root path is released at pathDone, or — for a
 	// mispredicted root under the non-EE strategies — once the

@@ -11,7 +11,9 @@ import (
 )
 
 // benchCells spans the scheduler shapes that dominate the perf suite:
-// single-path SP, all-paths EE, and the coverage-driven DEE-CD-MF.
+// single-path SP, all-paths EE, and the coverage-driven DEE-CD-MF,
+// plus the deep SP windows where the coverage horizon (SP) and control
+// parking (SP-CD) keep the per-cycle cost from growing with ET.
 var benchCells = []struct {
 	model Model
 	et    int
@@ -20,6 +22,8 @@ var benchCells = []struct {
 	{ModelEE, 8},
 	{ModelDEECDMF, 8},
 	{ModelDEECDMF, 64},
+	{ModelSP, 256},
+	{ModelSPCD, 256},
 }
 
 func benchSim(b *testing.B, workload string) *Sim {

@@ -3,6 +3,7 @@ package ilpsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,6 +24,19 @@ var diffModels = []Model{
 }
 
 var diffETs = []int{1, 4, 8, 32}
+
+// deepETs extend the differential sweep past one 64-bit word of window
+// depth, where the coverage horizon, the multi-word ready-path bitset
+// and control parking do most of their work. Short mode skips them.
+var deepETs = []int{64, 256}
+
+// testETs returns diffETs plus, outside short mode, deepETs.
+func testETs() []int {
+	if testing.Short() {
+		return diffETs
+	}
+	return append(slices.Clip(diffETs), deepETs...)
+}
 
 // diffCompare runs one (model, ET) cell through both schedulers and
 // fails unless the Results are identical in every field.
@@ -64,8 +78,9 @@ func TestSchedulerDifferential(t *testing.T) {
 		}
 		s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
 		t.Run(name, func(t *testing.T) {
+			t.Parallel() // the legacy oracle is slow at the deep ETs
 			for _, m := range diffModels {
-				for _, et := range diffETs {
+				for _, et := range testETs() {
 					diffCompare(t, s, m, et, name)
 				}
 			}
@@ -77,7 +92,10 @@ func TestSchedulerDifferential(t *testing.T) {
 // event scheduler's machinery diverges most from the scan loop:
 // realistic latencies (cycle-skipping), a data cache (wide latency
 // spread in the calendar ring), a PEs cap (in-order issue truncation),
-// and zero/large mispredict penalties (known-transition jumps).
+// and zero/large mispredict penalties (known-transition jumps). Outside
+// short mode it adds the deep windows of deepETs, including the PEs-cap
+// corner, where issue truncation meets parked and unparked
+// instructions.
 func TestSchedulerDifferentialOptions(t *testing.T) {
 	w, err := bench.ByName("compress")
 	if err != nil {
@@ -105,8 +123,13 @@ func TestSchedulerDifferentialOptions(t *testing.T) {
 	for _, tc := range cases {
 		s := MustNew(tr, predictor.NewTwoBit(), tc.opts)
 		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
 			for _, m := range diffModels {
-				for _, et := range []int{1, 8, 32} {
+				ets := []int{1, 8, 32}
+				if !testing.Short() {
+					ets = append(ets, deepETs...)
+				}
+				for _, et := range ets {
 					diffCompare(t, s, m, et, tc.name)
 				}
 			}
@@ -144,11 +167,15 @@ func TestConcurrentModelsMatchSequential(t *testing.T) {
 	const rounds = 3 // re-run every cell a few times so pool arenas are contended
 	var wg sync.WaitGroup
 	errs := make(chan error, len(cells)*rounds)
+	// Every goroutine also asks for the Oracle, which the Sim computes
+	// on first use; they race for that first call.
+	oracles := make([]Result, len(cells)*rounds)
 	for round := 0; round < rounds; round++ {
-		for _, c := range cells {
+		for i, c := range cells {
 			wg.Add(1)
-			go func(c cell) {
+			go func(c cell, oracle *Result) {
 				defer wg.Done()
+				*oracle = s.Oracle()
 				r, err := s.RunContext(context.Background(), c.m, c.et)
 				if err != nil {
 					errs <- err
@@ -158,13 +185,18 @@ func TestConcurrentModelsMatchSequential(t *testing.T) {
 				if r != want[key] {
 					errs <- fmt.Errorf("concurrent run %s drifted:\n  want %+v\n  got  %+v", key, want[key], r)
 				}
-			}(c)
+			}(c, &oracles[round*len(cells)+i])
 		}
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	for _, o := range oracles {
+		if o != s.Oracle() {
+			t.Fatalf("concurrent Oracle drifted: %+v, want %+v", o, s.Oracle())
+		}
 	}
 }
 
@@ -176,6 +208,12 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(uint16(120), uint8(2), uint8(55), uint32(0xdead), uint8(0), uint8(1), uint8(5), uint8(0), true)
 	f.Add(uint16(75), uint8(8), uint8(97), uint32(1), uint8(6), uint8(34), uint8(7), uint8(4), false)
 	f.Add(uint16(10), uint8(1), uint8(50), uint32(99), uint8(1), uint8(3), uint8(8), uint8(3), true)
+	// Deep windows under a PEs cap: SP-CD, SP-CD-MF and DEE-CD-MF at
+	// ET 256, where control parking (SP), DEE's per-cycle relaxation
+	// and the multi-word ready bitset are exercised.
+	f.Add(uint16(200), uint8(6), uint8(85), uint32(0xbeef), uint8(4), uint8(255), uint8(3), uint8(1), false)
+	f.Add(uint16(250), uint8(7), uint8(70), uint32(0xc0de), uint8(2), uint8(255), uint8(1), uint8(2), true)
+	f.Add(uint16(180), uint8(5), uint8(80), uint32(0xfeed), uint8(3), uint8(255), uint8(0), uint8(1), false)
 	f.Fuzz(func(t *testing.T, iters uint16, branches, bias uint8, seed uint32, work, et, modelIdx, penalty uint8, realistic bool) {
 		cfg := bench.SyntheticConfig{
 			Iterations:      1 + int(iters)%300,
@@ -201,7 +239,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 			t.Skip()
 		}
 		m := diffModels[int(modelIdx)%len(diffModels)]
-		etv := 1 + int(et)%40
+		etv := 1 + int(et) // 1..256: deep enough for multi-word windows
 
 		legacy, lerr := s.runLegacy(context.Background(), m, etv)
 		event, eerr := s.runEvent(context.Background(), m, etv)
@@ -216,4 +254,54 @@ func FuzzSchedulerDifferential(f *testing.F) {
 			t.Fatalf("%v ET=%d: result drift:\n  legacy: %+v\n  event:  %+v", m, etv, legacy, event)
 		}
 	})
+}
+
+// TestCyclesMonotoneInET is a metamorphic guard on the event scheduler:
+// granting more branch-path resources never costs cycles. Every paper
+// model on every input must take non-increasing Result.Cycles as ET
+// doubles from 1 to 256. The relation comes from the shapes, not from
+// the legacy oracle, so it also holds the kernel to account at the
+// deep windows the oracle is too slow to sweep exhaustively.
+func TestCyclesMonotoneInET(t *testing.T) {
+	for _, w := range bench.All() {
+		for _, in := range w.Inputs {
+			prog, err := in.Build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := trace.Record(prog, 12_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+			for _, m := range PaperModels {
+				prev, prevET := int64(0), 0
+				for et := 1; et <= 256; et *= 2 {
+					r, err := s.RunContext(context.Background(), m, et)
+					if err != nil {
+						t.Fatalf("%s/%s %v ET=%d: %v", w.Name, in.Name, m, et, err)
+					}
+					if prevET > 0 && r.Cycles > prev {
+						t.Errorf("%s/%s %v: %d cycles at ET %d, %d at ET %d",
+							w.Name, in.Name, m, prev, prevET, r.Cycles, et)
+					}
+					prev, prevET = r.Cycles, et
+				}
+			}
+		}
+	}
+}
+
+// TestOracleComputedOnce: Oracle is a per-Sim constant, so only the
+// first call may pay for the dataflow pass and its allocation.
+func TestOracleComputedOnce(t *testing.T) {
+	s := workloadSims(t)["xlisp"]
+	want := s.Oracle()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got := s.Oracle(); got != want {
+			t.Fatalf("Oracle drifted: %+v, want %+v", got, want)
+		}
+	}); allocs != 0 {
+		t.Fatalf("repeat Oracle call allocated %.0f times, want 0", allocs)
+	}
 }

@@ -19,6 +19,15 @@
 //
 // The sim_speedup field carries the simulated Result.Speedup (the paper
 // metric), tying each perf record back to the figure it regenerates.
+//
+// A suite can also carry ET-scaling records (et_scaling): one model's
+// event-scheduler cost at a large ET divided by its cost at a small ET
+// on the same prepared Sim, the two runs alternated and the median
+// ratio kept. The kernel's per-cycle cost should follow events, not
+// window size, so for models that simulate about as many cycles at
+// both ETs the ratio should stay near 1; Compare fails an SP-family
+// ratio above maxETScaling. Like speedup_vs_legacy it is a same-run
+// ratio, so it holds on any machine.
 package perf
 
 import (
@@ -30,6 +39,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -60,13 +70,30 @@ type Record struct {
 	SpeedupVsLegacy float64 `json:"speedup_vs_legacy,omitempty"`
 }
 
+// Scaling is one measured ET-scaling cell.
+type Scaling struct {
+	// Name is "core/<workload>/<model>".
+	Name  string `json:"name"`
+	Model string `json:"model"`
+	// LoET and HiET are the two ETs compared; LoNs and HiNs their
+	// median event-scheduler ns/op over Rounds alternations.
+	LoET   int     `json:"lo_et"`
+	HiET   int     `json:"hi_et"`
+	LoNs   float64 `json:"lo_ns_per_op"`
+	HiNs   float64 `json:"hi_ns_per_op"`
+	Rounds int     `json:"rounds"`
+	// Ratio is the median over rounds of HiET ns / LoET ns.
+	Ratio float64 `json:"ratio"`
+}
+
 // Suite is the BENCH_core.json document.
 type Suite struct {
-	Schema   string   `json:"schema"`
-	Created  string   `json:"created,omitempty"`
-	Go       string   `json:"go,omitempty"`
-	TraceCap int      `json:"trace_cap,omitempty"`
-	Records  []Record `json:"records"`
+	Schema    string    `json:"schema"`
+	Created   string    `json:"created,omitempty"`
+	Go        string    `json:"go,omitempty"`
+	TraceCap  int       `json:"trace_cap,omitempty"`
+	Records   []Record  `json:"records"`
+	ETScaling []Scaling `json:"et_scaling,omitempty"`
 }
 
 // GeomeanVsLegacy is the geometric mean of speedup_vs_legacy over the
@@ -142,6 +169,14 @@ func (s *Suite) Benchstat(w io.Writer) {
 	}
 }
 
+// ScalingTable prints the suite's ET-scaling cells, one per line.
+func (s *Suite) ScalingTable(w io.Writer) {
+	for _, c := range s.ETScaling {
+		fmt.Fprintf(w, "et_scaling %-28s ET%d %10.0f ns/op  ET%d %10.0f ns/op  ratio %5.2f\n",
+			c.Name, c.LoET, c.LoNs, c.HiET, c.HiNs, c.Ratio)
+	}
+}
+
 // CompareOpts tunes the regression gate.
 type CompareOpts struct {
 	// Threshold is the fractional loss that counts as a regression
@@ -150,7 +185,7 @@ type CompareOpts struct {
 	Threshold float64
 	// MinVsLegacy, when positive, additionally requires the current
 	// suite's geometric-mean speedup_vs_legacy to be at least this
-	// factor (the PR's ≥1.5× acceptance floor).
+	// factor (TestCoreSuiteAgainstBaseline sets the floor).
 	MinVsLegacy float64
 	// StrictNs also gates raw ns/op against the baseline. Only
 	// meaningful when baseline and current ran on the same machine;
@@ -187,6 +222,12 @@ func Compare(base, cur *Suite, o CompareOpts) error {
 			bad = append(bad, fmt.Sprintf("geomean speedup_vs_legacy %.2f below required %.2f", g, o.MinVsLegacy))
 		}
 	}
+	for _, c := range cur.ETScaling {
+		if slices.Contains(scalingGated, c.Model) && c.Ratio > maxETScaling {
+			bad = append(bad, fmt.Sprintf("%s: ET%d/ET%d host-time ratio %.2f above %.2f",
+				c.Name, c.HiET, c.LoET, c.Ratio, maxETScaling))
+		}
+	}
 	if len(bad) == 0 {
 		return nil
 	}
@@ -215,6 +256,23 @@ type CoreConfig struct {
 	SkipLegacy bool
 }
 
+// The ET-scaling cells compare the Figure 5 sweep's smallest and
+// largest ET, over scalingRounds alternations. Compare fails a
+// scalingGated model whose ratio exceeds maxETScaling: those models
+// simulate about the same cycles at both ETs. DEE-CD-MF and EE, whose
+// cycles fall as ET grows, are recorded but not gated.
+const (
+	scalingLoET   = 8
+	scalingHiET   = 256
+	scalingRounds = 9
+	maxETScaling  = 2.0
+)
+
+var (
+	scalingModels = []ilpsim.Model{ilpsim.ModelSP, ilpsim.ModelSPCD, ilpsim.ModelSPCDMF, ilpsim.ModelDEECDMF, ilpsim.ModelEE}
+	scalingGated  = []string{ilpsim.ModelSP.String(), ilpsim.ModelSPCD.String(), ilpsim.ModelSPCDMF.String()}
+)
+
 func (c CoreConfig) withDefaults() CoreConfig {
 	if c.Workloads == nil {
 		c.Workloads = bench.Names()
@@ -235,6 +293,16 @@ func (c CoreConfig) withDefaults() CoreConfig {
 		c.MinIters = 3
 	}
 	return c
+}
+
+// median returns the median of xs, reordering them.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // measure times fn until both MinTime and MinIters are spent, returning
@@ -262,9 +330,60 @@ func measure(ctx context.Context, cfg CoreConfig, fn func(context.Context) error
 	return float64(elapsed.Nanoseconds()) / float64(iters), iters, nil
 }
 
+// scalingCell is one ET-scaling cell being measured: its Sim and
+// model, and the per-round timings so far.
+type scalingCell struct {
+	workload       string
+	sim            *ilpsim.Sim
+	m              ilpsim.Model
+	lo, hi, ratios []float64
+}
+
+// measureScaling times every cell at scalingLoET and scalingHiET on its
+// Sim, alternating the two, and keeps the medians. Rounds go
+// round-robin over the cells, so each cell's rounds spread over the
+// whole measurement and a short burst of machine noise lands in at most
+// a round or two of any one cell. One untimed run of each warms the
+// arena pools.
+func measureScaling(ctx context.Context, cells []*scalingCell) ([]Scaling, error) {
+	timeRun := func(c *scalingCell, et int) (float64, error) {
+		start := time.Now()
+		if _, err := c.sim.RunContext(ctx, c.m, et); err != nil {
+			return 0, err
+		}
+		return float64(time.Since(start).Nanoseconds()), nil
+	}
+	for round := -1; round < scalingRounds; round++ {
+		for _, c := range cells {
+			lo, err := timeRun(c, scalingLoET)
+			if err != nil {
+				return nil, err
+			}
+			hi, err := timeRun(c, scalingHiET)
+			if err != nil {
+				return nil, err
+			}
+			if round >= 0 {
+				c.lo, c.hi, c.ratios = append(c.lo, lo), append(c.hi, hi), append(c.ratios, hi/lo)
+			}
+		}
+	}
+	out := make([]Scaling, len(cells))
+	for i, c := range cells {
+		out[i] = Scaling{
+			Name: fmt.Sprintf("core/%s/%s", c.workload, c.m), Model: c.m.String(),
+			LoET: scalingLoET, HiET: scalingHiET, LoNs: median(c.lo), HiNs: median(c.hi),
+			Rounds: scalingRounds, Ratio: median(c.ratios),
+		}
+	}
+	return out, nil
+}
+
 // RunCore measures the ILP core over the configured cells and returns
 // the suite. Each cell is timed on the event scheduler and (unless
-// SkipLegacy) on the legacy scanner, on one shared prepared Sim.
+// SkipLegacy) on the legacy scanner, on one shared prepared Sim; the
+// scalingModels are then timed at scalingLoET and scalingHiET on every
+// workload's Sim.
 func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
 	cfg = cfg.withDefaults()
 	suite := &Suite{
@@ -273,6 +392,7 @@ func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
 		Go:       runtime.Version(),
 		TraceCap: cfg.TraceCap,
 	}
+	var scaling []*scalingCell
 	for _, name := range cfg.Workloads {
 		w, err := bench.ByName(name)
 		if err != nil {
@@ -320,6 +440,17 @@ func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
 				suite.Records = append(suite.Records, rec)
 			}
 		}
+		for _, m := range scalingModels {
+			scaling = append(scaling, &scalingCell{workload: name, sim: sim, m: m})
+		}
 	}
+	// Collect the legacy runs' garbage first, so that no collection
+	// (which also empties the Sims' arena pools) lands mid-phase.
+	runtime.GC()
+	sc, err := measureScaling(ctx, scaling)
+	if err != nil {
+		return nil, err
+	}
+	suite.ETScaling = sc
 	return suite, nil
 }

@@ -114,6 +114,25 @@ func TestCompareMinVsLegacyFloor(t *testing.T) {
 	}
 }
 
+func TestCompareGatesETScaling(t *testing.T) {
+	cur := sampleSuite()
+	cur.ETScaling = []Scaling{
+		{Name: "core/xlisp/SP", Model: "SP", LoET: 8, HiET: 256, Ratio: 2.5},
+		{Name: "core/xlisp/EE", Model: "EE", LoET: 8, HiET: 256, Ratio: 9},
+	}
+	err := Compare(sampleSuite(), cur, CompareOpts{})
+	if err == nil || !strings.Contains(err.Error(), "core/xlisp/SP") {
+		t.Fatalf("want ET-scaling failure naming core/xlisp/SP, got %v", err)
+	}
+	if strings.Contains(err.Error(), "core/xlisp/EE") {
+		t.Fatalf("ungated model EE was gated: %v", err)
+	}
+	cur.ETScaling[0].Ratio = 1.9
+	if err := Compare(sampleSuite(), cur, CompareOpts{}); err != nil {
+		t.Fatalf("ratio under the bound failed: %v", err)
+	}
+}
+
 func TestBenchstatOutput(t *testing.T) {
 	var b strings.Builder
 	sampleSuite().Benchstat(&b)
@@ -125,8 +144,9 @@ func TestBenchstatOutput(t *testing.T) {
 	}
 }
 
-// TestRunCoreSmoke measures one tiny cell end to end, with the legacy
-// side, and checks the suite holds a plausible record.
+// TestRunCoreSmoke measures one tiny workload end to end, with the
+// legacy side and the ET-scaling cells, and checks the suite holds
+// plausible records.
 func TestRunCoreSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -149,6 +169,16 @@ func TestRunCoreSmoke(t *testing.T) {
 		}
 		if !strings.HasPrefix(r.Name, "core/compress/") {
 			t.Fatalf("bad record name %q", r.Name)
+		}
+	}
+	if len(suite.ETScaling) != len(scalingModels) {
+		t.Fatalf("got %d scaling cells, want %d", len(suite.ETScaling), len(scalingModels))
+	}
+	for i, c := range suite.ETScaling {
+		m := scalingModels[i].String()
+		if c.Name != "core/compress/"+m || c.Model != m || c.LoET != scalingLoET || c.HiET != scalingHiET ||
+			c.Rounds != scalingRounds || c.LoNs <= 0 || c.HiNs <= 0 || c.Ratio <= 0 {
+			t.Fatalf("implausible scaling cell: %+v", c)
 		}
 	}
 }
