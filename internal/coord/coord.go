@@ -183,7 +183,36 @@ type worker struct {
 	lost     bool   // heartbeat stale beyond HeartbeatTimeout
 	leases   int    // coordinator-side outstanding leases
 	lastSeq  uint64 // grant sequence number of its latest lease
-	client   WorkerClient
+	// inputs are the experiments.InputKeys of its latest leases, at
+	// most slots distinct ones, most recent last. A worker's input pool
+	// keeps at least the last CellSlots distinct inputs it was leased
+	// (server.Server), so it can run their next cells without
+	// rebuilding them.
+	inputs []string
+	client WorkerClient
+}
+
+// held returns the inputs w can be counted on to hold: a lost or
+// draining worker holds nothing.
+func (w *worker) held() []string {
+	if w.lost || w.state == server.WorkerDraining {
+		return nil
+	}
+	return w.inputs
+}
+
+func (w *worker) holds(input string) bool { return slices.Contains(w.held(), input) }
+
+// leased records input as w's most recent, keeping its last w.slots
+// distinct inputs. An empty key (an input never shared) is not kept.
+func (w *worker) leased(input string) {
+	if input == "" {
+		return
+	}
+	w.inputs = append(slices.DeleteFunc(w.inputs, func(in string) bool { return in == input }), input)
+	if n := len(w.inputs) - w.slots; n > 0 {
+		w.inputs = slices.Delete(w.inputs, 0, n)
+	}
 }
 
 // WorkerStatus is the fleet API's JSON rendering of a worker.
@@ -214,13 +243,17 @@ type Coordinator struct {
 	leases  int           // outstanding leases, fleet-wide
 	grants  uint64        // leases granted, fleet-wide
 	changed chan struct{} // closed and replaced when a slot may have freed
-	// Dispatch order of the running sweep (one runs at a time): waiting
-	// holds the task indices of cells waiting for a slot, ascending;
-	// seen marks tasks that reached the executor or merged without it;
-	// front is the lowest task index not yet seen.
+	// Dispatch order of the running sweep (one runs at a time): inputs
+	// holds each task's input key; waiting holds the task indices of
+	// cells waiting for a slot, ascending; seen marks tasks that reached
+	// the executor or merged without it; front is the lowest task index
+	// not yet seen. plan is pickLocked's view of them and of the fleet,
+	// worked out once per change; nil when stale.
+	inputs  []string
 	waiting []int
 	seen    []bool
 	front   int
+	plan    *plan
 }
 
 // New builds a coordinator over StateDir, recovering sweeps a previous
@@ -313,10 +346,12 @@ func (c *Coordinator) runSweep(ctx context.Context, j *server.Job) ([]byte, erro
 		backoff = d
 	}
 	sw := &sweep{c: c, id: j.ID(), spec: sp, index: make(map[string]int), attempts: make([]int, len(tasks))}
+	inputs := make([]string, len(tasks))
 	for i, t := range tasks {
 		sw.index[t.Key()] = i
+		inputs[i] = experiments.InputKey(cfg, t)
 	}
-	c.order(len(tasks))
+	c.order(inputs)
 	merged := 0
 	results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{
 		// Every cell waits for its slot concurrently: the fleet, not a
@@ -388,6 +423,7 @@ func (c *Coordinator) RegisterWorker(url string, slots int) (id string, every ti
 			w.lastBeat = c.cfg.now()
 			w.lost = false
 			w.state = server.WorkerReady
+			w.inputs = nil // a re-registering worker restarted empty
 			c.changedLocked()
 			return w.id, c.cfg.HeartbeatEvery, nil
 		}
@@ -456,6 +492,7 @@ func (c *Coordinator) reapLocked() {
 	for _, w := range c.workers {
 		if !w.lost && now.Sub(w.lastBeat) > c.cfg.HeartbeatTimeout {
 			w.lost = true
+			c.plan = nil
 			c.met.workerEvictons.Inc()
 			c.cfg.Logf("deesim-coord: worker %s (%s) lost: heartbeat stale by %s", w.id, w.url, now.Sub(w.lastBeat).Round(time.Millisecond))
 		}
@@ -469,6 +506,7 @@ func (c *Coordinator) reapLocked() {
 // changedLocked wakes every cell waiting for a slot: a lease ended or
 // a worker registered or beat, so one may have become eligible.
 func (c *Coordinator) changedLocked() {
+	c.plan = nil
 	c.reapLocked()
 	close(c.changed)
 	c.changed = make(chan struct{})
@@ -482,11 +520,11 @@ func (c *Coordinator) lost(w *worker) bool {
 	return w.lost
 }
 
-// order starts a sweep's dispatch order over n tasks.
-func (c *Coordinator) order(n int) {
+// order starts a sweep's dispatch order over its tasks' input keys.
+func (c *Coordinator) order(inputs []string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seen, c.front = make([]bool, n), 0
+	c.inputs, c.seen, c.front, c.plan = inputs, make([]bool, len(inputs)), 0, nil
 }
 
 // see marks task i as having reached the executor or merged without it
@@ -505,21 +543,18 @@ func (c *Coordinator) seeLocked(i int) {
 	c.changedLocked()
 }
 
-// acquire takes a lease slot on the least-loaded live, non-draining
-// worker other than skip; ties go to the worker leased least recently,
-// then to the lowest id, so cells that arrive one at a time still
-// spread across the fleet. Cell task (its index in the sweep) waits
-// until a slot frees or ctx ends, and slots go out in task order: a
-// cell waits while an earlier task waits or has not been seen yet, so
-// whichever cell's goroutine happens to start first cannot jump the
-// queue. A speculative duplicate (task -1) never waits; it gets nil
-// when no slot is free.
+// acquire takes a lease slot for cell task (its index in the sweep)
+// and records the cell's input as the worker's. It waits until a slot
+// frees or ctx ends; pickLocked says which slot a cell may take. A
+// speculative duplicate of the cell (skip, the worker running the
+// original, non-nil) never waits: it takes the least-loaded free
+// worker other than skip, or gets nil when none is free.
 func (c *Coordinator) acquire(ctx context.Context, skip *worker, task int) (*worker, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if task >= 0 {
-		c.seeLocked(task)
+	if skip == nil {
 		c.waiting = slices.Insert(c.waiting, sort.SearchInts(c.waiting, task), task)
+		c.seeLocked(task)
 		defer func() {
 			i := sort.SearchInts(c.waiting, task)
 			c.waiting = slices.Delete(c.waiting, i, i+1)
@@ -529,28 +564,24 @@ func (c *Coordinator) acquire(ctx context.Context, skip *worker, task int) (*wor
 	}
 	for {
 		c.reapLocked()
-		if task < 0 || task == c.waiting[0] && task < c.front {
-			var best *worker
-			for _, w := range c.workers {
-				if w == skip || w.lost || w.state == server.WorkerDraining || w.leases >= w.slots {
-					continue
-				}
-				if best == nil || w.leases < best.leases || w.leases == best.leases &&
-					(w.lastSeq < best.lastSeq || w.lastSeq == best.lastSeq && w.id < best.id) {
-					best = w
-				}
-			}
-			if best != nil {
-				c.grants++
-				best.lastSeq = c.grants
-				best.leases++
-				c.leases++
-				c.met.leasesActive.Set(float64(c.leases))
-				return best, nil
-			}
-			if task < 0 {
-				return nil, nil
-			}
+		var w *worker
+		if skip != nil {
+			w = c.freeLocked(skip, nil)
+		} else {
+			w = c.pickLocked(task)
+		}
+		if w != nil {
+			c.grants++
+			w.lastSeq = c.grants
+			w.leases++
+			w.leased(c.inputs[task])
+			c.plan = nil // a speculative grant is no change: nothing wakes
+			c.leases++
+			c.met.leasesActive.Set(float64(c.leases))
+			return w, nil
+		}
+		if skip != nil {
+			return nil, nil
 		}
 		c.met.pendingCells.Set(float64(len(c.waiting)))
 		changed := c.changed
@@ -564,6 +595,98 @@ func (c *Coordinator) acquire(ctx context.Context, skip *worker, task int) (*wor
 			return nil, err
 		}
 	}
+}
+
+// pickLocked is the one dispatch rule: the free worker waiting cell
+// task may lease now, or nil if it must wait.
+//
+//   - Affinity: a free worker holding the cell's input takes that
+//     input's earliest waiting cell, so the input is not built twice.
+//   - Task order: otherwise cells go in task order, skipping any cell
+//     whose input a live worker holds — that cell goes to the holder
+//     when the holder frees. The first cell not skipped (the head) may
+//     go once every earlier task has been seen, so whichever cell's
+//     goroutine starts first cannot jump the queue. It takes a free
+//     worker no waiting cell is saving for its input.
+//   - Work conservation: if every waiting cell's input is held and
+//     every task has been seen, plain task order resumes, so a free
+//     worker never idles while a cell it is not saved for waits.
+func (c *Coordinator) pickLocked(task int) *worker {
+	p := c.planLocked()
+	input := c.inputs[task]
+	if p.earliest[input] == task && p.held[input] {
+		if w := c.freeLocked(nil, func(w *worker) bool { return w.holds(input) }); w != nil {
+			return w
+		}
+	}
+	if task != p.head || task >= c.front {
+		return nil
+	}
+	return c.freeLocked(nil, p.unsaved)
+}
+
+// plan is what pickLocked reads of the waiting cells and the fleet.
+// Every waiting cell wakes on every change, so planLocked works it out
+// once per change, and each woken cell only looks itself up.
+type plan struct {
+	earliest map[string]int  // each waiting input's lowest waiting task
+	held     map[string]bool // inputs a live, non-draining worker holds
+	head     int             // the cell task order may lease, or -1
+}
+
+// planLocked returns the current plan, working it out if stale.
+func (c *Coordinator) planLocked() *plan {
+	if c.plan != nil {
+		return c.plan
+	}
+	p := &plan{earliest: make(map[string]int), held: make(map[string]bool), head: -1}
+	for _, w := range c.workers {
+		for _, in := range w.held() {
+			p.held[in] = true
+		}
+	}
+	for _, i := range c.waiting {
+		in := c.inputs[i]
+		if _, ok := p.earliest[in]; !ok {
+			p.earliest[in] = i
+		}
+		if p.head < 0 && !p.held[in] {
+			p.head = i
+		}
+	}
+	if p.head < 0 && len(c.waiting) > 0 && c.front == len(c.seen) {
+		p.head = c.waiting[0]
+	}
+	c.plan = p
+	return p
+}
+
+// unsaved reports whether no waiting cell is saving w for its input.
+func (p *plan) unsaved(w *worker) bool {
+	for _, in := range w.inputs {
+		if _, ok := p.earliest[in]; ok {
+			return false
+		}
+	}
+	return true
+}
+
+// freeLocked returns the least-loaded live, non-draining worker with a
+// free slot, other than skip and passing ok (nil passes all); ties go
+// to the worker leased least recently, then to the lowest id, so cells
+// that arrive one at a time still spread across the fleet.
+func (c *Coordinator) freeLocked(skip *worker, ok func(*worker) bool) *worker {
+	var best *worker
+	for _, w := range c.workers {
+		if w == skip || w.lost || w.state == server.WorkerDraining || w.leases >= w.slots || ok != nil && !ok(w) {
+			continue
+		}
+		if best == nil || w.leases < best.leases || w.leases == best.leases &&
+			(w.lastSeq < best.lastSeq || w.lastSeq == best.lastSeq && w.id < best.id) {
+			best = w
+		}
+	}
+	return best
 }
 
 // release returns a lease slot taken by acquire.

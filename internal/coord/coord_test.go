@@ -184,10 +184,16 @@ func counter(c *Coordinator, name string) int64 {
 
 // TestDistributedSweepByteIdentical is the merge proof in miniature:
 // three healthy workers each run a share of the cells, and the merged
-// result file must be byte-identical to a single-node run.
+// result file must be byte-identical to a single-node run. The workers
+// block until released, so the dispatch is checked step by step: the
+// spec's one input starts on one worker, and since every cell then
+// waits on that busy holder, plain task order spreads the next cells
+// over the idle workers — no free worker idles while a cell waits.
 func TestDistributedSweepByteIdentical(t *testing.T) {
+	gate := make(chan struct{})
+	gated := []*gatedWorker{newGatedWorker(gate), newGatedWorker(gate), newGatedWorker(gate)}
 	fakes := map[string]*fakeWorker{
-		"http://w1": {}, "http://w2": {}, "http://w3": {},
+		"http://w1": &gated[0].fakeWorker, "http://w2": &gated[1].fakeWorker, "http://w3": &gated[2].fakeWorker,
 	}
 	c := newTestCoord(t, fakes, nil)
 	for url := range fakes {
@@ -199,6 +205,23 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	leased := func() int {
+		n := 0
+		for _, g := range gated {
+			n += g.callCount()
+		}
+		return n
+	}
+	waitDispatched(t, c, leased, 3)
+	for i, g := range gated {
+		if n := g.callCount(); n != 1 {
+			t.Errorf("worker %d leased %d cells with 1 slot and a cell waiting, want 1", i+1, n)
+		}
+	}
+	gate <- struct{}{}
+	waitDispatched(t, c, leased, 4)
+	close(gate)
+
 	final := waitSweep(t, c, st.ID, 10*time.Second)
 	if final.State != server.StateDone {
 		t.Fatalf("sweep ended %s: %s", final.State, final.Error)
@@ -213,12 +236,6 @@ func TestDistributedSweepByteIdentical(t *testing.T) {
 	}
 	if golden := goldenResult(t, smokeSpec()); string(merged) != string(golden) {
 		t.Errorf("merged result differs from single-node golden:\n--- merged ---\n%.400s\n--- golden ---\n%.400s", merged, golden)
-	}
-	// With 1 slot each and 4 cells, every worker took at least one cell.
-	for url, f := range fakes {
-		if f.callCount() == 0 {
-			t.Errorf("worker %s never received a cell", url)
-		}
 	}
 	if got := counter(c, "deesim_coord_merge_checks_total"); got != 1 {
 		t.Errorf("merge checks = %d, want 1", got)

@@ -50,9 +50,10 @@ type outcome struct {
 }
 
 // runCell computes one cell attempt on the fleet. It waits for a slot
-// on the least-loaded eligible worker and leases the cell there. The
-// lease is revoked — and the attempt fails retryably, for superv to
-// retry — when its TTL passes or its worker's heartbeat goes stale.
+// (preferring the worker that holds the cell's input; see pickLocked)
+// and leases the cell there. The lease is revoked — and the attempt
+// fails retryably, for superv to retry — when its TTL passes or its
+// worker's heartbeat goes stale.
 // While no cell waits for a slot, a lease running past StragglerFactor
 // × the median cell time gets one speculative duplicate on another
 // worker: disjoint eager execution applied to the sweep (a "hedged
@@ -134,7 +135,7 @@ func (s *sweep) runCell(ctx context.Context, t experiments.MatrixTask) (*experim
 				}
 			}
 			if !speculated && s.straggling(live[0], now) {
-				if alt, _ := s.c.acquire(ctx, live[0].w, -1); alt != nil {
+				if alt, _ := s.c.acquire(ctx, live[0].w, i); alt != nil {
 					speculated = true
 					s.c.met.specLaunches.Inc()
 					s.c.cfg.Logf("deesim-coord: sweep %s: straggler %s on %s (%s), speculating on %s",

@@ -13,10 +13,8 @@ import (
 	"deesim/internal/budget"
 	"deesim/internal/ilpsim"
 	"deesim/internal/memo"
-	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
-	"deesim/internal/trace"
 )
 
 // MatrixTask addresses one cell of the experiment matrix: a (workload
@@ -129,120 +127,6 @@ func MatrixMeta(ws []bench.Workload, cfg Config) map[string]string {
 	}
 }
 
-// inputSim lazily builds the per-input trace + prepared simulator
-// shared by that input's matrix cells. Only the build is serialized on
-// mu; the runs themselves proceed unlocked and in parallel, because
-// ilpsim.Sim is read-only after construction and documented safe for
-// concurrent RunContext calls — a pool of workers can fan all of one
-// input's (model × ET) cells over a single prepared Sim at once.
-// Building inside the first cell's attempt keeps build failures
-// attributed — and retried — as that cell's.
-type inputSim struct {
-	mu    sync.Mutex
-	build buildable
-	name  string // "workload/input", the benchmark attribution
-	tr    *trace.Trace
-	sim   *ilpsim.Sim
-}
-
-// get returns the shared trace and simulator, building them under the
-// lock on first use.
-func (e *inputSim) get(ctx context.Context, cfg Config) (*trace.Trace, *ilpsim.Sim, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tr == nil || e.sim == nil {
-		var endBuild func()
-		ctx, endBuild = obs.StartSpan(ctx, "build "+e.name, nil)
-		defer endBuild()
-	}
-	if e.tr == nil {
-		tr, err := recordInput(ctx, e.name, e.build, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.tr = tr
-	}
-	if e.sim == nil {
-		sim, err := newInputSim(ctx, e.name, e.tr, cfg)
-		if err != nil {
-			return nil, nil, err
-		}
-		e.sim = sim
-	}
-	return e.tr, e.sim, nil
-}
-
-// release drops the trace and prepared simulator once the input's last
-// cell has merged; nothing in the sweep reads them again.
-func (e *inputSim) release() {
-	e.mu.Lock()
-	e.tr, e.sim = nil, nil
-	e.mu.Unlock()
-}
-
-// drop discards the shared simulator if it is still the given one, so
-// the next cell (or the retry) rebuilds from scratch. Concurrent cells
-// already running on the old simulator finish on it safely; only new
-// acquisitions see the rebuild.
-func (e *inputSim) drop(sim *ilpsim.Sim) {
-	e.mu.Lock()
-	if e.sim == sim {
-		e.sim = nil
-	}
-	e.mu.Unlock()
-}
-
-// run executes one cell on the shared simulator.
-func (e *inputSim) run(ctx context.Context, t MatrixTask, cfg Config) (*CellResult, error) {
-	mCellsStarted.Inc()
-	ctx, endSpan := obs.StartSpan(ctx, "cell "+t.Key(), map[string]string{
-		"workload": t.Workload, "input": t.Input, "model": t.Model, "et": strconv.Itoa(t.ET),
-	})
-	start := time.Now()
-	defer func() {
-		endSpan()
-		traceID := ""
-		if tc, ok := obs.TraceContextFrom(ctx); ok {
-			traceID = tc.TraceID
-		}
-		mCellDuration.ObserveExemplar(time.Since(start).Seconds(), traceID)
-	}()
-	tr, sim, err := e.get(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	model, err := modelByName(t.Model, cfg)
-	if err != nil {
-		return nil, runx.Annotate(err, e.name)
-	}
-	var r ilpsim.Result
-	if t.ET == 0 {
-		r, err = sim.RunUnlimitedContext(ctx, model)
-	} else {
-		r, err = sim.RunContext(ctx, model, t.ET)
-	}
-	if err != nil {
-		// A fault-injected memory system can bake bad latencies into the
-		// prepared simulator; drop it so the retry (or the input's next
-		// cell) starts from a freshly prepared one.
-		if runx.Retryable(err) {
-			e.drop(sim)
-		}
-		return nil, runx.Annotate(err, e.name)
-	}
-	return &CellResult{
-		Workload: t.Workload,
-		Input:    t.Input,
-		Model:    t.Model,
-		ET:       t.ET,
-		Insts:    tr.Len(),
-		Accuracy: sim.Accuracy(),
-		Oracle:   sim.Oracle().Speedup,
-		Speedup:  r.Speedup,
-		RootRate: r.RootResolutionRate(),
-	}, nil
-}
-
 // modelByName resolves a model name against the run's configured set.
 func modelByName(name string, cfg Config) (ilpsim.Model, error) {
 	for _, m := range cfg.Models {
@@ -260,8 +144,10 @@ func modelByName(name string, cfg Config) (ilpsim.Model, error) {
 // resumes where it stopped. Results merged from a resumed journal flow
 // through the same aggregation as fresh ones (aggregateWorkload,
 // crossWorkloadMean), so the final tables are byte-identical to an
-// uninterrupted run's. Once an input's last cell has merged, its trace
-// and prepared simulator are released, so a sweep holds only the
+// uninterrupted run's. Each input is pinned in a sweep-local
+// InputPool for all of its cells and unpinned once per merge; the pool
+// keeps no idle entries, so once an input's last cell has merged its
+// trace and prepared simulator are released, and a sweep holds only the
 // inputs it is still running.
 //
 // On failure or cancellation the first error cancels the remaining
@@ -278,10 +164,11 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 	}
 
 	type inputAgg struct {
-		sim       *inputSim
+		ent       *poolEntry
 		res       *InputResult
 		remaining int // cells not yet merged
 	}
+	pool := NewInputPool(0)
 	perInput := len(cfg.Models) * len(cfg.Resources)
 	inputAggs := make(map[string]*inputAgg) // key "workload/input"
 	workRemaining := make(map[string]int)   // cells left per workload
@@ -290,7 +177,7 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		for _, in := range w.Inputs {
 			ikey := w.Name + "/" + in.Name
 			inputAggs[ikey] = &inputAgg{
-				sim: &inputSim{build: in.Build, name: ikey},
+				ent: pool.pin(InputKey(cfg, MatrixTask{Workload: w.Name, Input: in.Name}), ikey, in.Build, perInput),
 				res: &InputResult{
 					Input:    ikey,
 					Speedup:  make(map[string]map[int]float64),
@@ -306,7 +193,7 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 	mts := MatrixTasks(ws, cfg)
 	tasks := make([]superv.Task, len(mts))
 	for i, mt := range mts {
-		ent := inputAggs[mt.Workload+"/"+mt.Input].sim
+		ent := inputAggs[mt.Workload+"/"+mt.Input].ent
 		run := func(ctx context.Context) (*CellResult, error) { return ent.run(ctx, mt, cfg) }
 		if mcfg.Exec != nil {
 			run = func(ctx context.Context) (*CellResult, error) { return mcfg.Exec(ctx, mt) }
@@ -358,9 +245,8 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		}
 		r.Speedup[cell.Model][cell.ET] = cell.Speedup
 		r.RootRate[cell.Model][cell.ET] = cell.RootRate
-		if agg.remaining--; agg.remaining == 0 {
-			agg.sim.release()
-		}
+		agg.remaining--
+		pool.unpin(agg.ent)
 		workRemaining[cell.Workload]--
 		if workRemaining[cell.Workload] == 0 {
 			inputs := make([]*InputResult, len(inputOrder[cell.Workload]))
@@ -445,51 +331,6 @@ func MatrixTasks(ws []bench.Workload, cfg Config) []MatrixTask {
 		}
 	}
 	return tasks
-}
-
-// RunCell executes exactly one matrix cell: it builds the cell's input
-// (trace + prepared simulator) and runs the (model, ET) simulation,
-// returning the same CellResult payload a journaled sweep records.
-// This is the worker half of a distributed sweep — a deesimd node
-// serves leased cells through it. Unknown workloads, inputs, or models
-// are typed KindInvalidInput so a coordinator never re-dispatches a
-// structurally impossible cell.
-func RunCell(ctx context.Context, ws []bench.Workload, cfg Config, t MatrixTask) (*CellResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := validateWorkloads(ws); err != nil {
-		return nil, err
-	}
-	const stage = "experiments.RunCell"
-	for _, w := range ws {
-		if w.Name != t.Workload {
-			continue
-		}
-		for _, in := range w.Inputs {
-			if in.Name != t.Input {
-				continue
-			}
-			ent := &inputSim{build: in.Build, name: w.Name + "/" + in.Name}
-			return ent.run(ctx, t, cfg)
-		}
-		return nil, runx.Newf(runx.KindInvalidInput, stage, "workload %q has no input %q", t.Workload, t.Input)
-	}
-	return nil, runx.Newf(runx.KindInvalidInput, stage, "unknown workload %q", t.Workload)
-}
-
-// RunCellMemo is RunCell behind the content-addressed cache: a hit
-// (or a collapse onto an identical in-flight cell) skips the trace
-// build and simulation entirely; a miss computes through RunCell and
-// stores the result. A nil memo is exactly RunCell.
-func RunCellMemo(ctx context.Context, m *memo.Memo, ws []bench.Workload, cfg Config, t MatrixTask) (*CellResult, error) {
-	if m == nil {
-		return RunCell(ctx, ws, cfg, t)
-	}
-	return memoizedCell(ctx, m, t, cfg, func(ctx context.Context) (*CellResult, error) {
-		return RunCell(ctx, ws, cfg, t)
-	})
 }
 
 // memoizedCell runs one cell through the memo's singleflight: compute

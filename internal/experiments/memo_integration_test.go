@@ -71,13 +71,14 @@ func TestRunCellMemoSharesEntriesWithMatrix(t *testing.T) {
 	}
 	task := MatrixTasks(ws, cfg)[0]
 	started := obs.GetOrCreateCounter("deesim_cells_started_total")
+	pool := NewInputPool(1)
 
-	first, err := RunCellMemo(context.Background(), m, ws, cfg, task)
+	first, err := pool.RunCell(context.Background(), m, ws, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s0 := started.Value()
-	second, err := RunCellMemo(context.Background(), m, ws, cfg, task)
+	second, err := pool.RunCell(context.Background(), m, ws, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +102,13 @@ func TestRunCellMemoSharesEntriesWithMatrix(t *testing.T) {
 	}
 }
 
+// TestRunCellMemoNilMemoIsRunCell: a pool's RunCell without a memo is
+// the fresh RunCell.
 func TestRunCellMemoNilMemoIsRunCell(t *testing.T) {
 	cfg := matrixTestConfig()
 	ws := matrixTestWorkloads(t)
 	task := MatrixTasks(ws, cfg)[0]
-	viaNil, err := RunCellMemo(context.Background(), nil, ws, cfg, task)
+	viaNil, err := NewInputPool(1).RunCell(context.Background(), nil, ws, cfg, task)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +119,6 @@ func TestRunCellMemoNilMemoIsRunCell(t *testing.T) {
 	a, _ := json.Marshal(viaNil)
 	b, _ := json.Marshal(direct)
 	if string(a) != string(b) {
-		t.Fatalf("nil-memo RunCellMemo differs from RunCell:\n  %s\n  %s", a, b)
+		t.Fatalf("nil-memo pool RunCell differs from RunCell:\n  %s\n  %s", a, b)
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -30,17 +31,41 @@ func CellMemoKey(cfg Config, t MatrixTask) string {
 }
 
 func cellMemoKey(salt string, cfg Config, t MatrixTask) string {
+	f := inputFields(cfg, t)
+	// model and ET sit between max and predictor, where on-disk keys
+	// have always had them.
+	f = slices.Insert(f, 3, "model="+t.Model, "et="+strconv.Itoa(t.ET))
+	return strings.Join(append([]string{"cell", salt}, f...), "|")
+}
+
+// InputKey renders the identity of the prepared input a cell runs on
+// (see InputPool): the CellMemoKey fields that shape the trace and the
+// prepared simulator, without the model and ET a cell picks on top. It
+// is empty when the options carry a data cache or memory system:
+// canonOpts records only whether those are set, so such inputs are
+// never shared.
+func InputKey(cfg Config, t MatrixTask) string {
 	cfg = cfg.withDefaults()
-	return strings.Join([]string{
-		"cell", salt,
+	if cfg.Opts.Cache != nil || cfg.Opts.Mem != nil {
+		return ""
+	}
+	return strings.Join(append([]string{"input"}, inputFields(cfg, t)...), "|")
+}
+
+// inputFields renders the fields that shape a cell's trace and prepared
+// simulator — workload/input, scale, max, predictor and options. Both
+// the memo key and InputKey are built from it, so a field that shapes
+// the input cannot reach one key and miss the other: a pooled entry is
+// only ever shared by cells whose memo keys differ in model and ET.
+func inputFields(cfg Config, t MatrixTask) []string {
+	cfg = cfg.withDefaults()
+	return []string{
 		"trace=" + t.Workload + "/" + t.Input,
 		"scale=" + strconv.Itoa(cfg.Scale),
 		"max=" + strconv.FormatUint(cfg.MaxInstrs, 10),
-		"model=" + t.Model,
-		"et=" + strconv.Itoa(t.ET),
 		"predictor=" + cfg.Predictor,
 		"opts=" + canonOpts(cfg.Opts),
-	}, "|")
+	}
 }
 
 // canonOpts renders simulation options in one canonical, order-fixed

@@ -27,6 +27,16 @@ func TestMatrixTaskKeyFormatStable(t *testing.T) {
 	}
 }
 
+func TestCellMemoKeyFormatStable(t *testing.T) {
+	// Memo keys name on-disk cache entries, so their bytes are pinned:
+	// a change here silently turns every cached cell into a miss.
+	const want = "cell|deesim-sim/v1|trace=espresso/cps|scale=0|max=0|model=DEE-CD-MF|et=64|predictor=2bit|" +
+		"opts=designp=0,penalty=1,strictmem=false,deadlock=0,pes=0,lat={0 0 0 0 0 0 0},cache=false,mem=false"
+	if got := CellMemoKey(Config{}, paperTask()); got != want {
+		t.Fatalf("CellMemoKey =\n  %s\nwant\n  %s", got, want)
+	}
+}
+
 func TestCellMemoKeyDefaultInsensitive(t *testing.T) {
 	// A zero-value Config and one that spells every default explicitly
 	// describe the same simulation, so they must share a cache entry.

@@ -15,3 +15,12 @@ var mCellsStarted = obs.GetOrCreateCounter("deesim_cells_started_total")
 // leaves that trace's id as the bucket exemplar, so a latency outlier
 // in a dashboard links straight to a fetchable timeline.
 var mCellDuration = obs.GetOrCreateHistogram("deesim_cell_duration_seconds", obs.DefaultLatencyBuckets)
+
+// mInputBuilds and mInputReuses count how prepared inputs reach cells
+// (see InputPool): a build records the input's trace and prepares its
+// simulator; a reuse hands a cell an entry some earlier cell built.
+// Builds per sweep is the cost the pool exists to cut.
+var (
+	mInputBuilds = obs.GetOrCreateCounter("deesim_input_builds_total")
+	mInputReuses = obs.GetOrCreateCounter("deesim_input_reuses_total")
+)

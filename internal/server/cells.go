@@ -159,19 +159,20 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, res)
 }
 
-// runCell executes the cell under panic isolation, so a poisoned cell
-// is a typed 500 to the coordinator — which retries or fails the sweep
-// by kind — never a dead worker. With a memo configured, the cell
-// consults the content-addressed cache first and identical concurrent
-// cell RPCs collapse onto one in-flight simulation (each still holds
-// its own admission slot — collapse saves compute, not capacity).
+// runCell executes the cell on the worker's input pool under panic
+// isolation, so a poisoned cell is a typed 500 to the coordinator —
+// which retries or fails the sweep by kind — never a dead worker. With
+// a memo configured, the cell consults the content-addressed cache
+// first and identical concurrent cell RPCs collapse onto one in-flight
+// simulation (each still holds its own admission slot — collapse saves
+// compute, not capacity).
 func (s *Server) runCell(ctx context.Context, ws []bench.Workload, cfg experiments.Config, t experiments.MatrixTask) (res *experiments.CellResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = runx.FromPanic(r, "server.runCell")
 		}
 	}()
-	return experiments.RunCellMemo(ctx, s.cfg.Memo, ws, cfg, t)
+	return s.inputs.RunCell(ctx, s.cfg.Memo, ws, cfg, t)
 }
 
 // CellsActive reports how many leased cells are executing right now —

@@ -211,6 +211,11 @@ type Server struct {
 	cellMet     *cellMetrics
 	cellSlots   chan struct{} // leased-cell admission (capacity CellSlots)
 	cellsActive int64         // leased cells executing right now (atomic)
+	// inputs holds the prepared inputs leased cells run on. It keeps up
+	// to CellSlots idle inputs, so the worker still holds the last
+	// CellSlots distinct inputs it was leased — the ones the coordinator
+	// records for it and sends those inputs' next cells to.
+	inputs *experiments.InputPool
 }
 
 const stageServer = "server"
@@ -224,6 +229,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cellMet:   newCellMetrics(cfg.Metrics),
 		cellSlots: make(chan struct{}, cfg.CellSlots),
+		inputs:    experiments.NewInputPool(cfg.CellSlots),
 	}
 	h, err := NewHost(cfg, Daemon{
 		Name: "deesimd", Stage: stageServer, Noun: "job", Dir: "jobs", IDPrefix: "j",
