@@ -283,48 +283,28 @@ func computeDeps(tr *trace.Trace, strictMem bool) *deps {
 // trace order), the first trace position past the branch at which
 // control reaches the branch's immediate postdominator, or -1 when
 // unknown (JR-crossed or off-trace). Instructions at or after the join
-// are control independent of that branch.
+// are control independent of that branch. One backward scan keeps the
+// next occurrence of every static instruction in a dense table.
 func computeJoins(tr *trace.Trace, g *cfg.Graph) []int32 {
-	// Occurrence lists per static instruction that is some branch's ipdom.
-	wanted := make(map[int32][]int32)
-	for _, din := range tr.Ins {
-		if !din.IsBranch() {
-			continue
-		}
-		if ip := g.IPdom(din.Static); ip >= 0 {
-			if _, ok := wanted[ip]; !ok {
-				wanted[ip] = nil
+	nb := tr.NumPaths() // a conditional branch ends every path but a branchless tail
+	if tr.PathBranch(nb-1) < 0 {
+		nb--
+	}
+	joins := make([]int32, nb)
+	nextOcc := make([]int32, len(tr.Prog.Code)) // per static id: next trace position, or -1
+	for i := range nextOcc {
+		nextOcc[i] = -1
+	}
+	for i := len(tr.Ins) - 1; i >= 0; i-- {
+		din := tr.Ins[i]
+		if din.IsBranch() {
+			nb--
+			joins[nb] = -1
+			if ip := g.IPdom(din.Static); ip >= 0 {
+				joins[nb] = nextOcc[ip]
 			}
 		}
-	}
-	for i, din := range tr.Ins {
-		if occ, ok := wanted[din.Static]; ok {
-			wanted[din.Static] = append(occ, int32(i))
-			_ = occ
-		}
-	}
-	var joins []int32
-	cursor := make(map[int32]int) // per-ipdom rolling cursor into occ list
-	for i, din := range tr.Ins {
-		if !din.IsBranch() {
-			continue
-		}
-		ip := g.IPdom(din.Static)
-		if ip < 0 {
-			joins = append(joins, -1)
-			continue
-		}
-		occ := wanted[ip]
-		c := cursor[ip]
-		for c < len(occ) && occ[c] <= int32(i) {
-			c++
-		}
-		cursor[ip] = c
-		if c < len(occ) {
-			joins = append(joins, occ[c])
-		} else {
-			joins = append(joins, -1)
-		}
+		nextOcc[din.Static] = int32(i)
 	}
 	return joins
 }

@@ -18,6 +18,7 @@ var (
 	mSimCalEvents  = obs.GetOrCreateCounter("deesim_sim_calendar_events_total")
 	mSimSkips      = obs.GetOrCreateCounter("deesim_sim_cycle_skips_total")
 	mSimSkipped    = obs.GetOrCreateCounter("deesim_sim_cycles_skipped_total")
+	mSimRetests    = obs.GetOrCreateCounter("deesim_sim_coverage_retests_total")
 	mSimReadyHW    = obs.GetOrCreateGauge("deesim_sim_ready_depth_high_water")
 	mSimArenaReuse = obs.GetOrCreateCounter("deesim_sim_arena_reuse_total")
 	mSimArenaAlloc = obs.GetOrCreateCounter("deesim_sim_arena_alloc_total")
@@ -31,6 +32,7 @@ type simTally struct {
 	calendarEvts  int64
 	cycleSkips    int64
 	cyclesSkipped int64
+	retests       int64 // coverage tests of ready instructions past the horizon
 	readyHW       int
 }
 
@@ -41,5 +43,6 @@ func (t *simTally) flush(cycles int64) {
 	mSimCalEvents.Add(t.calendarEvts)
 	mSimSkips.Add(t.cycleSkips)
 	mSimSkipped.Add(t.cyclesSkipped)
+	mSimRetests.Add(t.retests)
 	mSimReadyHW.SetMax(float64(t.readyHW))
 }

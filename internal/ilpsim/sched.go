@@ -53,21 +53,27 @@
 //
 // Control parking. Under the CD models a closed-form shape's ready
 // instruction past the horizon is tested against the unknown branches
-// in front of it. SP covers it only when it relaxes past all of them;
-// if it does not, it leaves its ready list and waits on the deepest
-// branch it cannot relax past, and returns to its ready list only when
-// that branch leaves the deque. Parking is exact because everything
-// the test depends on is monotone while the instruction waits. Whether
-// instruction k relaxes past unknown branch u is static: u's join <= k,
-// and k reads nothing u's wrong side may write. The set of unknown
-// branches in front of k only shrinks: directions only become known,
+// in front of it, and an instruction the test leaves uncovered leaves
+// its ready list and waits for the events that can change the answer.
+// Let R be the unknown branches in front of instruction k (on window
+// path ap) that k cannot relax past. SP covers k only when R is empty,
+// so k waits on the deepest branch of R. DEE also covers k when R holds
+// one branch and the side path reaches k; for DEE's closed form that is
+// exactly when ap-hp <= H. So with |R| >= 2, k waits on the deepest and
+// the second-deepest branch of R, and with |R| = 1 it waits on that
+// branch and on the root reaching path ap-H (runState.rootWait).
+// Whichever event comes first returns k to its ready list for one
+// re-test; its twin entry on the other list goes stale and is skipped.
+// Parking is exact because everything the test depends on is monotone
+// while the instruction waits. Whether instruction k relaxes past
+// unknown branch u is static: u's join <= k, and k reads nothing u's
+// wrong side may write. R only shrinks: directions only become known,
 // the root never passes an unknown branch under a non-EE shape, and the
-// window grows only behind k's own path. So while the awaited branch is
-// unknown, k stays uncovered, and re-testing it every cycle would only
-// re-derive that. DEE, which may cover one unrelaxed branch from its
-// side path, keeps its uncovered instructions on their ready lists and
-// re-tests them each cycle; the walk stops at the second unrelaxed
-// branch.
+// window grows only behind k's own path. ap-hp only falls. And while an
+// unknown branch sits in front of a waiting k, the base horizon stays
+// short of ap, so base coverage cannot cover it either. Until a waited
+// event fires, k stays uncovered, and re-testing it every cycle would
+// only re-derive that.
 //
 // Tree coverage checks run on dee.BitVec bitsets (Shape.CoveredBits,
 // Tree.ContainsBits) instead of bool vectors, and all per-run buffers
@@ -146,9 +152,11 @@ func (q *fifo[T]) remove(i int) {
 	}
 }
 
-// waitNode is one entry of a parking list: a waiting instruction and
-// the slab index of the next entry (-1 ends the list).
-type waitNode struct{ k, next int32 }
+// waitNode is one entry of a parking list: a waiting instruction (-1
+// once its twin has woken it), the slab index of the next entry (-1
+// ends the list), and the slab index of the twin entry on a second list
+// the instruction waits on (-1 when it waits on one list only).
+type waitNode struct{ k, next, twin int32 }
 
 // runState is the per-run arena: every mutable buffer one RunContext
 // call needs. Instances are recycled through Sim.pool; all slices keep
@@ -172,12 +180,16 @@ type runState struct {
 	unk    fifo[unkBranch]
 	winEnd int
 	knownQ fifo[knownEvt]
-	// Control parking (SP under the CD models): an unknown branch's
-	// wait list holds the instructions waiting for it to leave unk. The
-	// lists live in one slab with a free list, so parking memory follows
-	// the peak number of waiting instructions, not the trace length.
+	// Control parking (SP and DEE under the CD models): an unknown
+	// branch's wait list holds the instructions waiting for it to leave
+	// unk, and rootWait[p] those waiting for the root to reach path p
+	// (woken up to path rootHP). The lists live in one slab with a free
+	// list, so parking memory follows the peak number of waiting
+	// instructions, not the trace length.
 	waitNodes []waitNode
 	freeNode  int32 // head of the slab's free list; -1 when empty
+	rootWait  []int32
+	rootHP    int
 
 	known   dee.BitVec // tree strategies: this cycle's known-direction bits
 	scratch dee.BitVec
@@ -226,6 +238,11 @@ func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
 	}
 	st.waitNodes = st.waitNodes[:0]
 	st.freeNode = -1
+	st.rootWait = growSlice(st.rootWait, np)
+	for i := range st.rootWait {
+		st.rootWait[i] = -1
+	}
+	st.rootHP = 0
 	st.readyDirty = growSlice(st.readyDirty, np)
 	clear(st.readyDirty)
 	st.readyBits = growSlice(st.readyBits, (np+63)/64)
@@ -257,8 +274,8 @@ func (st *runState) push(ap int32, k int32) {
 }
 
 // wait adds instruction k, just taken off its ready list, to the
-// parking list headed by *head.
-func (st *runState) wait(head *int32, k int32) {
+// parking list headed by *head and returns its slab index.
+func (st *runState) wait(head *int32, k int32) int32 {
 	i := st.freeNode
 	if i >= 0 {
 		st.freeNode = st.waitNodes[i].next
@@ -266,16 +283,30 @@ func (st *runState) wait(head *int32, k int32) {
 		i = int32(len(st.waitNodes))
 		st.waitNodes = append(st.waitNodes, waitNode{})
 	}
-	st.waitNodes[i] = waitNode{k: k, next: *head}
+	st.waitNodes[i] = waitNode{k: k, next: *head, twin: -1}
 	*head = i
+	return i
+}
+
+// waitEither parks k on two lists at once; the first to be woken
+// returns it to its ready list.
+func (st *runState) waitEither(a, b *int32, k int32) {
+	i, j := st.wait(a, k), st.wait(b, k)
+	st.waitNodes[i].twin, st.waitNodes[j].twin = j, i
 }
 
 // wake returns the waiting instructions of the list headed by *head to
-// their ready lists and empties it.
+// their ready lists and empties it. An entry whose twin woke first is
+// stale and only freed.
 func (s *Sim) wake(st *runState, head *int32) {
 	for i := *head; i >= 0; {
 		nd := st.waitNodes[i]
-		st.push(s.d.path[nd.k], nd.k)
+		if nd.k >= 0 {
+			st.push(s.d.path[nd.k], nd.k)
+			if nd.twin >= 0 {
+				st.waitNodes[nd.twin].k = -1
+			}
+		}
 		st.waitNodes[i].next = st.freeNode
 		st.freeNode = i
 		i = nd.next
@@ -317,7 +348,7 @@ func (s *Sim) treeCovered(st *runState, shape dee.Shape, tree *dee.Tree, unk []u
 // of a cycle: due known transitions leave it, branches the root has
 // passed are dropped, and the window's newly reachable branches join it
 // (unless their direction is already known). Instructions parked on a
-// branch that left are woken.
+// branch that left, or on a path the root has reached, are woken.
 func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
 	for q := st.knownQ.live(); len(q) > 0 && q[0].at <= cycle; q = st.knownQ.live() {
 		p := q[0].p
@@ -335,6 +366,10 @@ func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
 	for u := st.unk.live(); len(u) > 0 && int(u[0].p) < hp; u = st.unk.live() {
 		s.wake(st, &u[0].wait)
 		st.unk.pop()
+	}
+	for st.rootHP < hp {
+		st.rootHP++
+		s.wake(st, &st.rootWait[st.rootHP])
 	}
 	st.winEnd = max(st.winEnd, hp)
 	for ; st.winEnd < end; st.winEnd++ {
@@ -516,6 +551,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 
 		executed := 0
 		capHit := false
+		front := 0 // cursor: unk[:front] lies in front of the path being visited
 		lo, hi := hp, hp+lim
 		for w := lo >> 6; w <= hi>>6 && !capHit; w++ {
 			word := st.readyBits[w]
@@ -547,31 +583,37 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 					slices.Sort(rl)
 					st.readyDirty[ap] = false
 				}
+				if !baseCov {
+					for front < len(unk) && int(unk[front].p) < ap {
+						front++
+					}
+				}
 				keep := rl[:0]
-				front := -1 // unk[:front] lies in front of path ap
 				for i, k := range rl {
 					kk := int(k)
-					if !baseCov && vectorCov {
-						if !s.treeCovered(st, shape, profTree, unk, k, ap, hp) {
-							keep = append(keep, k)
-							continue
-						}
-					} else if !baseCov {
-						if front < 0 {
-							front, _ = slices.BinarySearchFunc(unk, int32(ap), func(u unkBranch, p int32) int {
-								return int(u.p - p)
-							})
-						}
-						// SP covers k only when it relaxes past every
-						// unknown branch in front of it; DEE also when
-						// exactly one remains and the side path reaches k.
-						if d := s.deepestUnrelaxed(unk, front, k); d >= 0 {
+					if !baseCov {
+						tally.retests++
+						if vectorCov {
+							if !s.treeCovered(st, shape, profTree, unk, k, ap, hp) {
+								keep = append(keep, k)
+								continue
+							}
+						} else if d := s.deepestUnrelaxed(unk, front, k); d >= 0 {
+							// SP covers k only when it relaxes past every
+							// unknown branch in front of it; DEE also when
+							// exactly one remains and the side path reaches
+							// k (ap-hp <= H). Otherwise k waits (see Control
+							// parking above).
 							if shape.Strategy == dee.SP {
 								st.wait(&unk[d].wait, k)
 								continue
 							}
-							if s.deepestUnrelaxed(unk, d, k) >= 0 || !shape.CoveredCounts(1, int(unk[d].p)-hp, ap-hp) {
-								keep = append(keep, k)
+							if d2 := s.deepestUnrelaxed(unk, d, k); d2 >= 0 {
+								st.waitEither(&unk[d].wait, &unk[d2].wait, k)
+								continue
+							}
+							if !shape.CoveredCounts(1, int(unk[d].p)-hp, ap-hp) {
+								st.waitEither(&unk[d].wait, &st.rootWait[ap-shape.H], k)
 								continue
 							}
 						}

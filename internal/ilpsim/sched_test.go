@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -214,6 +215,15 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(uint16(200), uint8(6), uint8(85), uint32(0xbeef), uint8(4), uint8(255), uint8(3), uint8(1), false)
 	f.Add(uint16(250), uint8(7), uint8(70), uint32(0xc0de), uint8(2), uint8(255), uint8(1), uint8(2), true)
 	f.Add(uint16(180), uint8(5), uint8(80), uint32(0xfeed), uint8(3), uint8(255), uint8(0), uint8(1), false)
+	// DEE control parking under a PEs cap with a penalty above one:
+	// DEE-CD-MF and DEE-CD at deep and shallow ETs, where instructions
+	// wait on two branches or on a branch and the root, a woken one
+	// leaves a stale twin behind, and the cap cuts a cycle's issue
+	// short.
+	f.Add(uint16(220), uint8(6), uint8(75), uint32(0xd0e1), uint8(4), uint8(255), uint8(0), uint8(5), false)
+	f.Add(uint16(220), uint8(5), uint8(65), uint32(0xd0e2), uint8(2), uint8(63), uint8(2), uint8(7), true)
+	f.Add(uint16(150), uint8(8), uint8(60), uint32(0xd0e3), uint8(3), uint8(15), uint8(2), uint8(3), false)
+	f.Add(uint16(150), uint8(7), uint8(70), uint32(0xd0e4), uint8(1), uint8(31), uint8(0), uint8(4), false)
 	f.Fuzz(func(t *testing.T, iters uint16, branches, bias uint8, seed uint32, work, et, modelIdx, penalty uint8, realistic bool) {
 		cfg := bench.SyntheticConfig{
 			Iterations:      1 + int(iters)%300,
@@ -303,5 +313,51 @@ func TestOracleComputedOnce(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("repeat Oracle call allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestDEEParkingRetestsPerWake counts coverage re-tests instead of
+// timing them. Two mispredicted branches with unknown joins sit in
+// front of the instructions after them, so no instruction past them
+// relaxes past either, and a long dependence chain in front keeps the
+// machine issuing (no cycle skips) for as long as the penalty holds the
+// branches unknown. An instruction that waits on both branches is
+// re-tested once when it first reaches the walk and once when they
+// resolve, however long that takes; re-testing it every cycle would
+// make the count grow with the penalty.
+func TestDEEParkingRetestsPerWake(t *testing.T) {
+	src := strings.Repeat("    addi $s0, $s0, 1\n", 600) + `
+    bne  $zero, $zero, side1   # not taken, predicted taken
+    bne  $zero, $zero, side2   # likewise
+    add  $t3, $t1, $t2
+    halt
+side1:
+    li   $t1, 5
+    halt
+side2:
+    li   $t2, 6
+    halt
+`
+	tr := mustTrace(t, src)
+	for _, m := range []Model{ModelDEECD, ModelDEECDMF} {
+		var counts []int64
+		for _, penalty := range []int{100, 400} {
+			s := MustNew(tr, predictor.NewTwoBit(), Options{Penalty: penalty, DesignP: 0.6})
+			diffCompare(t, s, m, 16, fmt.Sprintf("penalty %d", penalty))
+			before := mSimRetests.Value()
+			r, err := s.runEvent(context.Background(), m, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.Mispredicts != 2 || r.Cycles <= int64(penalty) {
+				t.Fatalf("%v penalty %d: %d mispredicts in %d cycles; the trace no longer holds its branches unknown", m, penalty, r.Mispredicts, r.Cycles)
+			}
+			counts = append(counts, mSimRetests.Value()-before)
+		}
+		// k and the halt behind it, each tested once before and once
+		// after the wake.
+		if counts[0] != counts[1] || counts[1] > 4 {
+			t.Errorf("%v: %d coverage re-tests at penalty 100, %d at penalty 400; want the same count, at most 4", m, counts[0], counts[1])
+		}
 	}
 }

@@ -118,16 +118,20 @@ func TestCompareGatesETScaling(t *testing.T) {
 	cur := sampleSuite()
 	cur.ETScaling = []Scaling{
 		{Name: "core/xlisp/SP", Model: "SP", LoET: 8, HiET: 256, Ratio: 2.5},
+		{Name: "core/espresso/DEE-CD-MF", Model: "DEE-CD-MF", LoET: 8, HiET: 256, Ratio: 8.4},
 		{Name: "core/xlisp/EE", Model: "EE", LoET: 8, HiET: 256, Ratio: 9},
 	}
 	err := Compare(sampleSuite(), cur, CompareOpts{})
-	if err == nil || !strings.Contains(err.Error(), "core/xlisp/SP") {
-		t.Fatalf("want ET-scaling failure naming core/xlisp/SP, got %v", err)
+	for _, name := range []string{"core/xlisp/SP", "core/espresso/DEE-CD-MF"} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("want ET-scaling failure naming %s, got %v", name, err)
+		}
 	}
 	if strings.Contains(err.Error(), "core/xlisp/EE") {
 		t.Fatalf("ungated model EE was gated: %v", err)
 	}
 	cur.ETScaling[0].Ratio = 1.9
+	cur.ETScaling[1].Ratio = 1.4
 	if err := Compare(sampleSuite(), cur, CompareOpts{}); err != nil {
 		t.Fatalf("ratio under the bound failed: %v", err)
 	}

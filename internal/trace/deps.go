@@ -34,7 +34,7 @@ func (t *Trace) DataDeps(strictMem bool) *DataDeps {
 	for i := range lastWrite {
 		lastWrite[i] = NoDep
 	}
-	lastStoreAt := make(map[uint32]int32)
+	var stores storeTable
 	lastStore := NoDep
 
 	for i, din := range t.Ins {
@@ -53,25 +53,11 @@ func (t *Trace) DataDeps(strictMem bool) *DataDeps {
 			if strictMem {
 				d.Mem[i] = lastStore
 			} else {
-				width := uint32(4)
-				if din.Op == isa.LB || din.Op == isa.LBU {
-					width = 1
-				}
-				dep := NoDep
-				for b := uint32(0); b < width; b++ {
-					if s, ok := lastStoreAt[din.MemAddr+b]; ok && s > dep {
-						dep = s
-					}
-				}
-				d.Mem[i] = dep
+				d.Mem[i] = stores.load(din.MemAddr, memWidth(din.Op))
 			}
 		case isa.ClassStore:
-			width := uint32(4)
-			if din.Op == isa.SB {
-				width = 1
-			}
-			for b := uint32(0); b < width; b++ {
-				lastStoreAt[din.MemAddr+b] = int32(i)
+			if !strictMem {
+				stores.store(din.MemAddr, memWidth(din.Op), int32(i))
 			}
 			lastStore = int32(i)
 		}
@@ -81,6 +67,66 @@ func (t *Trace) DataDeps(strictMem bool) *DataDeps {
 		}
 	}
 	return d
+}
+
+// memWidth is the number of bytes a load or store accesses.
+func memWidth(op isa.Op) uint32 {
+	if op == isa.LB || op == isa.LBU || op == isa.SB {
+		return 1
+	}
+	return 4
+}
+
+// storeTable records, per byte address, the latest store that wrote it.
+// It is a three-level radix table over the 32-bit address space whose
+// leaves hold one entry per byte of a 4 KiB page, allocated only for
+// pages that some store touches. Any address works, aligned or not, and
+// a multi-byte access wraps at the top of the address space.
+type storeTable struct {
+	dir [1 << 10]*[1 << 10]*[1 << 12]int32 // by addr bits 31..22, 21..12, 11..0
+}
+
+// entry returns the entry of the byte at addr. Without create it returns
+// nil when no store has touched the byte's page.
+func (t *storeTable) entry(addr uint32, create bool) *int32 {
+	mid := t.dir[addr>>22]
+	if mid == nil {
+		if !create {
+			return nil
+		}
+		mid = new([1 << 10]*[1 << 12]int32)
+		t.dir[addr>>22] = mid
+	}
+	leaf := mid[addr>>12&(1<<10-1)]
+	if leaf == nil {
+		if !create {
+			return nil
+		}
+		leaf = new([1 << 12]int32)
+		for i := range leaf {
+			leaf[i] = NoDep
+		}
+		mid[addr>>12&(1<<10-1)] = leaf
+	}
+	return &leaf[addr&(1<<12-1)]
+}
+
+// load returns the latest store to any of the width bytes at addr.
+func (t *storeTable) load(addr, width uint32) int32 {
+	dep := NoDep
+	for i := uint32(0); i < width; i++ {
+		if e := t.entry(addr+i, false); e != nil {
+			dep = max(dep, *e)
+		}
+	}
+	return dep
+}
+
+// store records store s as the latest writer of the width bytes at addr.
+func (t *storeTable) store(addr, width uint32, s int32) {
+	for i := uint32(0); i < width; i++ {
+		*t.entry(addr+i, true) = s
+	}
 }
 
 // readsOf reports which of the rs/rt register fields an instruction
