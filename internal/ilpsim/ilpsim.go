@@ -254,60 +254,14 @@ func (r Result) RootResolutionRate() float64 {
 }
 
 // deps pairs the trace's minimal data dependencies with the branch-path
-// index of every instruction.
+// index of every instruction (the number of conditional branches before
+// it).
 type deps struct {
 	dd   *trace.DataDeps
 	path []int32 // branch path index per inst
 }
 
 const noDep = trace.NoDep
-
-// computeDeps delegates flow-dependency extraction to the trace package
-// and adds the path segmentation the window model needs.
-func computeDeps(tr *trace.Trace, strictMem bool) *deps {
-	n := len(tr.Ins)
-	d := &deps{dd: tr.DataDeps(strictMem), path: make([]int32, n)}
-	ends := tr.Paths()
-	pi := int32(0)
-	for i := range tr.Ins {
-		for int32(i) >= ends[pi] {
-			pi++
-		}
-		d.path[i] = pi
-	}
-	return d
-}
-
-// computeJoins returns, per dynamic conditional branch (indexed by
-// branch ordinal — the i-th entry is the i-th conditional branch in
-// trace order), the first trace position past the branch at which
-// control reaches the branch's immediate postdominator, or -1 when
-// unknown (JR-crossed or off-trace). Instructions at or after the join
-// are control independent of that branch. One backward scan keeps the
-// next occurrence of every static instruction in a dense table.
-func computeJoins(tr *trace.Trace, g *cfg.Graph) []int32 {
-	nb := tr.NumPaths() // a conditional branch ends every path but a branchless tail
-	if tr.PathBranch(nb-1) < 0 {
-		nb--
-	}
-	joins := make([]int32, nb)
-	nextOcc := make([]int32, len(tr.Prog.Code)) // per static id: next trace position, or -1
-	for i := range nextOcc {
-		nextOcc[i] = -1
-	}
-	for i := len(tr.Ins) - 1; i >= 0; i-- {
-		din := tr.Ins[i]
-		if din.IsBranch() {
-			nb--
-			joins[nb] = -1
-			if ip := g.IPdom(din.Static); ip >= 0 {
-				joins[nb] = nextOcc[ip]
-			}
-		}
-		nextOcc[din.Static] = int32(i)
-	}
-	return joins
-}
 
 // Sim is a prepared simulation over one trace. Prepare once, run many
 // models against the same precomputed dependencies and predictions.
@@ -316,14 +270,14 @@ func computeJoins(tr *trace.Trace, g *cfg.Graph) []int32 {
 // field is read-only, so any number of goroutines may call Run /
 // RunContext / RunUnlimitedContext / Oracle on the same Sim
 // simultaneously (e.g. fanning the eight paper models over one prepared
-// trace). Per-run mutable state lives in pool-managed arenas private to
-// each call. The concurrent-models race test in sched_test.go asserts
+// trace). Per-run mutable state lives in pooled arenas private to each
+// call. The concurrent-models race test in sched_test.go asserts
 // this contract under the race detector.
 type Sim struct {
 	tr       *trace.Trace
 	g        *cfg.Graph
 	d        *deps
-	joins    []int32 // per branch ordinal: join position or -1 (see computeJoins)
+	joins    []int32 // per branch ordinal: join position or -1 (see scanBranches)
 	correct  []bool  // per dynamic branch, in branch order
 	accuracy float64
 
@@ -354,13 +308,11 @@ type Sim struct {
 	// Event-scheduler precomputation (built once in NewContext, read-only
 	// afterwards): wakeOff/wakeList form a CSR producer→consumer
 	// adjacency over the minimal data dependencies (a consumer appears
-	// once per dependency slot, matching the per-slot counts in
-	// depCount), depCount is the per-instruction dependency in-degree,
-	// and maxLat the largest per-instruction latency (it sizes the
-	// calendar ring).
+	// once per dependency slot, matching the per-slot in-degrees in
+	// initPending[0]), and maxLat is the largest per-instruction latency
+	// (it sizes the calendar ring).
 	wakeOff  []int32
 	wakeList []int32
-	depCount []uint8
 	maxLat   int32
 
 	// Hot-loop companions to the tables above, also read-only after
@@ -379,9 +331,6 @@ type Sim struct {
 	initPending [2][]uint8
 	initReady   [2][]int32
 
-	// pool recycles runState arenas (finish/pathDone/ready lists/calendar
-	// buckets) across RunContext calls on this Sim.
-	pool sync.Pool
 	// oracle computes the Oracle result on first use and caches it.
 	oracle func() Result
 }
@@ -406,9 +355,15 @@ func MustNew(tr *trace.Trace, pred predictor.Predictor, opts Options) *Sim {
 }
 
 // NewContext is New with cooperative cancellation: the precompute phases
-// (dependency extraction, predictor replay, join computation, cache
-// warmup) check ctx between passes, so a deadline set before a heavy
-// sweep also bounds simulator construction.
+// (dependency extraction, the table passes, cache warmup) check ctx
+// between passes, so a deadline set before a heavy sweep also bounds
+// simulator construction.
+//
+// After the data dependences, every table is built in three passes over
+// the trace: one forward pass (forward), the CSR fill of the wakeup
+// lists (fillWakeLists), and one backward scan for the per-branch and
+// per-path tables (scanBranches). A memory system, when configured,
+// replays loads and stores in a fourth, dynamic-order pass.
 func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, opts Options) (s *Sim, err error) {
 	const stage = "ilpsim.New"
 	defer func() {
@@ -431,219 +386,263 @@ func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, 
 	if opts.DeadlockLimit == 0 {
 		opts.DeadlockLimit = DefaultDeadlockLimit
 	}
+	mem := opts.Mem
+	if mem == nil && opts.Cache != nil {
+		dc, cerr := cache.New(*opts.Cache)
+		if cerr != nil {
+			return nil, &runx.Error{Kind: runx.KindInvalidInput, Stage: stage, Err: cerr}
+		}
+		mem = dc
+	}
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	g := cfg.Build(tr.Prog)
 	s = &Sim{
-		tr:    tr,
-		g:     g,
-		d:     computeDeps(tr, opts.StrictMemory),
-		joins: computeJoins(tr, g),
-		opts:  opts,
+		tr:   tr,
+		g:    cfg.Build(tr.Prog),
+		d:    &deps{dd: tr.DataDeps(opts.StrictMemory)},
+		opts: opts,
 	}
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	s.accuracy, s.correct = predictor.Accuracy(tr, pred)
-	s.branchOrd = make([]int32, len(tr.Ins))
-	for i := range s.branchOrd {
-		s.branchOrd[i] = -1
-	}
-	for i, din := range tr.Ins {
-		if din.IsBranch() {
-			s.branchOrd[i] = int32(len(s.branchPos))
-			s.branchPos = append(s.branchPos, int32(i))
-		}
-	}
-	np := tr.NumPaths()
-	s.pathBranch = make([]int32, np)
-	for i := 0; i < np; i++ {
-		s.pathBranch[i] = tr.PathBranch(i)
-	}
-	s.pathSize = make([]int32, np)
-	for i := range tr.Ins {
-		s.pathSize[s.d.path[i]]++
-	}
-	s.srcMask = make([]uint32, len(tr.Ins))
-	s.isLoad = make([]bool, len(tr.Ins))
-	for i, din := range tr.Ins {
-		in := tr.Prog.Code[din.Static]
-		var m uint32
-		for _, r := range in.Src() {
-			if r != isa.Zero {
-				m |= 1 << uint(r)
-			}
-		}
-		s.srcMask[i] = m
-		s.isLoad[i] = isa.ClassOf(din.Op) == isa.ClassLoad
-	}
-	nStatic := len(tr.Prog.Code)
-	s.sideWrites = make([][2]cfg.WriteSet, nStatic)
-	seenSide := make([]bool, nStatic)
-	for _, din := range tr.Ins {
-		if !din.IsBranch() || seenSide[din.Static] {
-			continue
-		}
-		taken, fall := g.SideWrites(din.Static)
-		s.sideWrites[din.Static] = [2]cfg.WriteSet{taken, fall}
-		seenSide[din.Static] = true
-	}
-	s.profAcc = computeProfile(tr, s.branchPos, s.correct, nStatic)
-	s.buildWakeLists()
-	s.buildSchedTables()
+	nb, nReady := s.forward(pred, mem == nil)
+	s.fillWakeLists(nReady)
+	s.scanBranches(nb)
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	if lerr := s.computeLatencies(); lerr != nil {
-		return nil, lerr
+	if mem != nil {
+		s.replayMemory(mem)
 	}
 	s.oracle = sync.OnceValue(s.computeOracle)
 	return s, nil
 }
 
-// buildWakeLists precomputes the producer→consumer wakeup adjacency in
-// CSR form: wakeList[wakeOff[p]:wakeOff[p+1]] lists (in ascending trace
-// order) every instruction with a data-dependency slot on producer p. A
-// consumer with two slots on the same producer appears twice, matching
-// depCount's per-slot in-degree, so the event scheduler's pending
-// counters decrement consistently.
-func (s *Sim) buildWakeLists() {
-	n := len(s.tr.Ins)
-	dd := s.d.dd
-	s.wakeOff = make([]int32, n+1)
-	s.depCount = make([]uint8, n)
-	for k := 0; k < n; k++ {
-		for _, p := range [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]} {
-			if p != noDep {
-				s.wakeOff[p+1]++
-				s.depCount[k]++
+// staticInfo is what the forward pass reads of one static instruction,
+// plus that instruction's predictor replay counts.
+type staticInfo struct {
+	src         uint32 // registers read, $zero excluded
+	lat         int32  // latency under Options.Lat
+	load        bool
+	branch      bool // conditional branch
+	hits, total int32
+}
+
+// forward is the first pass: in trace order it fills every per-instruction
+// table (path index, branch ordinal, source mask, load flag, latency when
+// fillLat is set, successor branch, mispredict flag, the initial pending
+// counters of both model families) and the per-producer consumer counts
+// the CSR fill starts from, and replays the predictor, recording its
+// accuracy, the per-static-branch profile and each branch's side write
+// sets at its first sighting. It returns the number of conditional
+// branches and of initially ready instructions per family.
+func (s *Sim) forward(pred predictor.Predictor, fillLat bool) (nb int32, nReady [2]int) {
+	tr, dd := s.tr, s.d.dd
+	n := len(tr.Ins)
+	lat := s.opts.Lat.normalized()
+	info := make([]staticInfo, len(tr.Prog.Code))
+	for i, in := range tr.Prog.Code {
+		si := &info[i]
+		for _, r := range in.Src() {
+			if r != isa.Zero {
+				si.src |= 1 << uint(r)
 			}
 		}
+		si.lat = int32(lat.of(in.Op))
+		si.load = isa.ClassOf(in.Op) == isa.ClassLoad
+		si.branch = isa.IsCondBranch(in.Op)
 	}
+
+	s.d.path = make([]int32, n)
+	s.branchOrd = make([]int32, n)
+	s.srcMask = make([]uint32, n)
+	s.isLoad = make([]bool, n)
+	s.nextBranch = make([]int32, n)
+	s.misp = make([]bool, n)
+	s.initPending[0] = make([]uint8, n)
+	s.initPending[1] = make([]uint8, n)
+	// wakeOff[p+2] counts producer p's consumer slots; fillWakeLists turns
+	// the counts into offsets. A producer precedes its consumer, so
+	// p <= n-2 and p+2 stays in range.
+	s.wakeOff = make([]int32, n+1)
+	s.sideWrites = make([][2]cfg.WriteSet, len(tr.Prog.Code))
+	if fillLat {
+		s.lat = make([]int32, n)
+	}
+	hits := 0
+	prev := int32(-1) // position of the latest branch
+	for k := range tr.Ins {
+		din := &tr.Ins[k]
+		si := &info[din.Static]
+		s.d.path[k] = nb
+		s.branchOrd[k] = -1
+		s.nextBranch[k] = -1
+		s.srcMask[k] = si.src
+		s.isLoad[k] = si.load
+		if fillLat {
+			s.lat[k] = si.lat
+			s.maxLat = max(s.maxLat, si.lat)
+		}
+		var pend uint8
+		for _, p := range [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]} {
+			if p != noDep {
+				s.wakeOff[p+2]++
+				pend++
+			}
+		}
+		s.initPending[0][k] = pend
+		if pend == 0 {
+			nReady[0]++
+		}
+		if si.branch {
+			s.branchOrd[k] = nb
+			if nb > 0 {
+				pend++ // serialized behind the previous branch
+				s.nextBranch[prev] = int32(k)
+			}
+			ok := pred.Predict(din.Static) == din.Taken
+			pred.Update(din.Static, din.Taken)
+			s.misp[k] = !ok
+			if si.total == 0 {
+				taken, fall := s.g.SideWrites(din.Static)
+				s.sideWrites[din.Static] = [2]cfg.WriteSet{taken, fall}
+			}
+			si.total++
+			if ok {
+				si.hits++
+				hits++
+			}
+			prev = int32(k)
+			nb++
+		}
+		s.initPending[1][k] = pend
+		if pend == 0 {
+			nReady[1]++
+		}
+	}
+
+	s.accuracy = 1
+	if nb > 0 {
+		s.accuracy = float64(hits) / float64(nb)
+	}
+	s.profAcc = make([]float64, len(info))
+	for st, si := range info {
+		if si.total > 0 {
+			s.profAcc[st] = float64(si.hits) / float64(si.total)
+		}
+	}
+	return nb, nReady
+}
+
+// fillWakeLists is the second pass. It turns the forward pass's consumer
+// counts into the CSR offsets of the producer→consumer wakeup lists and
+// fills them: wakeList[wakeOff[p]:wakeOff[p+1]] lists (in ascending
+// trace order) every instruction with a data-dependency slot on
+// producer p. A consumer with two slots on the same producer appears
+// twice, matching the per-slot in-degree in initPending, so the event
+// scheduler's pending counters decrement consistently. wakeOff[p+1]
+// serves as p's fill cursor: it starts at p's first slot and ends at
+// p+1's. The same walk collects both families' initial ready lists.
+func (s *Sim) fillWakeLists(nReady [2]int) {
+	dd := s.d.dd
+	n := len(s.tr.Ins)
 	for i := 1; i <= n; i++ {
 		s.wakeOff[i] += s.wakeOff[i-1]
 	}
-	cursor := make([]int32, n)
-	copy(cursor, s.wakeOff[:n])
 	s.wakeList = make([]int32, s.wakeOff[n])
+	s.initReady[0] = make([]int32, 0, nReady[0])
+	s.initReady[1] = make([]int32, 0, nReady[1])
 	for k := 0; k < n; k++ {
 		for _, p := range [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]} {
 			if p != noDep {
-				s.wakeList[cursor[p]] = int32(k)
-				cursor[p]++
+				s.wakeList[s.wakeOff[p+1]] = int32(k)
+				s.wakeOff[p+1]++
 			}
+		}
+		if s.initPending[0][k] == 0 {
+			s.initReady[0] = append(s.initReady[0], int32(k))
+		}
+		if s.initPending[1][k] == 0 {
+			s.initReady[1] = append(s.initReady[1], int32(k))
 		}
 	}
 }
 
-// buildSchedTables folds the per-cycle indirections of the event
-// scheduler's hot loop (branch ordinal → correctness, branch → join,
-// branch → successor branch) into directly indexed tables, and
-// precomputes the initial pending counters and ready lists for both the
-// serialization-free and the serialized model families, so each run
-// seeds its state with a memcopy instead of an O(n) classification
-// pass.
-func (s *Sim) buildSchedTables() {
-	n := len(s.tr.Ins)
-	s.pathCorrect = make([]bool, len(s.pathBranch))
-	s.pathJoin = make([]int32, len(s.pathBranch))
-	for i, bp := range s.pathBranch {
-		s.pathCorrect[i] = bp < 0 || s.correct[s.branchOrd[bp]]
-		if bp < 0 {
-			s.pathJoin[i] = -1
-		} else {
-			s.pathJoin[i] = s.joinOf(bp)
-		}
+// scanBranches is the third pass, one backward scan over the trace that
+// fills the nb per-branch tables and the per-path ones. A branch's join
+// is the first trace position past it at which control reaches its
+// immediate postdominator, or -1 when unknown (JR-crossed or off-trace);
+// instructions at or after the join are control independent of the
+// branch. The scan keeps the next occurrence of every static
+// instruction in a dense table. A conditional branch ends every path but
+// a branchless tail.
+func (s *Sim) scanBranches(nb int32) {
+	ins := s.tr.Ins
+	n := int32(len(ins))
+	np := nb
+	if !ins[n-1].IsBranch() {
+		np++ // the branchless tail
 	}
-	s.nextBranch = make([]int32, n)
-	s.misp = make([]bool, n)
-	for k := range s.nextBranch {
-		s.nextBranch[k] = -1
+	s.joins = make([]int32, nb)
+	s.branchPos = make([]int32, nb)
+	s.correct = make([]bool, nb)
+	s.pathBranch = make([]int32, np)
+	s.pathSize = make([]int32, np)
+	s.pathCorrect = make([]bool, np)
+	s.pathJoin = make([]int32, np)
+	if np > nb {
+		s.pathBranch[nb], s.pathCorrect[nb], s.pathJoin[nb] = -1, true, -1
 	}
-	for ord, bp := range s.branchPos {
-		if ord+1 < len(s.branchPos) {
-			s.nextBranch[bp] = s.branchPos[ord+1]
-		}
-		s.misp[bp] = !s.correct[ord]
+	nextOcc := make([]int32, len(s.tr.Prog.Code)) // per static id: next trace position, or -1
+	for i := range nextOcc {
+		nextOcc[i] = -1
 	}
-	for si := 0; si < 2; si++ {
-		pend := make([]uint8, n)
-		var rdy []int32
-		for k := 0; k < n; k++ {
-			p := s.depCount[k]
-			if si == 1 && s.branchOrd[k] > 0 {
-				p++
+	end := n // one past the end of the path after the branch being visited
+	ord := nb
+	for i := n - 1; i >= 0; i-- {
+		din := &ins[i]
+		if din.IsBranch() {
+			ord--
+			join := int32(-1)
+			if ip := s.g.IPdom(din.Static); ip >= 0 {
+				join = nextOcc[ip]
 			}
-			pend[k] = p
-			if p == 0 {
-				rdy = append(rdy, int32(k))
+			ok := !s.misp[i]
+			s.joins[ord], s.branchPos[ord], s.correct[ord] = join, i, ok
+			s.pathBranch[ord], s.pathCorrect[ord], s.pathJoin[ord] = i, ok, join
+			if ord+1 < np {
+				s.pathSize[ord+1] = end - (i + 1)
 			}
+			end = i + 1
 		}
-		s.initPending[si] = pend
-		s.initReady[si] = rdy
+		nextOcc[din.Static] = i
 	}
+	s.pathSize[0] = end
 }
 
-// computeProfile measures per-static-branch prediction accuracy as a
-// dense slice indexed by static id (non-branch entries stay zero).
-func computeProfile(tr *trace.Trace, branchPos []int32, correct []bool, nStatic int) []float64 {
-	hits := make([]int32, nStatic)
-	total := make([]int32, nStatic)
-	for ord, bp := range branchPos {
-		st := tr.Ins[bp].Static
-		total[st]++
-		if correct[ord] {
-			hits[st]++
-		}
-	}
-	out := make([]float64, nStatic)
-	for st, t := range total {
-		if t > 0 {
-			out[st] = float64(hits[st]) / float64(t)
-		}
-	}
-	return out
-}
-
-// computeLatencies assigns per-instruction latencies, replaying memory
-// accesses through the configured memory system (in dynamic order — the
-// standard trace-driven warmup) when one is present. Options.Mem takes
-// precedence over Options.Cache; an invalid cache geometry is reported
-// as a structured error, not a panic.
-func (s *Sim) computeLatencies() error {
+// replayMemory assigns per-instruction latencies by replaying loads and
+// stores through the memory system in dynamic order — the standard
+// trace-driven warmup — so a load takes the system's per-access
+// latency.
+func (s *Sim) replayMemory(mem MemSystem) {
 	lat := s.opts.Lat.normalized()
 	s.lat = make([]int32, len(s.tr.Ins))
-	mem := s.opts.Mem
-	if mem == nil && s.opts.Cache != nil {
-		dc, err := cache.New(*s.opts.Cache)
-		if err != nil {
-			return &runx.Error{Kind: runx.KindInvalidInput, Stage: "ilpsim.New", Err: err}
-		}
-		mem = dc
-	}
 	for i, din := range s.tr.Ins {
 		l := lat.of(din.Op)
-		if mem != nil {
-			switch isa.ClassOf(din.Op) {
-			case isa.ClassLoad:
-				l = mem.Latency(din.MemAddr)
-			case isa.ClassStore:
-				mem.Access(din.MemAddr) // stores allocate but retire off the critical path
-			}
+		switch isa.ClassOf(din.Op) {
+		case isa.ClassLoad:
+			l = mem.Latency(din.MemAddr)
+		case isa.ClassStore:
+			mem.Access(din.MemAddr) // stores allocate but retire off the critical path
 		}
 		if l < 1 {
 			l = 1 // a faulty memory system cannot bend time backwards
 		}
 		s.lat[i] = int32(l)
-		if s.lat[i] > s.maxLat {
-			s.maxLat = s.lat[i]
-		}
+		s.maxLat = max(s.maxLat, s.lat[i])
 	}
-	if mem != nil {
-		_, _, s.cacheMissRate = mem.Stats()
-	}
-	return nil
+	_, _, s.cacheMissRate = mem.Stats()
 }
 
 // CacheMissRate reports the data-cache miss rate when a cache is
@@ -833,13 +832,17 @@ func (s *Sim) runLegacy(ctx context.Context, m Model, et int) (res Result, err e
 
 	shape, res, maxDepth := s.runSetup(m, et)
 
-	np := s.tr.NumPaths()
+	np := len(s.pathBranch)
 	n := len(s.tr.Ins)
 	finish := make([]int64, n) // 0 = not issued; else completion cycle
 	pathRemaining := make([]int32, np)
-	pathDone := make([]int64, np) // completion cycle of the path's latest instruction
+	pathStart := make([]int32, np+1) // path i covers [pathStart[i], pathStart[i+1])
+	pathDone := make([]int64, np)    // completion cycle of the path's latest instruction
 	for i := 0; i < n; i++ {
 		pathRemaining[s.d.path[i]]++
+	}
+	for i, sz := range s.pathSize {
+		pathStart[i+1] = pathStart[i] + sz
 	}
 
 	known := make([]bool, maxDepth)
@@ -952,8 +955,7 @@ func (s *Sim) runLegacy(ctx context.Context, m Model, et int) (res Result, err e
 			if !baseCov && m.CDMode == Restrictive {
 				continue
 			}
-			start, end := s.tr.PathBounds(ap)
-			for k := start; k < end; k++ {
+			for k := pathStart[ap]; k < pathStart[ap+1]; k++ {
 				if finish[k] != 0 {
 					continue
 				}

@@ -6,13 +6,14 @@ import (
 
 	"deesim/internal/bench"
 	"deesim/internal/cfg"
+	"deesim/internal/predictor"
 	"deesim/internal/trace"
 )
 
-// computeJoinsOracle is the map-keyed reference for computeJoins: the
-// occurrence list of every static instruction that is some branch's
-// ipdom, walked by a per-ipdom cursor. computeJoins must agree with it
-// on every trace.
+// computeJoinsOracle is the map-keyed reference for the joins
+// scanBranches computes: the occurrence list of every static
+// instruction that is some branch's ipdom, walked by a per-ipdom
+// cursor. scanBranches must agree with it on every trace.
 func computeJoinsOracle(tr *trace.Trace, g *cfg.Graph) []int32 {
 	wanted := make(map[int32][]int32)
 	for _, din := range tr.Ins {
@@ -58,10 +59,10 @@ func computeJoinsOracle(tr *trace.Trace, g *cfg.Graph) []int32 {
 
 func checkJoinsAgainstOracle(t *testing.T, label string, tr *trace.Trace) {
 	t.Helper()
-	g := cfg.Build(tr.Prog)
-	got, want := computeJoins(tr, g), computeJoinsOracle(tr, g)
+	got := MustNew(tr, predictor.NewTwoBit(), DefaultOptions()).joins
+	want := computeJoinsOracle(tr, cfg.Build(tr.Prog))
 	if !slices.Equal(got, want) {
-		t.Fatalf("%s: computeJoins differs from the oracle (%d vs %d joins)", label, len(got), len(want))
+		t.Fatalf("%s: the prepared joins differ from the oracle (%d vs %d joins)", label, len(got), len(want))
 	}
 }
 

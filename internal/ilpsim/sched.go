@@ -77,9 +77,9 @@
 //
 // Tree coverage checks run on dee.BitVec bitsets (Shape.CoveredBits,
 // Tree.ContainsBits) instead of bool vectors, and all per-run buffers
-// come from a per-Sim sync.Pool arena so repeated runs — including the
-// eight paper models fanned out concurrently over one Sim — allocate
-// almost nothing.
+// come from a package-level sync.Pool of arenas (runStates) so repeated
+// runs — including the eight paper models fanned out concurrently over
+// one Sim — allocate almost nothing.
 package ilpsim
 
 import (
@@ -87,6 +87,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"deesim/internal/dee"
 	"deesim/internal/runx"
@@ -159,7 +160,7 @@ func (q *fifo[T]) remove(i int) {
 type waitNode struct{ k, next, twin int32 }
 
 // runState is the per-run arena: every mutable buffer one RunContext
-// call needs. Instances are recycled through Sim.pool; all slices keep
+// call needs. Instances are recycled through runStates; all slices keep
 // their capacity across runs, so steady-state runs allocate only what
 // the ready lists, parking lists and calendar buckets grow by.
 type runState struct {
@@ -214,11 +215,19 @@ func nextPow2(n int) int {
 	return p
 }
 
+// runStates recycles runState arenas across runs, on any Sim: an arena
+// holds nothing of the Sim it last served, and getRunState resets it
+// for the next. The pool is package-level, not a Sim field, because the
+// runtime keeps every pool used since the last GC reachable until the
+// GC after next: a pool inside a Sim would keep the whole Sim, trace
+// and tables included, alive that long after its last run.
+var runStates sync.Pool
+
 // getRunState fetches an arena from the pool and resets it for a run
 // over n instructions, np paths and window depths up to maxDepth, with
 // a calendar ring of ring slots.
 func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
-	st, _ := s.pool.Get().(*runState)
+	st, _ := runStates.Get().(*runState)
 	if st == nil {
 		st = new(runState)
 		mSimArenaAlloc.Inc()
@@ -426,14 +435,14 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 
 	shape, res, maxDepth := s.runSetup(m, et)
 
-	np := s.tr.NumPaths()
+	np := len(s.pathBranch)
 	n := len(s.tr.Ins)
 	penalty := int64(s.opts.Penalty)
 	limit := int64(s.opts.DeadlockLimit)
 
 	ring := nextPow2(int(s.maxLat) + 1)
 	st := s.getRunState(n, np, maxDepth, ring)
-	defer s.pool.Put(st)
+	defer runStates.Put(st)
 
 	// Seed dependency counters and the initial ready lists from the
 	// precomputed per-family tables. Under the serialized (non-MF) models

@@ -3,10 +3,13 @@ package ilpsim
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"deesim/internal/bench"
 	"deesim/internal/dee"
@@ -198,6 +201,78 @@ func TestConcurrentModelsMatchSequential(t *testing.T) {
 		if o != s.Oracle() {
 			t.Fatalf("concurrent Oracle drifted: %+v, want %+v", o, s.Oracle())
 		}
+	}
+}
+
+// TestConcurrentRunsLeaveTraceUntouched prepares a freshly recorded
+// trace and runs models on it from several goroutines at once, through
+// both schedulers and the unlimited path. No run may write the shared
+// trace: its lazily built path segmentation must never have been
+// filled, and under -race a write from two runs would be reported.
+func TestConcurrentRunsLeaveTraceUntouched(t *testing.T) {
+	prog, err := bench.BuildSynthetic(bench.DefaultSynthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(prog, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	runs := []func() (Result, error){
+		func() (Result, error) { return s.RunContext(context.Background(), ModelDEECDMF, 16) },
+		func() (Result, error) { return s.RunContext(context.Background(), ModelSP, 8) },
+		func() (Result, error) { return s.RunLegacyContext(context.Background(), ModelSPCD, 8) },
+		func() (Result, error) { return s.RunUnlimitedContext(context.Background(), ModelEE) },
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, len(runs))
+	for _, run := range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := run(); err != nil {
+				errs <- err
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if !reflect.ValueOf(tr).Elem().FieldByName("pathEnds").IsNil() {
+		t.Error("preparing or running the Sim filled the trace's lazy path segmentation")
+	}
+}
+
+// TestSimCollectableAfterRun drops a Sim right after a run: one GC must
+// reclaim it. The runtime keeps a used sync.Pool reachable until the
+// GC after next, so an arena pool inside the Sim would keep the Sim,
+// its trace and every table alive through that GC.
+func TestSimCollectableAfterRun(t *testing.T) {
+	prog, err := bench.BuildSynthetic(bench.DefaultSynthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(prog, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	if _, err := s.Run(ModelDEECDMF, 16); err != nil {
+		t.Fatal(err)
+	}
+	// The Sim references itself (its Oracle closure), and a finalizer
+	// on a cycle may never run, so watch one of its tables instead.
+	collected := make(chan struct{})
+	runtime.SetFinalizer(s.d, func(*deps) { close(collected) })
+	s = nil
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(2 * time.Second):
+		t.Error("a Sim outlived its last run by a GC")
 	}
 }
 

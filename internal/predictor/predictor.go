@@ -30,24 +30,31 @@ type Predictor interface {
 // TwoBit is the classic per-branch 2-bit saturating up/down counter.
 // States 0,1 predict not-taken; 2,3 predict taken. The paper initializes
 // all counters to the non-saturated taken state (2).
+//
+// Counters live in a slice indexed by static id, grown on demand with
+// new entries at the initial state, so a trace replay costs an index,
+// not a map access. Negative pcs (no static instruction has one) fall
+// back to a map, allocated on first use.
 type TwoBit struct {
-	counters map[int32]uint8
+	counters []uint8
+	neg      map[int32]uint8
 }
 
 // NewTwoBit returns a 2-bit counter predictor with one counter per static
-// branch, allocated on first use, initialized to weakly taken.
-func NewTwoBit() *TwoBit {
-	return &TwoBit{counters: make(map[int32]uint8)}
-}
+// branch, initialized to weakly taken.
+func NewTwoBit() *TwoBit { return &TwoBit{} }
 
 func (p *TwoBit) Name() string { return "2bit" }
 
 func (p *TwoBit) counter(pc int32) uint8 {
-	c, ok := p.counters[pc]
-	if !ok {
-		return 2 // weakly taken: the paper's initial state
+	if pc < 0 {
+		if c, ok := p.neg[pc]; ok {
+			return c
+		}
+	} else if int(pc) < len(p.counters) {
+		return p.counters[pc]
 	}
-	return c
+	return 2 // weakly taken: the paper's initial state
 }
 
 func (p *TwoBit) Predict(pc int32) bool { return p.counter(pc) >= 2 }
@@ -62,6 +69,21 @@ func (p *TwoBit) Update(pc int32, taken bool) {
 		if c > 0 {
 			c--
 		}
+	}
+	if pc < 0 {
+		if p.neg == nil {
+			p.neg = make(map[int32]uint8)
+		}
+		p.neg[pc] = c
+		return
+	}
+	if int(pc) >= len(p.counters) {
+		grown := make([]uint8, max(int(pc)+1, 2*len(p.counters), 64))
+		n := copy(grown, p.counters)
+		for i := n; i < len(grown); i++ {
+			grown[i] = 2
+		}
+		p.counters = grown
 	}
 	p.counters[pc] = c
 }

@@ -58,13 +58,13 @@ func Record(p *isa.Program, limit uint64) (*Trace, error) {
 // simulator checks ctx every few thousand retired instructions, so a
 // deadline bounds trace capture as well as simulation.
 func RecordContext(ctx context.Context, p *isa.Program, limit uint64) (*Trace, error) {
-	t := &Trace{Prog: p}
-	if limit > 0 {
-		t.Ins = make([]DynInst, 0, min64(limit, 1<<22))
-	}
+	rec := recorder{left: limit}
 	c := cpu.New(p)
 	c.Hook = func(idx int, in isa.Inst, taken bool, next int, memAddr uint32, result uint32) {
-		t.Ins = append(t.Ins, DynInst{
+		if len(rec.cur) == cap(rec.cur) {
+			rec.grow()
+		}
+		rec.cur = append(rec.cur, DynInst{
 			Static:  int32(idx),
 			Op:      in.Op,
 			Taken:   taken,
@@ -79,10 +79,58 @@ func RecordContext(ctx context.Context, p *isa.Program, limit uint64) (*Trace, e
 			return nil, err
 		}
 	}
-	if len(t.Ins) == 0 {
+	ins := rec.finish()
+	if len(ins) == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
-	return t, nil
+	return &Trace{Prog: p, Ins: ins}, nil
+}
+
+// chunkLen is the capacity, in instructions, of one capture chunk
+// (640 KiB).
+const chunkLen = 1 << 15
+
+// recorder captures a trace into fixed-size chunks, so a long run never
+// regrows (and re-copies) one slice; finish copies each instruction once
+// into an exactly sized result.
+type recorder struct {
+	full [][]DynInst // filled chunks, in order
+	cur  []DynInst   // chunk being filled
+	// left is the number of instructions the limit still allows; 0 =
+	// unlimited. The CPU retires at most limit instructions, so a limit
+	// used up exactly never reaches grow again.
+	left uint64
+}
+
+// grow retires the filled current chunk and starts a new one, no larger
+// than the limit still allows.
+func (r *recorder) grow() {
+	if r.cur != nil {
+		r.full = append(r.full, r.cur)
+	}
+	size := uint64(chunkLen)
+	if r.left > 0 {
+		size = min(size, r.left)
+		r.left -= size
+	}
+	r.cur = make([]DynInst, 0, size)
+}
+
+// finish returns the captured instructions with cap == len: the only
+// chunk itself when it is exactly full, otherwise one exact copy.
+func (r *recorder) finish() []DynInst {
+	if len(r.full) == 0 && len(r.cur) == cap(r.cur) {
+		return r.cur
+	}
+	n := len(r.cur)
+	for _, c := range r.full {
+		n += len(c)
+	}
+	ins := make([]DynInst, 0, n)
+	for _, c := range r.full {
+		ins = append(ins, c...)
+	}
+	return append(ins, r.cur...)
 }
 
 // Validate checks the trace's referential integrity against its program:
@@ -239,11 +287,4 @@ func (t *Trace) LoopCaptureRate(iqSize int) float64 {
 		return 0
 	}
 	return float64(fits) / float64(total)
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
