@@ -22,10 +22,13 @@
 // the failing model, ET, benchmark, and cycle.
 //
 // The sweep is a matrix of (input × model × ET) cells run on a -jobs
-// worker pool; retryable failures (deadline, deadlock, panic) are
-// retried -retries times with exponential -backoff and deterministic
-// jitter. Panels print in -bench order once the sweep ends, so the
-// output does not depend on -jobs or on whether a journal is kept.
+// worker pool. A worker that would wait on another worker's build of
+// its input builds the next input first, so up to -jobs prepared inputs
+// are held at once and memory follows -jobs. Retryable failures
+// (deadline, deadlock, panic) are retried -retries times with
+// exponential -backoff and deterministic jitter. Panels print in -bench
+// order once the sweep ends, so the output does not depend on -jobs or
+// on whether a journal is kept.
 //
 // With -journal, every cell is also recorded to a durable append-only
 // journal as it starts and finishes. A killed run restarts with
@@ -96,7 +99,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fsckFlag    = fs.Bool("fsck", false, "integrity-check the -journal file and exit (no sweep runs)")
 		journalFlag = fs.String("journal", "", "record the sweep to a crash-safe run journal at this path")
 		resumeFlag  = fs.String("resume", "", "resume an interrupted sweep from this journal (re-runs only unfinished cells)")
-		jobsFlag    = fs.Int("jobs", 4, "worker-pool size for the sweep's cells")
+		jobsFlag    = fs.Int("jobs", 4, "worker-pool size for the sweep's cells; up to this many prepared inputs are held at once, so memory follows -jobs")
 		retriesFlag = fs.Int("retries", 2, "retries per cell after the first attempt (retryable failures only)")
 		backoffFlag = fs.Duration("backoff", 500*time.Millisecond, "base retry backoff (exponential, deterministic jitter)")
 		memoDir     = fs.String("memo-dir", "", "content-addressed result-cache directory: repeated sweeps reuse cached cells (empty = caching off)")

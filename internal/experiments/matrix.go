@@ -59,7 +59,10 @@ type CellResult struct {
 type MatrixConfig struct {
 	// Jobs bounds the worker pool (minimum 1). An input is built once,
 	// by its first cell; its remaining cells then run concurrently on
-	// the shared prepared simulator.
+	// the shared prepared simulator. It also bounds the prepared inputs
+	// a local sweep builds ahead to (see buildAhead): a cell that would
+	// wait on another cell's build of its input first builds the next
+	// input, while fewer than Jobs inputs are built or building.
 	Jobs int
 	// Retry is the per-cell retry policy (see superv.RetryPolicy).
 	Retry superv.RetryPolicy
@@ -147,8 +150,8 @@ func modelByName(name string, cfg Config) (ilpsim.Model, error) {
 // uninterrupted run's. Each input is pinned in a sweep-local
 // InputPool for all of its cells and unpinned once per merge; the pool
 // keeps no idle entries, so once an input's last cell has merged its
-// trace and prepared simulator are released, and a sweep holds only the
-// inputs it is still running.
+// prepared simulator is released, and a sweep holds only the inputs it
+// is still running or has built ahead (see buildAhead).
 //
 // On failure or cancellation the first error cancels the remaining
 // cells, and the workload results that did complete are returned
@@ -173,11 +176,14 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 	inputAggs := make(map[string]*inputAgg) // key "workload/input"
 	workRemaining := make(map[string]int)   // cells left per workload
 	inputOrder := make(map[string][]string) // workload -> input keys in order
+	var entries []*poolEntry                // every input's entry, in task order
 	for _, w := range ws {
 		for _, in := range w.Inputs {
 			ikey := w.Name + "/" + in.Name
+			ent := pool.pin(InputKey(cfg, MatrixTask{Workload: w.Name, Input: in.Name}), ikey, in.Build, perInput)
+			entries = append(entries, ent)
 			inputAggs[ikey] = &inputAgg{
-				ent: pool.pin(InputKey(cfg, MatrixTask{Workload: w.Name, Input: in.Name}), ikey, in.Build, perInput),
+				ent: ent,
 				res: &InputResult{
 					Input:    ikey,
 					Speedup:  make(map[string]map[int]float64),
@@ -190,11 +196,22 @@ func RunMatrixContext(ctx context.Context, ws []bench.Workload, cfg Config, mcfg
 		}
 	}
 
+	// Build ahead (see buildAhead) only where a cell that waits on an
+	// input has nothing else to do and every input is a shared local
+	// build: never with a memo (a cell learns whether it needs its input
+	// only after its lookup), an Exec (cells run elsewhere), one worker
+	// (no cell ever waits) or private entries (a memory system in the
+	// options is shared by every input's preparation).
+	var ahead *buildAhead
+	if mcfg.Jobs > 1 && mcfg.Memo == nil && mcfg.Exec == nil && InputKey(cfg, MatrixTask{}) != "" {
+		ahead = &buildAhead{pool: pool, inputs: entries, limit: mcfg.Jobs}
+	}
+
 	mts := MatrixTasks(ws, cfg)
 	tasks := make([]superv.Task, len(mts))
 	for i, mt := range mts {
 		ent := inputAggs[mt.Workload+"/"+mt.Input].ent
-		run := func(ctx context.Context) (*CellResult, error) { return ent.run(ctx, mt, cfg) }
+		run := func(ctx context.Context) (*CellResult, error) { return ent.run(ctx, mt, cfg, ahead) }
 		if mcfg.Exec != nil {
 			run = func(ctx context.Context) (*CellResult, error) { return mcfg.Exec(ctx, mt) }
 		}

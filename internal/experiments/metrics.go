@@ -19,8 +19,11 @@ var mCellDuration = obs.GetOrCreateHistogram("deesim_cell_duration_seconds", obs
 // mInputBuilds and mInputReuses count how prepared inputs reach cells
 // (see InputPool): a build records the input's trace and prepares its
 // simulator; a reuse hands a cell an entry some earlier cell built.
-// Builds per sweep is the cost the pool exists to cut.
+// Builds per sweep is the cost the pool exists to cut. mInputBuildsAhead
+// counts the builds a sweep's waiting cell ran for a later input (see
+// buildAhead); each also counts as a build.
 var (
-	mInputBuilds = obs.GetOrCreateCounter("deesim_input_builds_total")
-	mInputReuses = obs.GetOrCreateCounter("deesim_input_reuses_total")
+	mInputBuilds      = obs.GetOrCreateCounter("deesim_input_builds_total")
+	mInputBuildsAhead = obs.GetOrCreateCounter("deesim_input_builds_ahead_total")
+	mInputReuses      = obs.GetOrCreateCounter("deesim_input_reuses_total")
 )

@@ -11,22 +11,24 @@ import (
 	"deesim/internal/memo"
 	"deesim/internal/obs"
 	"deesim/internal/runx"
-	"deesim/internal/trace"
 )
 
-// InputPool shares prepared inputs — an input's recorded trace plus its
-// prepared simulator — between the cells that run on them, so an input
-// is recorded and prepared once however many (model × ET) cells it
-// serves. Entries are keyed by InputKey and pinned while a user still
-// needs them: RunMatrixContext pins each input for all of its cells and
-// unpins one per merge; a leased cell pins its input only while it
-// runs. The pool keeps at most idle unpinned entries, evicting the one
-// pinned least recently first — on unpin, and again before a new
-// entry's build starts, so a build never runs beside more than idle-1
-// idle entries. RunMatrixContext uses idle 0 (an input is released once
-// its last cell merges); a deesimd worker uses its cell-slot count, so
-// it holds at least the last that many distinct inputs it was leased —
-// the inputs deesim-coord records for it and routes their cells to.
+// InputPool shares prepared inputs — an input's prepared simulator,
+// built by recording the input's trace and preparing the simulator over
+// it — between the cells that run on them, so an input is recorded and
+// prepared once however many (model × ET) cells it serves. An entry
+// holds only the simulator, which carries the instruction count; the
+// trace is dropped as soon as the simulator is prepared. Entries are
+// keyed by InputKey and pinned while a user still needs them:
+// RunMatrixContext pins each input for all of its cells and unpins one
+// per merge; a leased cell pins its input only while it runs. The pool
+// keeps at most idle unpinned entries, evicting the one pinned least
+// recently first — on unpin, and again before a new entry's build
+// starts, so a build never runs beside more than idle-1 idle entries.
+// RunMatrixContext uses idle 0 (an input is released once its last
+// cell merges); a deesimd worker uses its cell-slot count, so it holds
+// at least the last that many distinct inputs it was leased — the
+// inputs deesim-coord records for it and routes their cells to.
 //
 // An input whose options carry a data cache or memory system is never
 // shared: InputKey records only whether those pointers are set, so the
@@ -45,13 +47,13 @@ func NewInputPool(idle int) *InputPool {
 	return &InputPool{idle: max(idle, 0), entries: make(map[string]*poolEntry)}
 }
 
-// poolEntry is one prepared input. Only the build is serialized on mu;
-// the runs themselves proceed unlocked and in parallel, because
-// ilpsim.Sim is read-only after construction and documented safe for
-// concurrent RunContext calls — a pool of workers can fan all of one
-// input's (model × ET) cells over a single prepared Sim at once.
-// Building inside the first cell's attempt keeps build failures
-// attributed — and retried — as that cell's.
+// poolEntry is one prepared input. One cell at a time builds it; the
+// runs themselves proceed in parallel, because ilpsim.Sim is read-only
+// after construction and documented safe for concurrent RunContext
+// calls — a pool of workers can fan all of one input's (model × ET)
+// cells over a single prepared Sim at once. Building inside the first
+// cell's attempt keeps build failures attributed — and retried — as
+// that cell's.
 type poolEntry struct {
 	key   string // InputKey; "" for a private entry
 	name  string // "workload/input", the benchmark attribution
@@ -59,9 +61,9 @@ type poolEntry struct {
 	pins  int    // users still needing the entry
 	used  uint64 // clock at its last pin
 
-	mu  sync.Mutex
-	tr  *trace.Trace
-	sim *ilpsim.Sim
+	mu       sync.Mutex    // guards sim and building
+	sim      *ilpsim.Sim   // nil until built, and again once released or dropped
+	building chan struct{} // non-nil while a build runs; closed when it ends
 }
 
 // pin returns the entry for key with n pins taken, creating it unbuilt
@@ -122,39 +124,138 @@ func (p *InputPool) evictLocked(keep int) {
 	}
 }
 
-// release drops the trace and prepared simulator. Only unpinned entries
-// are released, so no cell is reading them.
+// pinned reports whether some user still needs e.
+func (p *InputPool) pinned(e *poolEntry) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return e.pins > 0
+}
+
+// release drops the prepared simulator. Only unpinned entries are
+// released, so no cell is reading it.
 func (e *poolEntry) release() {
 	e.mu.Lock()
-	e.tr, e.sim = nil, nil
+	e.sim = nil
 	e.mu.Unlock()
 }
 
-// get returns the shared trace and simulator, building them under the
-// lock on first use.
-func (e *poolEntry) get(ctx context.Context, cfg Config) (*trace.Trace, *ilpsim.Sim, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.tr != nil && e.sim != nil {
-		mInputReuses.Inc()
-		return e.tr, e.sim, nil
-	}
-	mInputBuilds.Inc()
-	ctx, endBuild := obs.StartSpan(ctx, "build "+e.name, nil)
-	defer endBuild()
-	if e.tr == nil {
-		tr, err := recordInput(ctx, e.name, e.build, cfg)
-		if err != nil {
-			return nil, nil, err
+// get returns the shared simulator, building it on first use. A cell
+// that finds another cell's build of the entry in flight waits for it
+// and then takes its simulator, or builds the entry itself if that
+// build failed. Before waiting it builds the next input ahead when its
+// sweep allows it (ahead non-nil; see buildAhead).
+func (e *poolEntry) get(ctx context.Context, cfg Config, ahead *buildAhead) (*ilpsim.Sim, error) {
+	for {
+		e.mu.Lock()
+		if sim := e.sim; sim != nil {
+			e.mu.Unlock()
+			mInputReuses.Inc()
+			return sim, nil
 		}
-		e.tr = tr
+		wait := e.building
+		if wait == nil {
+			e.building = make(chan struct{})
+			e.mu.Unlock()
+			return e.fill(ctx, cfg, false)
+		}
+		e.mu.Unlock()
+		if ahead != nil {
+			ahead.next(ctx, cfg)
+		}
+		<-wait
 	}
-	sim, err := newInputSim(ctx, e.name, e.tr, cfg)
+}
+
+// fill runs the build the caller claimed (by setting e.building):
+// it records the input's trace, prepares the simulator over it, keeps
+// the simulator and lets the trace go. A failed build — a panic
+// included, returned as a KindPanic error — leaves the entry empty, so
+// the next cell to need it builds it again. Either way the build ends,
+// so no cell waits on it forever.
+func (e *poolEntry) fill(ctx context.Context, cfg Config, ahead bool) (sim *ilpsim.Sim, err error) {
+	mInputBuilds.Inc()
+	var attrs map[string]string
+	if ahead {
+		mInputBuildsAhead.Inc()
+		attrs = map[string]string{"ahead": "true"}
+	}
+	ctx, endBuild := obs.StartSpan(ctx, "build "+e.name, attrs)
+	defer func() {
+		if r := recover(); r != nil {
+			sim, err = nil, runx.FromPanic(r, "experiments.build")
+		}
+		endBuild()
+		e.mu.Lock()
+		e.sim = sim
+		close(e.building)
+		e.building = nil
+		e.mu.Unlock()
+	}()
+	return e.buildSim(ctx, cfg)
+}
+
+// buildSim records the input's trace and prepares its simulator.
+func (e *poolEntry) buildSim(ctx context.Context, cfg Config) (*ilpsim.Sim, error) {
+	tr, err := recordInput(ctx, e.name, e.build, cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	e.sim = sim
-	return e.tr, e.sim, nil
+	return newInputSim(ctx, e.name, tr, cfg)
+}
+
+// buildAhead gives a sweep's waiting cells work that is certain to be
+// needed next. A cell whose input another cell is still building first
+// builds the next input of the sweep, in task order, that no cell has
+// started — while fewer than limit of the sweep's inputs are built or
+// building — and only then waits for its own input. A build-ahead that
+// fails (or is cancelled) is discarded: the input stays unbuilt, and
+// its own first cell builds it and owns the error, under that cell's
+// retry policy.
+type buildAhead struct {
+	pool   *InputPool
+	inputs []*poolEntry // the sweep's inputs in task order
+	limit  int          // inputs built or building, at most
+
+	mu sync.Mutex // serializes claims, so two cells never claim past the limit
+}
+
+// next builds ahead if a build can be claimed.
+func (b *buildAhead) next(ctx context.Context, cfg Config) {
+	if e := b.claim(); e != nil {
+		_, _ = e.fill(ctx, cfg, true) // a failure is the input's own cell's to report
+	}
+}
+
+// claim marks the first unstarted input still needed as building and
+// returns it, or returns nil when there is none or limit inputs are
+// already built or building.
+func (b *buildAhead) claim() *poolEntry {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	live := 0
+	var next *poolEntry
+	for _, e := range b.inputs {
+		if !b.pool.pinned(e) {
+			continue // finished (or replayed from the journal): released
+		}
+		e.mu.Lock()
+		if e.sim != nil || e.building != nil {
+			live++
+		} else if next == nil {
+			next = e
+		}
+		e.mu.Unlock()
+	}
+	if next == nil || live >= b.limit {
+		return nil
+	}
+	next.mu.Lock()
+	defer next.mu.Unlock()
+	if next.sim != nil || next.building != nil {
+		return nil // its own first cell started it meanwhile
+	}
+	next.building = make(chan struct{})
+	return next
 }
 
 // drop discards the shared simulator if it is still the given one, so
@@ -169,8 +270,9 @@ func (e *poolEntry) drop(sim *ilpsim.Sim) {
 	e.mu.Unlock()
 }
 
-// run executes one cell on the entry's prepared simulator.
-func (e *poolEntry) run(ctx context.Context, t MatrixTask, cfg Config) (*CellResult, error) {
+// run executes one cell on the entry's prepared simulator (see get for
+// ahead).
+func (e *poolEntry) run(ctx context.Context, t MatrixTask, cfg Config, ahead *buildAhead) (*CellResult, error) {
 	mCellsStarted.Inc()
 	ctx, endSpan := obs.StartSpan(ctx, "cell "+t.Key(), map[string]string{
 		"workload": t.Workload, "input": t.Input, "model": t.Model, "et": strconv.Itoa(t.ET),
@@ -184,7 +286,7 @@ func (e *poolEntry) run(ctx context.Context, t MatrixTask, cfg Config) (*CellRes
 		}
 		mCellDuration.ObserveExemplar(time.Since(start).Seconds(), traceID)
 	}()
-	tr, sim, err := e.get(ctx, cfg)
+	sim, err := e.get(ctx, cfg, ahead)
 	if err != nil {
 		return nil, err
 	}
@@ -215,7 +317,7 @@ func (e *poolEntry) run(ctx context.Context, t MatrixTask, cfg Config) (*CellRes
 		Input:    t.Input,
 		Model:    t.Model,
 		ET:       t.ET,
-		Insts:    tr.Len(),
+		Insts:    sim.Insts(),
 		Accuracy: sim.Accuracy(),
 		Oracle:   sim.Oracle().Speedup,
 		Speedup:  r.Speedup,
@@ -248,7 +350,7 @@ func (p *InputPool) RunCell(ctx context.Context, m *memo.Memo, ws []bench.Worklo
 	run := func(ctx context.Context) (*CellResult, error) {
 		e := p.pin(InputKey(cfg, t), t.Workload+"/"+t.Input, build, 1)
 		defer p.unpin(e)
-		return e.run(ctx, t, cfg)
+		return e.run(ctx, t, cfg, nil)
 	}
 	if m == nil {
 		return run(ctx)

@@ -273,24 +273,26 @@ const noDep = trace.NoDep
 // trace). Per-run mutable state lives in pooled arenas private to each
 // call. The concurrent-models race test in sched_test.go asserts
 // this contract under the race detector.
+//
+// A Sim does not keep the trace it was prepared from: runs read only
+// the tables below (the instruction count, the per-path wrong-side
+// write sets and branch static ids among them), so a caller that drops
+// its *trace.Trace after NewContext lets the collector free it while
+// the Sim lives on.
 type Sim struct {
-	tr       *trace.Trace
-	g        *cfg.Graph
+	n        int // dynamic instructions in the trace
 	d        *deps
 	joins    []int32 // per branch ordinal: join position or -1 (see scanBranches)
 	correct  []bool  // per dynamic branch, in branch order
 	accuracy float64
 
 	// srcMask[k] is the bitmask of architectural registers dynamic
-	// instruction k reads; isLoad[k] marks loads. Used with the static
-	// side write sets to decide whether an instruction's operands are
-	// unambiguous across an unresolved misprediction (the paper's total
-	// control dependence).
+	// instruction k reads; isLoad[k] marks loads. Used with the
+	// per-path wrong-side write sets to decide whether an instruction's
+	// operands are unambiguous across an unresolved misprediction (the
+	// paper's total control dependence).
 	srcMask []uint32
 	isLoad  []bool
-	// sideWrites caches cfg.SideWrites per static instruction id (only
-	// branch entries are populated).
-	sideWrites [][2]cfg.WriteSet
 	// profAcc is the measured per-static-branch prediction accuracy
 	// (hits/total over the whole trace), indexed by static id — the
 	// profile the DEE-profile model's dynamic trees are built from.
@@ -300,6 +302,14 @@ type Sim struct {
 	branchOrd  []int32 // per trace position: ordinal of this branch (-1 if not)
 	pathBranch []int32 // per path: dynamic position of terminating branch (-1 tail)
 	pathSize   []int32 // per path: number of instructions on it
+	// pathWrong[p] is the write set of the side the machine erroneously
+	// followed at path p's terminating branch — the opposite of the
+	// actual direction — when that branch is mispredicted (zero
+	// otherwise: only unknown branches are asked). pathStatic[p] is the
+	// branch's static id (-1 for the branchless tail), the DEE-profile
+	// model's index into profAcc.
+	pathWrong  []cfg.WriteSet
+	pathStatic []int32
 	opts       Options
 
 	lat           []int32 // per dynamic instruction latency in cycles
@@ -398,22 +408,21 @@ func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, 
 		return nil, cerr
 	}
 	s = &Sim{
-		tr:   tr,
-		g:    cfg.Build(tr.Prog),
+		n:    len(tr.Ins),
 		d:    &deps{dd: tr.DataDeps(opts.StrictMemory)},
 		opts: opts,
 	}
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	nb, nReady := s.forward(pred, mem == nil)
+	nb, nReady := s.forward(tr, pred, mem == nil)
 	s.fillWakeLists(nReady)
-	s.scanBranches(nb)
+	s.scanBranches(tr, cfg.Build(tr.Prog), nb)
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
 	if mem != nil {
-		s.replayMemory(mem)
+		s.replayMemory(tr, mem)
 	}
 	s.oracle = sync.OnceValue(s.computeOracle)
 	return s, nil
@@ -434,12 +443,11 @@ type staticInfo struct {
 // fillLat is set, successor branch, mispredict flag, the initial pending
 // counters of both model families) and the per-producer consumer counts
 // the CSR fill starts from, and replays the predictor, recording its
-// accuracy, the per-static-branch profile and each branch's side write
-// sets at its first sighting. It returns the number of conditional
-// branches and of initially ready instructions per family.
-func (s *Sim) forward(pred predictor.Predictor, fillLat bool) (nb int32, nReady [2]int) {
-	tr, dd := s.tr, s.d.dd
-	n := len(tr.Ins)
+// accuracy and the per-static-branch profile. It returns the number of
+// conditional branches and of initially ready instructions per family.
+func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (nb int32, nReady [2]int) {
+	dd := s.d.dd
+	n := s.n
 	lat := s.opts.Lat.normalized()
 	info := make([]staticInfo, len(tr.Prog.Code))
 	for i, in := range tr.Prog.Code {
@@ -466,7 +474,6 @@ func (s *Sim) forward(pred predictor.Predictor, fillLat bool) (nb int32, nReady 
 	// the counts into offsets. A producer precedes its consumer, so
 	// p <= n-2 and p+2 stays in range.
 	s.wakeOff = make([]int32, n+1)
-	s.sideWrites = make([][2]cfg.WriteSet, len(tr.Prog.Code))
 	if fillLat {
 		s.lat = make([]int32, n)
 	}
@@ -504,10 +511,6 @@ func (s *Sim) forward(pred predictor.Predictor, fillLat bool) (nb int32, nReady 
 			ok := pred.Predict(din.Static) == din.Taken
 			pred.Update(din.Static, din.Taken)
 			s.misp[k] = !ok
-			if si.total == 0 {
-				taken, fall := s.g.SideWrites(din.Static)
-				s.sideWrites[din.Static] = [2]cfg.WriteSet{taken, fall}
-			}
 			si.total++
 			if ok {
 				si.hits++
@@ -546,7 +549,7 @@ func (s *Sim) forward(pred predictor.Predictor, fillLat bool) (nb int32, nReady 
 // p+1's. The same walk collects both families' initial ready lists.
 func (s *Sim) fillWakeLists(nReady [2]int) {
 	dd := s.d.dd
-	n := len(s.tr.Ins)
+	n := s.n
 	for i := 1; i <= n; i++ {
 		s.wakeOff[i] += s.wakeOff[i-1]
 	}
@@ -575,10 +578,11 @@ func (s *Sim) fillWakeLists(nReady [2]int) {
 // immediate postdominator, or -1 when unknown (JR-crossed or off-trace);
 // instructions at or after the join are control independent of the
 // branch. The scan keeps the next occurrence of every static
-// instruction in a dense table. A conditional branch ends every path but
-// a branchless tail.
-func (s *Sim) scanBranches(nb int32) {
-	ins := s.tr.Ins
+// instruction in a dense table; a branch's side write sets are computed
+// at its static's first visit (its last occurrence in the trace). A
+// conditional branch ends every path but a branchless tail.
+func (s *Sim) scanBranches(tr *trace.Trace, g *cfg.Graph, nb int32) {
+	ins := tr.Ins
 	n := int32(len(ins))
 	np := nb
 	if !ins[n-1].IsBranch() {
@@ -591,10 +595,13 @@ func (s *Sim) scanBranches(nb int32) {
 	s.pathSize = make([]int32, np)
 	s.pathCorrect = make([]bool, np)
 	s.pathJoin = make([]int32, np)
+	s.pathWrong = make([]cfg.WriteSet, np)
+	s.pathStatic = make([]int32, np)
 	if np > nb {
-		s.pathBranch[nb], s.pathCorrect[nb], s.pathJoin[nb] = -1, true, -1
+		s.pathBranch[nb], s.pathCorrect[nb], s.pathJoin[nb], s.pathStatic[nb] = -1, true, -1, -1
 	}
-	nextOcc := make([]int32, len(s.tr.Prog.Code)) // per static id: next trace position, or -1
+	nextOcc := make([]int32, len(tr.Prog.Code))        // per static id: next trace position, or -1
+	side := make([][2]cfg.WriteSet, len(tr.Prog.Code)) // per branch static id: taken, fall side writes
 	for i := range nextOcc {
 		nextOcc[i] = -1
 	}
@@ -605,12 +612,23 @@ func (s *Sim) scanBranches(nb int32) {
 		if din.IsBranch() {
 			ord--
 			join := int32(-1)
-			if ip := s.g.IPdom(din.Static); ip >= 0 {
+			if ip := g.IPdom(din.Static); ip >= 0 {
 				join = nextOcc[ip]
 			}
+			if nextOcc[din.Static] < 0 {
+				taken, fall := g.SideWrites(din.Static)
+				side[din.Static] = [2]cfg.WriteSet{taken, fall}
+			}
 			ok := !s.misp[i]
+			if !ok {
+				wrong := 0 // actually fell through: the machine went down the taken side
+				if din.Taken {
+					wrong = 1
+				}
+				s.pathWrong[ord] = side[din.Static][wrong]
+			}
 			s.joins[ord], s.branchPos[ord], s.correct[ord] = join, i, ok
-			s.pathBranch[ord], s.pathCorrect[ord], s.pathJoin[ord] = i, ok, join
+			s.pathBranch[ord], s.pathCorrect[ord], s.pathJoin[ord], s.pathStatic[ord] = i, ok, join, din.Static
 			if ord+1 < np {
 				s.pathSize[ord+1] = end - (i + 1)
 			}
@@ -625,10 +643,10 @@ func (s *Sim) scanBranches(nb int32) {
 // stores through the memory system in dynamic order — the standard
 // trace-driven warmup — so a load takes the system's per-access
 // latency.
-func (s *Sim) replayMemory(mem MemSystem) {
+func (s *Sim) replayMemory(tr *trace.Trace, mem MemSystem) {
 	lat := s.opts.Lat.normalized()
-	s.lat = make([]int32, len(s.tr.Ins))
-	for i, din := range s.tr.Ins {
+	s.lat = make([]int32, s.n)
+	for i, din := range tr.Ins {
 		l := lat.of(din.Op)
 		switch isa.ClassOf(din.Op) {
 		case isa.ClassLoad:
@@ -649,23 +667,16 @@ func (s *Sim) replayMemory(mem MemSystem) {
 // configured (0 otherwise).
 func (s *Sim) CacheMissRate() float64 { return s.cacheMissRate }
 
-// wrongSideWrites returns the write set of the side the machine
-// erroneously followed at the mispredicted dynamic branch bpos: the
-// opposite of the actual (trace) direction.
-func (s *Sim) wrongSideWrites(bpos int32) cfg.WriteSet {
-	w := s.sideWrites[s.tr.Ins[bpos].Static]
-	if s.tr.Ins[bpos].Taken {
-		return w[1] // actually taken: machine went down the fall side
-	}
-	return w[0]
-}
-
 // joinOf returns the join position of the dynamic conditional branch at
 // trace position bpos (-1 when unknown).
 func (s *Sim) joinOf(bpos int32) int32 { return s.joins[s.branchOrd[bpos]] }
 
 // Accuracy reports the measured predictor accuracy on this trace.
 func (s *Sim) Accuracy() float64 { return s.accuracy }
+
+// Insts reports the number of dynamic instructions in the prepared
+// trace.
+func (s *Sim) Insts() int { return s.n }
 
 // designP returns the characteristic accuracy used to size static trees.
 func (s *Sim) designP() float64 {
@@ -691,7 +702,7 @@ func (s *Sim) designP() float64 {
 func (s *Sim) Oracle() Result { return s.oracle() }
 
 func (s *Sim) computeOracle() Result {
-	n := len(s.tr.Ins)
+	n := s.n
 	finish := make([]int64, n)
 	var maxc int64
 	for i := 0; i < n; i++ {
@@ -794,7 +805,7 @@ func (s *Sim) runSetup(m Model, et int) (shape dee.Shape, res Result, maxDepth i
 		shape = dee.NewShape(m.Strategy, s.designP(), et)
 	}
 	res = Result{
-		Model: m, ET: et, Insts: len(s.tr.Ins),
+		Model: m, ET: et, Insts: s.n,
 		Branches: len(s.branchPos), Accuracy: s.accuracy,
 		TreeML: shape.ML, TreeH: shape.H,
 	}
@@ -833,7 +844,7 @@ func (s *Sim) runLegacy(ctx context.Context, m Model, et int) (res Result, err e
 	shape, res, maxDepth := s.runSetup(m, et)
 
 	np := len(s.pathBranch)
-	n := len(s.tr.Ins)
+	n := s.n
 	finish := make([]int64, n) // 0 = not issued; else completion cycle
 	pathRemaining := make([]int32, np)
 	pathStart := make([]int32, np+1) // path i covers [pathStart[i], pathStart[i+1])
@@ -902,7 +913,7 @@ func (s *Sim) runLegacy(ctx context.Context, m Model, et int) (res Result, err e
 					ps = append(ps, 0.995)
 					continue
 				}
-				ps = append(ps, s.profAcc[s.tr.Ins[b].Static])
+				ps = append(ps, s.profAcc[s.pathStatic[hp+d]])
 			}
 			if len(ps) == 0 {
 				ps = append(ps, 0.9)
@@ -997,7 +1008,7 @@ func (s *Sim) runLegacy(ctx context.Context, m Model, et int) (res Result, err e
 						}
 						bpos := s.pathBranch[hp+ur]
 						if j := s.joinOf(bpos); j >= 0 && j <= k {
-							w := s.wrongSideWrites(bpos)
+							w := s.pathWrong[hp+ur]
 							if s.srcMask[k]&w.Regs == 0 && !(s.isLoad[k] && w.Mem) {
 								if vectorCov {
 									scratch[ur] = true

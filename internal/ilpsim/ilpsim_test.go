@@ -1,7 +1,9 @@
 package ilpsim
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"deesim/internal/asm"
 	"deesim/internal/bench"
@@ -565,5 +567,47 @@ func TestResultBookkeeping(t *testing.T) {
 	}
 	if acc := float64(r.Branches-r.Mispredicts) / float64(r.Branches); acc < r.Accuracy-0.001 || acc > r.Accuracy+0.001 {
 		t.Errorf("accuracy %v inconsistent with mispredicts (%v)", r.Accuracy, acc)
+	}
+}
+
+// TestSimDropsItsTrace: a prepared Sim keeps nothing of the trace it
+// was built from, so the trace is collectable while the Sim lives on,
+// and the Sim still runs every model family.
+func TestSimDropsItsTrace(t *testing.T) {
+	prog, err := bench.BuildSynthetic(bench.SyntheticConfig{Iterations: 400, BranchesPerIter: 3, Bias: 80, Seed: 9, Work: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(prog, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tr.Len()
+	collected := make(chan struct{})
+	runtime.SetFinalizer(tr, func(*trace.Trace) { close(collected) })
+	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	tr = nil
+	deadline := time.Now().Add(10 * time.Second)
+	for done := false; !done; {
+		runtime.GC()
+		select {
+		case <-collected:
+			done = true
+		case <-time.After(10 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the trace was not collected while its Sim was alive")
+			}
+		}
+	}
+	if s.Insts() != n {
+		t.Errorf("Insts() = %d, want %d", s.Insts(), n)
+	}
+	for _, m := range []Model{ModelSPCD, ModelDEECDMF, ModelEE, {dee.DEEProfile, CD}} {
+		if r := run(t, s, m, 16); r.Insts != n {
+			t.Errorf("%v: %d instructions, want %d", m, r.Insts, n)
+		}
+	}
+	if _, err := s.RunUnlimited(ModelDEECD); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -51,8 +51,7 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 	}
 	g := cfg.Build(tr.Prog)
 	s = &Sim{
-		tr:    tr,
-		g:     g,
+		n:     len(tr.Ins),
 		d:     oracleDeps(tr, opts.StrictMemory),
 		joins: computeJoinsOracle(tr, g),
 		opts:  opts,
@@ -93,23 +92,31 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 		s.srcMask[i] = m
 		s.isLoad[i] = isa.ClassOf(din.Op) == isa.ClassLoad
 	}
-	nStatic := len(tr.Prog.Code)
-	s.sideWrites = make([][2]cfg.WriteSet, nStatic)
-	seenSide := make([]bool, nStatic)
-	for _, din := range tr.Ins {
-		if !din.IsBranch() || seenSide[din.Static] {
+	s.pathWrong = make([]cfg.WriteSet, np)
+	s.pathStatic = make([]int32, np)
+	for i, bp := range s.pathBranch {
+		s.pathStatic[i] = -1
+		if bp < 0 {
+			continue
+		}
+		din := tr.Ins[bp]
+		s.pathStatic[i] = din.Static
+		if s.correct[s.branchOrd[bp]] {
 			continue
 		}
 		taken, fall := g.SideWrites(din.Static)
-		s.sideWrites[din.Static] = [2]cfg.WriteSet{taken, fall}
-		seenSide[din.Static] = true
+		if din.Taken {
+			s.pathWrong[i] = fall
+		} else {
+			s.pathWrong[i] = taken
+		}
 	}
-	s.profAcc = oracleProfile(tr, s.branchPos, s.correct, nStatic)
+	s.profAcc = oracleProfile(tr, s.branchPos, s.correct, len(tr.Prog.Code))
 	oracleSchedTables(s, oracleWakeLists(s))
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	if lerr := oracleLatencies(s); lerr != nil {
+	if lerr := oracleLatencies(s, tr); lerr != nil {
 		return nil, lerr
 	}
 	s.oracle = sync.OnceValue(s.computeOracle)
@@ -119,7 +126,7 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 // oracleWakeLists builds the CSR wakeup lists with a separate cursor
 // array and returns the per-instruction dependency in-degrees.
 func oracleWakeLists(s *Sim) (depCount []uint8) {
-	n := len(s.tr.Ins)
+	n := s.n
 	dd := s.d.dd
 	s.wakeOff = make([]int32, n+1)
 	depCount = make([]uint8, n)
@@ -151,7 +158,7 @@ func oracleWakeLists(s *Sim) (depCount []uint8) {
 // oracleSchedTables derives the scheduler's hot-loop tables from the
 // branch tables and the in-degrees, one walk per table.
 func oracleSchedTables(s *Sim, depCount []uint8) {
-	n := len(s.tr.Ins)
+	n := s.n
 	s.pathCorrect = make([]bool, len(s.pathBranch))
 	s.pathJoin = make([]int32, len(s.pathBranch))
 	for i, bp := range s.pathBranch {
@@ -214,9 +221,9 @@ func oracleProfile(tr *trace.Trace, branchPos []int32, correct []bool, nStatic i
 
 // oracleLatencies assigns per-instruction latencies, replaying memory
 // accesses through the memory system when one is configured.
-func oracleLatencies(s *Sim) error {
+func oracleLatencies(s *Sim, tr *trace.Trace) error {
 	lat := s.opts.Lat.normalized()
-	s.lat = make([]int32, len(s.tr.Ins))
+	s.lat = make([]int32, s.n)
 	mem := s.opts.Mem
 	if mem == nil && s.opts.Cache != nil {
 		dc, err := cache.New(*s.opts.Cache)
@@ -225,7 +232,7 @@ func oracleLatencies(s *Sim) error {
 		}
 		mem = dc
 	}
-	for i, din := range s.tr.Ins {
+	for i, din := range tr.Ins {
 		l := lat.of(din.Op)
 		if mem != nil {
 			switch isa.ClassOf(din.Op) {
@@ -278,8 +285,8 @@ func equalTable(a, b any) bool {
 		return slices.Equal(x, b.([]bool))
 	case []float64:
 		return slices.Equal(x, b.([]float64))
-	case [][2]cfg.WriteSet:
-		return slices.Equal(x, b.([][2]cfg.WriteSet))
+	case []cfg.WriteSet:
+		return slices.Equal(x, b.([]cfg.WriteSet))
 	case [2][]uint8:
 		y := b.([2][]uint8)
 		return slices.Equal(x[0], y[0]) && slices.Equal(x[1], y[1])

@@ -164,7 +164,11 @@ type waitNode struct{ k, next, twin int32 }
 // their capacity across runs, so steady-state runs allocate only what
 // the ready lists, parking lists and calendar buckets grow by.
 type runState struct {
-	finish        []int64   // 0 = not issued; else completion cycle
+	// brFinish[p] is the completion cycle of path p's terminating branch,
+	// written only when that branch is mispredicted and issues (0 until
+	// then): the known transitions, the root hold and the cycle-skip ask
+	// nothing else of an issued instruction.
+	brFinish      []int64
 	pending       []uint8   // remaining dependency (+serialization) count
 	pathRemaining []int32   // unissued instructions per path
 	pathDone      []int64   // completion cycle of the path's latest instruction
@@ -234,8 +238,8 @@ func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
 	} else {
 		mSimArenaReuse.Inc()
 	}
-	st.finish = growSlice(st.finish, n)
-	clear(st.finish)
+	st.brFinish = growSlice(st.brFinish, np)
+	clear(st.brFinish)
 	st.pending = growSlice(st.pending, n)
 	st.pathRemaining = growSlice(st.pathRemaining, np)
 	copy(st.pathRemaining, s.pathSize)
@@ -386,16 +390,14 @@ func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
 		if s.pathCorrect[p] {
 			continue
 		}
-		bp := s.pathBranch[p]
-		if f := st.finish[bp]; f > 0 && cycle > f+penalty {
+		if f := st.brFinish[p]; f > 0 && cycle > f+penalty {
 			continue
 		}
 		u := unkBranch{p: int32(p), join: s.pathJoin[p], wait: -1}
 		if u.join < 0 {
 			u.join = math.MaxInt32
 		} else {
-			w := s.wrongSideWrites(bp)
-			u.regs, u.mem = w.Regs, w.Mem
+			u.regs, u.mem = s.pathWrong[p].Regs, s.pathWrong[p].Mem
 		}
 		st.unk.push(u)
 	}
@@ -436,7 +438,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 	shape, res, maxDepth := s.runSetup(m, et)
 
 	np := len(s.pathBranch)
-	n := len(s.tr.Ins)
+	n := s.n
 	penalty := int64(s.opts.Penalty)
 	limit := int64(s.opts.DeadlockLimit)
 
@@ -506,12 +508,11 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		if profile && hp != lastHP {
 			ps := st.psBuf[:0]
 			for d := 0; d < maxDepth && hp+d < np; d++ {
-				bp := s.pathBranch[hp+d]
-				if bp < 0 {
+				if s.pathBranch[hp+d] < 0 {
 					ps = append(ps, 0.995)
 					continue
 				}
-				ps = append(ps, s.profAcc[s.tr.Ins[bp].Static])
+				ps = append(ps, s.profAcc[s.pathStatic[hp+d]])
 			}
 			if len(ps) == 0 {
 				ps = append(ps, 0.9)
@@ -628,18 +629,19 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 						}
 					}
 					f := cycle + int64(s.lat[kk]) - 1
-					st.finish[kk] = f
 					if f > st.pathDone[ap] {
 						st.pathDone[ap] = f
 					}
 					st.pathRemaining[ap]--
 					executed++
 					if s.misp[kk] {
+						// A branch terminates the path it sits on.
+						st.brFinish[ap] = f
 						if r == 0 {
 							res.RootResolvedMispredicts++
 						}
 						if track {
-							st.queueKnown(s.d.path[kk], f+penalty+1)
+							st.queueKnown(int32(ap), f+penalty+1)
 						}
 					}
 					// Schedule the completion event only if someone listens:
@@ -675,7 +677,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		hpBefore := hp
 		for hp < np && st.pathRemaining[hp] == 0 && st.pathDone[hp] <= cycle {
 			if m.Strategy != dee.EE && !s.pathCorrect[hp] {
-				if cycle+1 <= st.finish[s.pathBranch[hp]]+penalty {
+				if cycle+1 <= st.brFinish[hp]+penalty {
 					break
 				}
 			}
@@ -747,7 +749,7 @@ func (s *Sim) nextEventCycle(st *runState, m Model, hp int, cycle, penalty int64
 	if st.pathRemaining[hp] == 0 {
 		t := st.pathDone[hp]
 		if m.Strategy != dee.EE && !s.pathCorrect[hp] {
-			if fp := st.finish[s.pathBranch[hp]] + penalty; fp > t {
+			if fp := st.brFinish[hp] + penalty; fp > t {
 				t = fp
 			}
 		}

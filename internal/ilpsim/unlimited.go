@@ -3,6 +3,7 @@ package ilpsim
 import (
 	"context"
 
+	"deesim/internal/cfg"
 	"deesim/internal/dee"
 	"deesim/internal/runx"
 )
@@ -51,7 +52,7 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 		return Result{}, attribute(runx.Newf(runx.KindInvalidInput, stage, "unlimited mode supports SP, EE and DEE"), m, 0, 0)
 	}
 	tick := runx.NewTicker(4096)
-	n := len(s.tr.Ins)
+	n := s.n
 	res = Result{
 		Model: m, ET: 0, Insts: n,
 		Branches: len(s.branchPos), Accuracy: s.accuracy,
@@ -72,9 +73,9 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 	// binding times are needed (incremental, exact). The CD models keep
 	// a pruned list because gates stop applying at their joins.
 	type gate struct {
-		pos  int32 // dynamic position of the mispredicted branch
-		join int32 // -1: unknown ipdom (never joins)
-		time int64 // finish(u) + penalty: squashed work starts after this
+		wrong cfg.WriteSet // the mispredicted branch's wrong-side writes
+		join  int32        // -1: unknown ipdom (never joins)
+		time  int64        // finish(u) + penalty: squashed work starts after this
 	}
 	var gates []gate
 	var rg1, rg2 int64 // restrictive-mode top-2 gate times
@@ -102,8 +103,7 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 				live := gates[:0]
 				for _, g := range gates {
 					if g.join >= 0 && g.join <= int32(k) {
-						w := s.wrongSideWrites(g.pos)
-						if w.Regs == 0 && !w.Mem {
+						if g.wrong.Regs == 0 && !g.wrong.Mem {
 							continue
 						}
 					}
@@ -115,8 +115,7 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 					if g.join >= 0 && g.join <= int32(k) {
 						// Control independent; still binds only if the
 						// wrong side may write one of k's operands.
-						w := s.wrongSideWrites(g.pos)
-						if s.srcMask[k]&w.Regs == 0 && !(s.isLoad[k] && w.Mem) {
+						if s.srcMask[k]&g.wrong.Regs == 0 && !(s.isLoad[k] && g.wrong.Mem) {
 							applies = false
 						}
 					}
@@ -165,7 +164,7 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 						rg2 = gt
 					}
 				} else {
-					gates = append(gates, gate{pos: int32(k), join: s.joinOf(int32(k)), time: gt})
+					gates = append(gates, gate{wrong: s.pathWrong[s.branchOrd[k]], join: s.joinOf(int32(k)), time: gt})
 					if len(gates) > 512 {
 						// Safety bound: keep the newest gates; older
 						// ones are dominated in practice (their times
