@@ -113,7 +113,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		obsFlags.DumpFlightOnExit("ablate", code)
 		return code
 	}
-	if done, err := obsFlags.Handle("ablate", stdout, stderr); done {
+	if _, done, err := obsFlags.Handle("ablate", stdout, stderr); done {
 		return 0
 	} else if err != nil {
 		return fail(err)
@@ -123,14 +123,10 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "ablate:", err)
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
-		fmt.Fprintf(stderr, "ablate: "+format+"\n", args...)
-	})
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("ablate")
-	stopQuit := obsFlags.WatchQuit("ablate", func(format string, args ...any) {
-		fmt.Fprintf(stderr, "ablate: "+format+"\n", args...)
-	})
+	stopQuit := obsFlags.WatchQuit("ablate")
 	defer stopQuit()
 	deadlockLimit = *dlFlag
 	if *journalFlag != "" && *resumeFlag != "" {

@@ -43,6 +43,12 @@
 // is dumped on panic, SIGQUIT, nonzero exit, and continuously, as on
 // deesimd.
 //
+// Logging is deesimd's: one log/slog logger behind -log-level and
+// -log-json carries every stderr line. Sweep lifecycle and worker
+// registration log at info; lease expiry, stragglers, re-dispatches
+// and lost workers at warn, with the sweep, cell, lease and worker ids
+// as attributes.
+//
 // With -fsck the coordinator does not serve: it integrity-checks the
 // -state directory and exits, corrupt-kind code if anything is corrupt
 // or quarantined.
@@ -53,7 +59,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -100,31 +106,26 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return runx.ExitUsage
 	}
-	if done, err := obsFlags.Handle("deesim-coord", stdout, stderr); done {
+	logger, done, err := obsFlags.Handle("deesim-coord", stdout, stderr)
+	if done {
 		return runx.ExitOK
 	} else if err != nil {
 		fmt.Fprintln(stderr, "deesim-coord:", err)
 		return runx.ExitCode(err)
 	}
-	logger := log.New(stderr, "", log.LstdFlags|log.Lmicroseconds)
 	fail := func(err error) int {
-		logger.Printf("deesim-coord: %v", err)
 		code := runx.ExitCode(err)
+		logger.LogAttrs(context.Background(), slog.LevelError, "exiting on error", slog.Int("code", code), slog.Any("err", err))
 		obsFlags.DumpFlightOnExit("deesim-coord", code)
 		return code
 	}
 	defer func() {
 		if err := obsFlags.WriteMetrics(); err != nil {
-			logger.Printf("deesim-coord: %v", err)
+			logger.LogAttrs(context.Background(), slog.LevelWarn, "write metrics failed", slog.Any("err", err))
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(logger.Printf)
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
-
-	slogger, err := obs.SetupLogger(stderr, obsFlags.LogLevel, obsFlags.LogJSON)
-	if err != nil {
-		return fail(err)
-	}
 
 	if *fsckFlag {
 		r, err := fsck.Dir(nil, *stateFlag)
@@ -144,7 +145,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// of every sweep trace (root, lease-dispatch, and merge spans).
 	obsFlags.DefaultFlightOut(filepath.Join(*stateFlag, "flight.json"))
 	defer obsFlags.DumpFlightOnPanic("deesim-coord")
-	stopQuit := obsFlags.WatchQuit("deesim-coord", logger.Printf)
+	stopQuit := obsFlags.WatchQuit("deesim-coord")
 	defer stopQuit()
 	frCtx, frStop := context.WithCancel(context.Background())
 	defer frStop()
@@ -180,8 +181,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		RequestTimeout:   *reqTimeout,
 		DrainGrace:       *drainGrace,
 		RetryAfter:       *retryAfter,
-		Logf:             logger.Printf,
-		Logger:           slogger,
+		Logger:           logger,
 		Frags:            frags,
 	})
 	if err != nil {
@@ -203,24 +203,24 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	httpSrv := &http.Server{Handler: c.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.Printf("deesim-coord: serving on http://%s (state %s, lease-ttl %s, heartbeat-timeout %s)",
-		ln.Addr(), *stateFlag, *leaseTTL, *hbTimeout)
+	logger.LogAttrs(context.Background(), slog.LevelInfo, "serving", slog.String("url", "http://"+ln.Addr().String()),
+		slog.String("state", *stateFlag), slog.Duration("lease_ttl", *leaseTTL), slog.Duration("heartbeat_timeout", *hbTimeout))
 	fmt.Fprintln(stdout, ln.Addr().String())
 
 	ctx, stop := runx.MainContext(0)
 	select {
 	case <-ctx.Done():
 		stop()
-		logger.Printf("deesim-coord: signal received, draining")
+		logger.LogAttrs(ctx, slog.LevelInfo, "signal received, draining")
 		if err := c.Drain(context.Background()); err != nil {
 			return fail(err)
 		}
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			logger.Printf("deesim-coord: http shutdown: %v", err)
+			logger.LogAttrs(ctx, slog.LevelWarn, "http shutdown failed", slog.Any("err", err))
 		}
-		logger.Printf("deesim-coord: drained, exiting")
+		logger.LogAttrs(ctx, slog.LevelInfo, "drained, exiting")
 		return runx.ExitOK
 	case err := <-serveErr:
 		stop()

@@ -10,6 +10,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -60,6 +61,8 @@ type proc struct {
 	log  string
 }
 
+// startProc launches bin with JSON logs. Stderr, the log, goes to
+// <state>.log; stdout, which prints the bound address, to <state>.out.
 func startProc(t *testing.T, bin, stateDir string, args ...string) *proc {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
@@ -69,9 +72,14 @@ func startProc(t *testing.T, bin, stateDir string, args ...string) *proc {
 		t.Fatal(err)
 	}
 	defer logf.Close()
-	args = append([]string{"-addr-file", addrFile, "-state", stateDir}, args...)
+	outf, err := os.OpenFile(strings.TrimSuffix(logPath, ".log")+".out", os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outf.Close()
+	args = append([]string{"-addr-file", addrFile, "-state", stateDir, "-log-json"}, args...)
 	cmd := exec.Command(bin, args...)
-	cmd.Stdout = logf
+	cmd.Stdout = outf
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start %s: %v", bin, err)
@@ -92,6 +100,23 @@ func startProc(t *testing.T, bin, stateDir string, args ...string) *proc {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// logRecords decodes a -log-json log, one JSON object per line.
+func logRecords(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(readLog(path)), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("%s: log line is not a JSON object: %v\n%s", path, err, line)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 func readLog(path string) string {
@@ -117,29 +142,29 @@ func reservePort(t *testing.T) string {
 }
 
 // startCoord launches deesim-coord with fast failure detection.
-func startCoord(t *testing.T, stateDir, addr string) *proc {
+func startCoord(t *testing.T, stateDir, addr string, extra ...string) *proc {
 	t.Helper()
-	return startProc(t, binCoord, stateDir,
+	return startProc(t, binCoord, stateDir, append([]string{
 		"-addr", addr,
 		"-heartbeat-timeout", "500ms",
 		"-lease-ttl", "30s",
 		"-cell-retries", "4",
 		"-backoff", "100ms",
 		"-metrics-out", filepath.Join(stateDir, "metrics.prom"),
-	)
+	}, extra...)...)
 }
 
 // startWorker launches a deesimd worker registered with the coordinator.
-func startWorker(t *testing.T, stateDir, coordURL string) *proc {
+func startWorker(t *testing.T, stateDir, coordURL string, extra ...string) *proc {
 	t.Helper()
-	return startProc(t, binWorker, stateDir,
+	return startProc(t, binWorker, stateDir, append([]string{
 		"-addr", "127.0.0.1:0",
 		"-coord", coordURL,
 		"-heartbeat", "100ms",
 		"-cell-jobs", "1",
 		"-cell-slots", "1",
 		"-metrics-out", filepath.Join(stateDir, "metrics.prom"),
-	)
+	}, extra...)...)
 }
 
 func coordClient(addr string) *client.Client {
@@ -232,18 +257,20 @@ func metricValue(t *testing.T, addr, name string) float64 {
 // one is SIGKILL'd mid-flight. Its leases expire via heartbeat
 // staleness, the cells re-dispatch, and the merged result is
 // byte-identical to the single-node control. Fleet progress series are
-// asserted monotone while the sweep runs.
+// asserted monotone while the sweep runs. Every process logs JSON at
+// -log-level warn: no Info record may appear, and the eviction must.
 func TestClusterWorkerKillByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
 	control := controlResult(t, ctx)
 
 	root := t.TempDir()
-	coord := startCoord(t, filepath.Join(root, "coord"), "127.0.0.1:0")
+	warn := []string{"-log-level", "warn"}
+	coord := startCoord(t, filepath.Join(root, "coord"), "127.0.0.1:0", warn...)
 	coordURL := "http://" + coord.addr
 	workers := make([]*proc, 3)
 	for i := range workers {
-		workers[i] = startWorker(t, filepath.Join(root, fmt.Sprintf("w%d", i)), coordURL)
+		workers[i] = startWorker(t, filepath.Join(root, fmt.Sprintf("w%d", i)), coordURL, warn...)
 	}
 	waitFleet(t, coord.addr, 3)
 
@@ -327,6 +354,20 @@ func TestClusterWorkerKillByteIdentical(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(root, "coord", "metrics.prom")); err != nil {
 		t.Errorf("coordinator metrics not flushed on SIGTERM: %v", err)
 	}
+	evicted := false
+	for _, p := range append(workers, coord) {
+		for _, rec := range logRecords(t, p.log) {
+			if rec["level"] == "INFO" || rec["level"] == "DEBUG" {
+				t.Errorf("%s: -log-level warn let through %v", p.log, rec)
+			}
+			if p == coord && rec["msg"] == "worker lost: heartbeat stale" && rec["worker"] != nil {
+				evicted = true
+			}
+		}
+	}
+	if !evicted {
+		t.Errorf("coordinator log has no worker-lost record:\n%s", readLog(coord.log))
+	}
 }
 
 // TestClusterCoordinatorKillResume: SIGKILL the coordinator mid-sweep,
@@ -387,8 +428,12 @@ func TestClusterCoordinatorKillResume(t *testing.T) {
 	if !bytes.Equal(raw, control) {
 		t.Fatalf("resumed distributed result differs from control (%d vs %d bytes)", len(raw), len(control))
 	}
-	if !strings.Contains(readLog(coord2.log), "resuming") {
-		t.Error("restarted coordinator log never mentions resuming the journaled sweep")
+	resumed := false
+	for _, rec := range logRecords(t, coord2.log) {
+		resumed = resumed || rec["msg"] == "resuming" && rec["sweep"] == st.ID
+	}
+	if !resumed {
+		t.Errorf("restarted coordinator log has no resuming record with sweep=%s:\n%s", st.ID, readLog(coord2.log))
 	}
 
 	for _, p := range []*proc{w1, w2, coord2} {

@@ -52,6 +52,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,7 +60,6 @@ import (
 
 	"deesim/internal/bench"
 	"deesim/internal/cache"
-	"deesim/internal/dee"
 	"deesim/internal/durable"
 	"deesim/internal/experiments"
 	"deesim/internal/fsck"
@@ -120,7 +120,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		obsFlags.DumpFlightOnExit("deesim", code)
 		return code
 	}
-	if done, err := obsFlags.Handle("deesim", stdout, stderr); done {
+	if _, done, err := obsFlags.Handle("deesim", stdout, stderr); done {
 		return 0
 	} else if err != nil {
 		return fail(err)
@@ -135,17 +135,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// an interrupted sweep's metrics and trace are exactly the runs worth
 	// examining. The trace file is a no-op without -trace-out.
 	tw := &traceFile{path: *traceOut, frags: obs.NewMemFragmentLog("deesim")}
-	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
-		fmt.Fprintf(stderr, "deesim: "+format+"\n", args...)
-	}, func() error {
+	stopFlush := obsFlags.FlushOnSignal(func() error {
 		_, err := tw.write()
 		return err
 	})
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("deesim")
-	stopQuit := obsFlags.WatchQuit("deesim", func(format string, args ...any) {
-		fmt.Fprintf(stderr, "deesim: "+format+"\n", args...)
-	})
+	stopQuit := obsFlags.WatchQuit("deesim")
 	defer stopQuit()
 
 	if *fsckFlag {
@@ -415,22 +411,18 @@ func parseModels(s string) ([]ilpsim.Model, error) {
 	if s == "all" {
 		return ilpsim.PaperModels, nil
 	}
-	byName := make(map[string]ilpsim.Model)
-	for _, m := range ilpsim.PaperModels {
-		byName[strings.ToLower(m.String())] = m
-	}
-	// Reference strategies beyond the paper's seven.
-	byName["dee-pure"] = ilpsim.Model{Strategy: dee.DEEPure, CDMode: ilpsim.CDMF}
-	byName["dee-profile"] = ilpsim.Model{Strategy: dee.DEEProfile, CDMode: ilpsim.CDMF}
 	var out []ilpsim.Model
 	for _, f := range strings.Split(s, ",") {
-		f = strings.ToLower(strings.TrimSpace(f))
-		if f == "" {
+		if strings.TrimSpace(f) == "" {
 			continue
 		}
-		m, ok := byName[f]
+		m, ok := ilpsim.ParseModel(f)
 		if !ok {
-			return nil, fmt.Errorf("unknown model %q (have: EE SP DEE SP-CD DEE-CD SP-CD-MF DEE-CD-MF)", f)
+			var have []string
+			for _, m := range slices.Concat(ilpsim.PaperModels, ilpsim.ReferenceModels) {
+				have = append(have, m.String())
+			}
+			return nil, fmt.Errorf("unknown model %q (have: %s; aliases dee-pure, dee-profile)", strings.TrimSpace(f), strings.Join(have, " "))
 		}
 		out = append(out, m)
 	}

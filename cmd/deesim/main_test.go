@@ -6,12 +6,14 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"deesim/internal/dee"
+	"deesim/internal/ilpsim"
 	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
@@ -199,12 +201,19 @@ func TestParseModels(t *testing.T) {
 	if got[0].String() != "DEE-CD-MF" || got[1].String() != "SP" {
 		t.Errorf("parsed %v", got)
 	}
-	ref, err := parseModels("dee-pure,dee-profile")
-	if err != nil || ref[0].Strategy != dee.DEEPure || ref[1].Strategy != dee.DEEProfile {
+	ref, err := parseModels("dee-pure,dee-profile,DEE-pure-CD-MF")
+	if err != nil || ref[0].Strategy != dee.DEEPure || ref[1].Strategy != dee.DEEProfile || ref[2] != ref[0] {
 		t.Errorf("reference strategies: %v, %v", ref, err)
 	}
-	if _, err := parseModels("warp-drive"); err == nil || !strings.Contains(err.Error(), "unknown model") {
-		t.Errorf("bad model accepted: %v", err)
+	_, err = parseModels("warp-drive")
+	if err == nil || !strings.Contains(err.Error(), "unknown model") {
+		t.Fatalf("bad model accepted: %v", err)
+	}
+	// The error names every model the CLI accepts, reference ones included.
+	for _, m := range slices.Concat(ilpsim.PaperModels, ilpsim.ReferenceModels) {
+		if !strings.Contains(err.Error(), m.String()) {
+			t.Errorf("unknown-model error does not list %s: %v", m, err)
+		}
 	}
 }
 

@@ -111,7 +111,8 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return runx.ExitUsage
 	}
-	if done, err := obsFlags.Handle("deesimctl", stdout, stderr); done {
+	logger, done, err := obsFlags.Handle("deesimctl", stdout, stderr)
+	if done {
 		return runx.ExitOK
 	} else if err != nil {
 		fmt.Fprintln(stderr, "deesimctl:", err)
@@ -122,14 +123,10 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "deesimctl:", err)
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
-		fmt.Fprintf(stderr, "deesimctl: "+format+"\n", args...)
-	})
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("deesimctl")
-	stopQuit := obsFlags.WatchQuit("deesimctl", func(format string, args ...any) {
-		fmt.Fprintf(stderr, "deesimctl: "+format+"\n", args...)
-	})
+	stopQuit := obsFlags.WatchQuit("deesimctl")
 	defer stopQuit()
 	if fs.NArg() < 1 {
 		fmt.Fprintln(stderr, "deesimctl: missing command (submit, submit-distributed, status, list, result, wait, health, fleet, fsck, memo, trace)")
@@ -147,7 +144,7 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	c := client.New(*serverFlag)
 	c.Retry = superv.RetryPolicy{Attempts: *retriesFlag + 1, Backoff: *backoffFlag}
-	c.Logf = func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
+	c.Logger = logger
 	if *retryBudget > 0 {
 		c.Budget = budget.New(*retryBudget, 0)
 	}

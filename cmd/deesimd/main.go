@@ -37,11 +37,15 @@
 //
 // Telemetry: GET /metrics serves the whole process's series (simulator
 // core, supervisor, server) in Prometheus text format, GET /versionz
-// the build info, and -pprof opts into /debug/pprof/. Every request is
-// access-logged as one structured line (-log-json for JSON logs).
-// -metrics-out snapshots the registry to a file — written immediately
-// when SIGINT/SIGTERM arrives, not only on clean exit, so a drain cut
-// short still leaves telemetry behind.
+// the build info, and -pprof opts into /debug/pprof/. Every stderr line
+// is one log/slog record from a single logger: lifecycle at info,
+// faults at warn, a permanently failed job or fatal exit at error, ids
+// as attributes, and one access line per request. -log-json makes
+// stderr JSON lines only (the bound address goes to stdout), and
+// -log-level filters every line. -metrics-out snapshots the registry
+// to a file — written immediately when SIGINT/SIGTERM arrives, not
+// only on clean exit, so a drain cut short still leaves telemetry
+// behind.
 //
 // Tracing and the black box: every traced request's span fragments are
 // appended to <state>/fragments.jsonl and served back over GET
@@ -73,7 +77,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -128,16 +132,16 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return runx.ExitUsage
 	}
-	if done, err := obsFlags.Handle("deesimd", stdout, stderr); done {
+	logger, done, err := obsFlags.Handle("deesimd", stdout, stderr)
+	if done {
 		return runx.ExitOK
 	} else if err != nil {
 		fmt.Fprintln(stderr, "deesimd:", err)
 		return runx.ExitCode(err)
 	}
-	logger := log.New(stderr, "", log.LstdFlags|log.Lmicroseconds)
 	fail := func(err error) int {
-		logger.Printf("deesimd: %v", err)
 		code := runx.ExitCode(err)
+		logger.LogAttrs(context.Background(), slog.LevelError, "exiting on error", slog.Int("code", code), slog.Any("err", err))
 		// Every typed failure leaves the black box behind (no-op
 		// without -flight-out, which serving mode defaults into -state).
 		obsFlags.DumpFlightOnExit("deesimd", code)
@@ -145,16 +149,11 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	}
 	defer func() {
 		if err := obsFlags.WriteMetrics(); err != nil {
-			logger.Printf("deesimd: %v", err)
+			logger.LogAttrs(context.Background(), slog.LevelWarn, "write metrics failed", slog.Any("err", err))
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(logger.Printf)
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
-
-	slogger, err := obs.SetupLogger(stderr, obsFlags.LogLevel, obsFlags.LogJSON)
-	if err != nil {
-		return fail(err)
-	}
 
 	if *fsckFlag {
 		r, err := fsck.Dir(nil, *stateFlag)
@@ -173,7 +172,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	// even SIGKILL leaves a dump naming the in-flight cells.
 	obsFlags.DefaultFlightOut(filepath.Join(*stateFlag, "flight.json"))
 	defer obsFlags.DumpFlightOnPanic("deesimd")
-	stopQuit := obsFlags.WatchQuit("deesimd", logger.Printf)
+	stopQuit := obsFlags.WatchQuit("deesimd")
 	defer stopQuit()
 	frCtx, frStop := context.WithCancel(context.Background())
 	defer frStop()
@@ -213,8 +212,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		RetryAfter:        *retryAfter,
 		Retries:           *retriesFlag,
 		Backoff:           *backoffFlag,
-		Logf:              logger.Printf,
-		Logger:            slogger,
+		Logger:            logger,
 		Pprof:             *pprofFlag,
 		Memo:              mm,
 		Frags:             frags,
@@ -238,8 +236,8 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	httpSrv := &http.Server{Handler: s.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.Printf("deesimd: serving on http://%s (state %s, queue %d, workers %d)",
-		ln.Addr(), *stateFlag, *queueFlag, *workersFlag)
+	logger.LogAttrs(context.Background(), slog.LevelInfo, "serving", slog.String("url", "http://"+ln.Addr().String()),
+		slog.String("state", *stateFlag), slog.Int("queue", *queueFlag), slog.Int("workers", *workersFlag))
 	fmt.Fprintln(stdout, ln.Addr().String())
 
 	// Fleet mode: join the coordinator and keep beating until shutdown.
@@ -258,7 +256,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			State: func() (string, int) {
 				return s.WorkerState(), s.CellsActive()
 			},
-			Logf: logger.Printf,
+			Logger: logger,
 		}
 		go hb.Run(hbCtx)
 	}
@@ -271,7 +269,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		// beating through the drain so the coordinator sees "draining"
 		// and stops leasing here before the listener closes.
 		stop()
-		logger.Printf("deesimd: signal received, draining")
+		logger.LogAttrs(ctx, slog.LevelInfo, "signal received, draining")
 		if err := s.Drain(context.Background()); err != nil {
 			return fail(err)
 		}
@@ -279,9 +277,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			logger.Printf("deesimd: http shutdown: %v", err)
+			logger.LogAttrs(ctx, slog.LevelWarn, "http shutdown failed", slog.Any("err", err))
 		}
-		logger.Printf("deesimd: drained, exiting")
+		logger.LogAttrs(ctx, slog.LevelInfo, "drained, exiting")
 		return runx.ExitOK
 	case err := <-serveErr:
 		stop()

@@ -9,6 +9,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -48,11 +49,12 @@ func TestMain(m *testing.M) {
 type daemon struct {
 	cmd  *exec.Cmd
 	addr string
-	log  string // log file path, appended across restarts
+	log  string // stderr log path, appended across restarts
 }
 
 // startDaemon launches deesimd against stateDir on an ephemeral port
-// and waits for it to publish its address.
+// and waits for it to publish its address. Stderr, the log, goes to
+// <state>.log; stdout, which prints the bound address, to <state>.out.
 func startDaemon(t *testing.T, stateDir string, extra ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
@@ -62,12 +64,17 @@ func startDaemon(t *testing.T, stateDir string, extra ...string) *daemon {
 		t.Fatal(err)
 	}
 	defer logf.Close()
+	outf, err := os.OpenFile(strings.TrimSuffix(logPath, ".log")+".out", os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer outf.Close()
 	args := append([]string{
 		"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-state", stateDir,
 		"-cell-jobs", "1",
 	}, extra...)
 	cmd := exec.Command(binPath, args...)
-	cmd.Stdout = logf
+	cmd.Stdout = outf
 	cmd.Stderr = logf
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("start deesimd: %v", err)
@@ -88,6 +95,23 @@ func startDaemon(t *testing.T, stateDir string, extra ...string) *daemon {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// logRecords decodes a -log-json log, one JSON object per line.
+func logRecords(t *testing.T, path string) []map[string]any {
+	t.Helper()
+	var recs []map[string]any
+	for _, line := range strings.Split(strings.TrimSpace(readLog(path)), "\n") {
+		if line == "" {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("log line is not a JSON object: %v\n%s", err, line)
+		}
+		recs = append(recs, rec)
+	}
+	return recs
 }
 
 func readLog(path string) string {
@@ -134,6 +158,41 @@ func e2eSpec(cellDelay string) server.Spec {
 		Resources: []int{8, 64},
 		MaxInstrs: 3000,
 		CellDelay: cellDelay,
+	}
+}
+
+// TestJSONLogsObeyLevel: with -log-json every stderr line is one JSON
+// object; -log-level warn drops every Info lifecycle record, and at
+// info the accepted and done records name the job in an attribute.
+func TestJSONLogsObeyLevel(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, level := range []string{"warn", "info"} {
+		d := startDaemon(t, filepath.Join(t.TempDir(), level), "-log-json", "-log-level", level)
+		c := d.client()
+		st, err := c.Submit(ctx, e2eSpec(""))
+		if err != nil {
+			t.Fatalf("%s: submit: %v", level, err)
+		}
+		if _, err := c.Wait(ctx, st.ID, 50*time.Millisecond); err != nil {
+			t.Fatalf("%s: wait: %v\nlog: %s", level, err, readLog(d.log))
+		}
+		d.cmd.Process.Signal(syscall.SIGTERM)
+		if code := d.waitExit(t, 20*time.Second); code != 0 {
+			t.Fatalf("%s: drain exited %d, want 0\nlog: %s", level, code, readLog(d.log))
+		}
+		seen := map[string]bool{}
+		for _, rec := range logRecords(t, d.log) {
+			if level == "warn" && (rec["level"] == "INFO" || rec["level"] == "DEBUG") {
+				t.Errorf("-log-level warn let through %v", rec)
+			}
+			if rec["job"] == st.ID {
+				seen[rec["msg"].(string)] = true
+			}
+		}
+		if level == "info" && !(seen["accepted"] && seen["done"]) {
+			t.Errorf("info log lacks accepted and done records with job=%s:\n%s", st.ID, readLog(d.log))
+		}
 	}
 }
 

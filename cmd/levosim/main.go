@@ -44,7 +44,7 @@ func main() {
 	)
 	obsFlags = obs.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
-	if done, err := obsFlags.Handle("levosim", os.Stdout, os.Stderr); done {
+	if _, done, err := obsFlags.Handle("levosim", os.Stdout, os.Stderr); done {
 		return
 	} else if err != nil {
 		fatal(err)
@@ -54,14 +54,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "levosim:", err)
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "levosim: "+format+"\n", args...)
-	})
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("levosim")
-	stopQuit := obsFlags.WatchQuit("levosim", func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "levosim: "+format+"\n", args...)
-	})
+	stopQuit := obsFlags.WatchQuit("levosim")
 	defer stopQuit()
 
 	cfg := levo.Config{

@@ -44,7 +44,7 @@ func main() {
 	)
 	obsFlags = obs.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
-	if done, err := obsFlags.Handle("tracegen", os.Stdout, os.Stderr); done {
+	if _, done, err := obsFlags.Handle("tracegen", os.Stdout, os.Stderr); done {
 		return
 	} else if err != nil {
 		fatal(err)
@@ -54,14 +54,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tracegen:", err)
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-	})
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("tracegen")
-	stopQuit := obsFlags.WatchQuit("tracegen", func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "tracegen: "+format+"\n", args...)
-	})
+	stopQuit := obsFlags.WatchQuit("tracegen")
 	defer stopQuit()
 
 	ctx, stop := runx.MainContext(*timeout)

@@ -40,7 +40,7 @@ func main() {
 	)
 	obsFlags := obs.RegisterCLIFlags(flag.CommandLine)
 	flag.Parse()
-	if done, err := obsFlags.Handle("treeviz", os.Stdout, os.Stderr); done {
+	if _, done, err := obsFlags.Handle("treeviz", os.Stdout, os.Stderr); done {
 		return
 	} else if err != nil {
 		fmt.Fprintln(os.Stderr, "treeviz:", err)
@@ -51,14 +51,10 @@ func main() {
 			fmt.Fprintln(os.Stderr, "treeviz:", err)
 		}
 	}()
-	stopFlush := obsFlags.FlushOnSignal(func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "treeviz: "+format+"\n", args...)
-	})
+	stopFlush := obsFlags.FlushOnSignal()
 	defer stopFlush()
 	defer obsFlags.DumpFlightOnPanic("treeviz")
-	stopQuit := obsFlags.WatchQuit("treeviz", func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "treeviz: "+format+"\n", args...)
-	})
+	stopQuit := obsFlags.WatchQuit("treeviz")
 	defer stopQuit()
 
 	ctx, stop := runx.MainContext(*timeout)

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
 	"strconv"
 	"strings"
@@ -44,8 +45,9 @@ type Client struct {
 	// Only transport errors and 5xx responses count against it; shed
 	// requests (429) and validation errors prove the server is alive.
 	Breaker *Breaker
-	// Logf, if non-nil, narrates retries and breaker transitions.
-	Logf func(format string, args ...any)
+	// Logger receives each retry and poll back-off at Warn. New sets
+	// obs.Discard, which still tees them into obs.Flight.
+	Logger *slog.Logger
 	// Budget, if non-nil, is the shared retry budget: each retry —
 	// including one provoked by a breaker fast-fail — withdraws a token,
 	// and an exhausted budget ends the attempt loop with the last error
@@ -68,6 +70,7 @@ func New(baseURL string) *Client {
 		HTTP:    &http.Client{Timeout: 30 * time.Second},
 		Retry:   superv.RetryPolicy{Attempts: 4, Backoff: 250 * time.Millisecond},
 		Breaker: &Breaker{},
+		Logger:  obs.Discard,
 	}
 }
 
@@ -221,7 +224,8 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (serve
 			if delay > capd {
 				delay = capd
 			}
-			c.logf("deesimctl: poll %s: %v (will keep polling, next in %s)", id, err, delay)
+			c.Logger.LogAttrs(ctx, slog.LevelWarn, "poll failed, will keep polling",
+				slog.String("job", id), slog.Duration("next_in", delay), slog.Any("err", err))
 		default:
 			return server.JobStatus{}, err
 		}
@@ -273,7 +277,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		}
 		if !c.Budget.Allow("client") {
 			mBudgetDenied.Inc()
-			c.logf("deesimctl: %s %s attempt %d/%d: retry budget exhausted, giving up: %v", method, path, attempt, attempts, err)
+			c.Logger.LogAttrs(ctx, slog.LevelWarn, "retry budget exhausted, giving up", slog.String("method", method),
+				slog.String("path", path), slog.Int("attempt", attempt), slog.Int("attempts", attempts), slog.Any("err", err))
 			return last
 		}
 		delay := c.Retry.Delay(method+" "+path, attempt+1)
@@ -281,10 +286,8 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			delay = retryAfter
 		}
 		mRetries.Inc()
-		obs.RecordFlight("retry", method+" "+path, map[string]string{
-			"attempt": strconv.Itoa(attempt + 1), "error": err.Error(),
-		})
-		c.logf("deesimctl: %s %s attempt %d/%d: %v (retrying in %s)", method, path, attempt, attempts, err, delay)
+		c.Logger.LogAttrs(ctx, slog.LevelWarn, "retrying request", slog.String("method", method), slog.String("path", path),
+			slog.Int("attempt", attempt), slog.Int("attempts", attempts), slog.Duration("delay", delay), slog.Any("err", err))
 		if serr := c.snooze(ctx, delay); serr != nil {
 			return last
 		}
@@ -427,11 +430,5 @@ func (c *Client) snooze(ctx context.Context, d time.Duration) error {
 		return runx.CtxErr(ctx, stageClient)
 	case <-t.C:
 		return nil
-	}
-}
-
-func (c *Client) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
 	}
 }

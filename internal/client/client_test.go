@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"deesim/internal/faultinject"
+	"deesim/internal/obs"
 	"deesim/internal/runx"
 	"deesim/internal/server"
 	"deesim/internal/superv"
@@ -45,9 +46,18 @@ func TestRetriesUntilSuccess(t *testing.T) {
 	defer srv.Close()
 
 	c, delays := quiet(srv.URL)
+	before := obs.Flight.Seq()
 	st, err := c.Status(context.Background(), "j000001")
 	if err != nil {
 		t.Fatalf("Status: %v", err)
+	}
+	// Each retry is one Warn record, teed into the flight recorder
+	// through the client's default Discard logger.
+	evs := obs.Flight.Snapshot()
+	if grew := obs.Flight.Seq() - before; grew != 2 {
+		t.Errorf("flight grew by %d over 2 retries, want 2", grew)
+	} else if ev := evs[len(evs)-1]; ev.Kind != "log" || ev.Msg != "retrying request" || ev.Attrs["level"] != "WARN" {
+		t.Errorf("retry recorded as %+v", ev)
 	}
 	if st.State != server.StateDone {
 		t.Fatalf("state = %q, want done", st.State)

@@ -27,7 +27,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -101,8 +100,9 @@ type Config struct {
 	// LeaseTTL + 10s, so the lease — not the transport — is the
 	// authority on giving up).
 	CellTimeout time.Duration
-	// Logf, Logger, Metrics: as in server.Config.
-	Logf    func(format string, args ...any)
+	// Logger, Metrics: as in server.Config. The coordinator adds its
+	// fleet events: worker registration at Info; lease expiry,
+	// stragglers, re-dispatches and lost workers at Warn.
 	Logger  *slog.Logger
 	Metrics *obs.Registry
 	// NewWorkerClient builds the client for a registered worker's base
@@ -162,8 +162,8 @@ func (c Config) withDefaults() Config {
 	if c.CellTimeout <= 0 {
 		c.CellTimeout = c.LeaseTTL + 10*time.Second
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
+	if c.Logger == nil {
+		c.Logger = obs.Discard
 	}
 	if c.now == nil {
 		c.now = time.Now
@@ -285,13 +285,12 @@ func New(cfg Config) (*Coordinator, error) {
 		RequestTimeout: cfg.RequestTimeout,
 		DrainGrace:     cfg.DrainGrace,
 		RetryAfter:     cfg.RetryAfter,
-		Logf:           cfg.Logf,
 		Logger:         cfg.Logger,
 		Metrics:        cfg.Metrics,
 		FS:             cfg.FS,
 		Frags:          cfg.Frags,
 	}, server.Daemon{
-		Name: "deesim-coord", Stage: stageCoord, Noun: "sweep", Dir: "sweeps", IDPrefix: "s",
+		Stage: stageCoord, Noun: "sweep", Dir: "sweeps", IDPrefix: "s",
 		Series:  server.Series{Prefix: "deesim_coord", HTTP: "deesim_coord_http", Resumed: "deesim_coord_sweeps_recovered_total"},
 		Execute: c.runSweep,
 		Now:     cfg.now,
@@ -334,7 +333,7 @@ func (c *Coordinator) runSweep(ctx context.Context, j *server.Job) ([]byte, erro
 	defer jr.Close()
 	if prior != nil {
 		c.met.sweepsResumed.Inc()
-		c.cfg.Logf("deesim-coord: sweep %s: resuming, %s", j.ID(), prior.Summary(len(tasks)))
+		c.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "resuming", slog.String("progress", prior.Summary(len(tasks))))
 	}
 
 	retries := sp.Retries
@@ -370,10 +369,8 @@ func (c *Coordinator) runSweep(ctx context.Context, j *server.Job) ([]byte, erro
 		},
 		OnRetry: func(key string, attempt int, delay string, err error) {
 			c.met.redispatches.Inc()
-			obs.RecordFlight("redispatch", key, map[string]string{
-				"sweep": sw.id, "attempt": strconv.Itoa(attempt - 1), "cause": err.Error(),
-			})
-			c.cfg.Logf("deesim-coord: sweep %s: cell %s attempt %d failed (%v), re-dispatching in %s", sw.id, key, attempt-1, err, delay)
+			c.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "cell attempt failed, re-dispatching",
+				slog.String("cell", key), slog.Int("attempt", attempt-1), slog.String("delay", delay), slog.Any("err", err))
 		},
 	})
 	if err != nil {
@@ -439,7 +436,8 @@ func (c *Coordinator) RegisterWorker(url string, slots int) (id string, every ti
 		client:   c.cfg.NewWorkerClient(url),
 	}
 	c.changedLocked()
-	c.cfg.Logf("deesim-coord: worker %s registered (%s, %d slots)", id, url, slots)
+	c.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "worker registered",
+		slog.String("worker", id), slog.String("url", url), slog.Int("slots", slots))
 	return id, c.cfg.HeartbeatEvery, nil
 }
 
@@ -494,7 +492,8 @@ func (c *Coordinator) reapLocked() {
 			w.lost = true
 			c.plan = nil
 			c.met.workerEvictons.Inc()
-			c.cfg.Logf("deesim-coord: worker %s (%s) lost: heartbeat stale by %s", w.id, w.url, now.Sub(w.lastBeat).Round(time.Millisecond))
+			c.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "worker lost: heartbeat stale",
+				slog.String("worker", w.id), slog.String("url", w.url), slog.Duration("stale", now.Sub(w.lastBeat).Round(time.Millisecond)))
 		}
 		if !w.lost {
 			live++

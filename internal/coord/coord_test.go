@@ -263,6 +263,7 @@ func TestLeaseTTLExpiryRedispatch(t *testing.T) {
 	registerWorker(t, c, "http://w1", 4)
 	c.Start()
 
+	start := time.Now().UnixNano()
 	st, err := c.Submit(smokeSpec())
 	if err != nil {
 		t.Fatal(err)
@@ -276,6 +277,22 @@ func TestLeaseTTLExpiryRedispatch(t *testing.T) {
 	}
 	if got := counter(c, "deesim_coord_redispatches_total"); got == 0 {
 		t.Error("no re-dispatch recorded")
+	}
+	// Each expiry and re-dispatch is one Warn record naming the sweep,
+	// teed into the flight recorder through the default Discard logger.
+	logged := map[string]int64{}
+	for _, ev := range obs.Flight.Snapshot() {
+		if ev.TS >= start && ev.Kind == "log" && ev.Attrs["sweep"] == st.ID {
+			logged[ev.Msg]++
+		}
+	}
+	for msg, series := range map[string]string{
+		"lease expired":                       "deesim_coord_lease_expiries_total",
+		"cell attempt failed, re-dispatching": "deesim_coord_redispatches_total",
+	} {
+		if got, want := logged[msg], counter(c, series); got != want {
+			t.Errorf("flight holds %d %q records, want %d (%s)", got, msg, want, series)
+		}
 	}
 	merged, err := os.ReadFile(c.ResultPath(st.ID))
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"sort"
 	"strconv"
 	"sync"
@@ -126,10 +127,8 @@ func (s *sweep) runCell(ctx context.Context, t experiments.MatrixTask) (*experim
 				}
 				drop(l)
 				s.c.met.leaseExpiries.Inc()
-				obs.RecordFlight("lease-expire", key, map[string]string{
-					"lease": l.id, "worker": l.w.id, "reason": reason, "sweep": s.id,
-				})
-				s.c.cfg.Logf("deesim-coord: sweep %s: lease %s (%s on %s) expired: %s", s.id, l.id, key, l.w.id, reason)
+				s.c.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "lease expired", slog.String("cell", key),
+					slog.String("lease", l.id), slog.String("worker", l.w.id), slog.String("reason", reason))
 				if len(live) == 0 {
 					return nil, runx.Newf(runx.KindUnavailable, stageLease, "cell %s: %s", key, reason)
 				}
@@ -138,8 +137,9 @@ func (s *sweep) runCell(ctx context.Context, t experiments.MatrixTask) (*experim
 				if alt, _ := s.c.acquire(ctx, live[0].w, i); alt != nil {
 					speculated = true
 					s.c.met.specLaunches.Inc()
-					s.c.cfg.Logf("deesim-coord: sweep %s: straggler %s on %s (%s), speculating on %s",
-						s.id, key, live[0].w.id, now.Sub(live[0].granted).Round(time.Millisecond), alt.id)
+					s.c.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "straggler, speculating", slog.String("cell", key),
+						slog.String("worker", live[0].w.id), slog.Duration("running", now.Sub(live[0].granted).Round(time.Millisecond)),
+						slog.String("spec_worker", alt.id))
 					live = append(live, s.grant(ctx, t, attempt, alt, true, out))
 				}
 			}
@@ -238,7 +238,8 @@ func (r *race) complete(workerID string, payload json.RawMessage) error {
 	}
 	if bytes.Equal(normJSON(r.winner), normJSON(payload)) {
 		r.c.met.dupDiscards.Inc()
-		r.c.cfg.Logf("deesim-coord: duplicate completion for %s from %s discarded (identical)", r.key, workerID)
+		r.c.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "duplicate completion discarded (identical)",
+			slog.String("cell", r.key), slog.String("worker", workerID))
 		return nil
 	}
 	r.c.met.dupConflicts.Inc()

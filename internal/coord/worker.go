@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"strings"
 	"sync"
@@ -32,8 +33,9 @@ type Heartbeater struct {
 	State func() (state string, inflight int)
 	// Every overrides the coordinator-assigned cadence (0 = obey it).
 	Every time.Duration
-	// Logf, if non-nil, narrates registration and beat failures.
-	Logf func(format string, args ...any)
+	// Logger receives registration (Info) and beat failures (Warn); nil
+	// means obs.Discard.
+	Logger *slog.Logger
 	// HTTP is the transport (nil = a 5s-timeout client; beats must be
 	// cheap and never hang past their own cadence).
 	HTTP *http.Client
@@ -59,10 +61,14 @@ func (h *Heartbeater) traceparent() string {
 // retry on a fixed cadence — on start the coordinator may simply not
 // be up yet; the fleet converges whenever it arrives.
 func (h *Heartbeater) Run(ctx context.Context) {
+	log := h.Logger
+	if log == nil {
+		log = obs.Discard
+	}
 	for {
 		id, assigned, err := h.register(ctx)
 		if err != nil {
-			h.logf("deesimd: coordinator register failed: %v (retrying)", err)
+			log.LogAttrs(ctx, slog.LevelWarn, "coordinator register failed, retrying", slog.Any("err", err))
 			if !sleepCtx(ctx, 2*time.Second) {
 				return
 			}
@@ -77,8 +83,9 @@ func (h *Heartbeater) Run(ctx context.Context) {
 		if every <= 0 {
 			every = 5 * time.Second
 		}
-		h.logf("deesimd: registered with coordinator as %s (beating every %s)", id, every)
-		if !h.beatLoop(ctx, id, every) {
+		log.LogAttrs(ctx, slog.LevelInfo, "registered with coordinator",
+			slog.String("worker", id), slog.Duration("every", every))
+		if !h.beatLoop(ctx, log, id, every) {
 			return
 		}
 		// beatLoop returned because the coordinator forgot us; loop back
@@ -88,7 +95,7 @@ func (h *Heartbeater) Run(ctx context.Context) {
 
 // beatLoop beats until ctx ends (returns false) or the coordinator
 // rejects the id (returns true: re-register).
-func (h *Heartbeater) beatLoop(ctx context.Context, id string, every time.Duration) bool {
+func (h *Heartbeater) beatLoop(ctx context.Context, log *slog.Logger, id string, every time.Duration) bool {
 	t := time.NewTicker(every)
 	defer t.Stop()
 	for {
@@ -107,9 +114,9 @@ func (h *Heartbeater) beatLoop(ctx context.Context, id string, every time.Durati
 			// Transport failure: the coordinator may be partitioned or
 			// restarting. Keep beating — leases expire on its side, and the
 			// next successful beat rejoins the fleet.
-			h.logf("deesimd: heartbeat failed: %v", err)
+			log.LogAttrs(ctx, slog.LevelWarn, "heartbeat failed", slog.String("worker", id), slog.Any("err", err))
 		case code == http.StatusBadRequest:
-			h.logf("deesimd: coordinator no longer recognizes %s, re-registering", id)
+			log.LogAttrs(ctx, slog.LevelWarn, "coordinator no longer recognizes worker, re-registering", slog.String("worker", id))
 			return true
 		}
 	}
@@ -156,12 +163,6 @@ func (h *Heartbeater) post(ctx context.Context, path string, body, out any) (int
 		}
 	}
 	return resp.StatusCode, nil
-}
-
-func (h *Heartbeater) logf(format string, args ...any) {
-	if h.Logf != nil {
-		h.Logf(format, args...)
-	}
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) bool {

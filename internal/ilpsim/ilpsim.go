@@ -38,6 +38,7 @@ package ilpsim
 
 import (
 	"context"
+	"strings"
 	"sync"
 
 	"deesim/internal/cache"
@@ -100,6 +101,31 @@ var (
 // order for Figure 5.
 var PaperModels = []Model{
 	ModelDEECDMF, ModelSPCDMF, ModelDEECD, ModelSPCD, ModelDEE, ModelSP, ModelEE,
+}
+
+// ReferenceModels are the tree-based reference strategies beyond the
+// paper's seven, each under CD-MF: the greedy Theorem 1 tree
+// (DEE-pure-CD-MF) and the per-branch-probability tree of §3
+// (DEE-profile-CD-MF).
+var ReferenceModels = []Model{{dee.DEEPure, CDMF}, {dee.DEEProfile, CDMF}}
+
+// ParseModel resolves a model name, ignoring case and surrounding
+// space: the String() of any paper or reference model, or a reference
+// model's strategy alone (dee-pure, dee-profile) as its alias. It is
+// the one model vocabulary of the CLI and the service specs.
+func ParseModel(name string) (Model, bool) {
+	name = strings.TrimSpace(name)
+	for _, m := range PaperModels {
+		if strings.EqualFold(name, m.String()) {
+			return m, true
+		}
+	}
+	for _, m := range ReferenceModels {
+		if strings.EqualFold(name, m.String()) || strings.EqualFold(name, m.Strategy.String()) {
+			return m, true
+		}
+	}
+	return Model{}, false
 }
 
 // Latencies assigns per-class instruction latencies in cycles. The zero

@@ -2,6 +2,7 @@ package ilpsim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -609,5 +610,40 @@ func TestSimDropsItsTrace(t *testing.T) {
 	}
 	if _, err := s.RunUnlimited(ModelDEECD); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestParseModel(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Model
+		ok   bool
+	}{
+		{"DEE-CD-MF", ModelDEECDMF, true},
+		{"sp-cd-mf", ModelSPCDMF, true},
+		{"Dee-Cd", ModelDEECD, true},
+		{" SP-CD ", ModelSPCD, true},
+		{"dee", ModelDEE, true},
+		{"SP", ModelSP, true},
+		{"ee", ModelEE, true},
+		{"DEE-pure-CD-MF", Model{dee.DEEPure, CDMF}, true},
+		{"dee-profile-cd-mf", Model{dee.DEEProfile, CDMF}, true},
+		{"dee-pure", Model{dee.DEEPure, CDMF}, true},
+		{"DEE-PROFILE", Model{dee.DEEProfile, CDMF}, true},
+		{"EE-CD", Model{}, false},
+		{"DEE-pure-CD", Model{}, false},
+		{"all", Model{}, false},
+		{"", Model{}, false},
+	} {
+		got, ok := ParseModel(tc.name)
+		if ok != tc.ok || got != tc.want {
+			t.Errorf("ParseModel(%q) = %v, %v; want %v, %v", tc.name, got, ok, tc.want, tc.ok)
+		}
+	}
+	// Every model a result or journal key can print parses back to itself.
+	for _, m := range slices.Concat(PaperModels, ReferenceModels) {
+		if got, ok := ParseModel(m.String()); !ok || got != m {
+			t.Errorf("ParseModel(%q) = %v, %v; want round trip", m, got, ok)
+		}
 	}
 }

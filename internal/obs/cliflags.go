@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"os/signal"
 	"sync"
@@ -37,16 +39,16 @@ func RegisterCLIFlags(fs *flag.FlagSet) *CLIFlags {
 
 // Handle applies the parsed block: with -version it prints the build
 // info to stdout and returns done=true (the caller exits 0); otherwise
-// it installs the process logger on stderr at the requested level.
-func (f *CLIFlags) Handle(name string, stdout, stderr io.Writer) (done bool, err error) {
+// it installs the process logger on stderr at the requested level and
+// returns it. That logger is the process's one log API: every line a
+// binary writes to stderr after Handle goes through it.
+func (f *CLIFlags) Handle(name string, stdout, stderr io.Writer) (log *slog.Logger, done bool, err error) {
 	if f.Version {
 		PrintVersion(stdout, name)
-		return true, nil
+		return nil, true, nil
 	}
-	if _, err := SetupLogger(stderr, f.LogLevel, f.LogJSON); err != nil {
-		return false, err
-	}
-	return false, nil
+	log, err = SetupLogger(stderr, f.LogLevel, f.LogJSON)
+	return log, false, err
 }
 
 // FlushOnSignal installs a watcher that flushes -metrics-out — and any
@@ -58,8 +60,9 @@ func (f *CLIFlags) Handle(name string, stdout, stderr io.Writer) (done bool, err
 // disk. The exit-path WriteMetrics call stays in place and simply
 // overwrites the snapshot with fresher numbers; the two writers are
 // serialized on the flag block's mutex, so the file is never
-// interleaved. The returned stop function uninstalls the watcher.
-func (f *CLIFlags) FlushOnSignal(logf func(format string, args ...any), extra ...func() error) (stop func()) {
+// interleaved. Flush failures are logged as warnings on the logger
+// Handle installed. The returned stop function uninstalls the watcher.
+func (f *CLIFlags) FlushOnSignal(extra ...func() error) (stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
 	done := make(chan struct{})
@@ -69,12 +72,9 @@ func (f *CLIFlags) FlushOnSignal(logf func(format string, args ...any), extra ..
 			return
 		case <-ch:
 		}
-		if err := f.WriteMetrics(); err != nil && logf != nil {
-			logf("flush on signal: %v", err)
-		}
-		for _, fn := range extra {
-			if err := fn(); err != nil && logf != nil {
-				logf("flush on signal: %v", err)
+		for _, fn := range append([]func() error{f.WriteMetrics}, extra...) {
+			if err := fn(); err != nil {
+				slog.Default().LogAttrs(context.Background(), slog.LevelWarn, "flush on signal failed", slog.Any("err", err))
 			}
 		}
 	}()
@@ -130,7 +130,8 @@ func (f *CLIFlags) DumpFlightOnExit(proc string, code int) {
 	}
 	Flight.Record("exit", fmt.Sprintf("exit code %d", code), map[string]string{"proc": proc})
 	if err := f.DumpFlight(proc, "exit"); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: flight dump: %v\n", proc, err)
+		slog.Default().LogAttrs(context.Background(), slog.LevelError, "flight dump failed",
+			slog.String("proc", proc), slog.Any("err", err))
 	}
 }
 
@@ -139,7 +140,7 @@ func (f *CLIFlags) DumpFlightOnExit(proc string, code int) {
 // black box without killing it. (Go's default SIGQUIT stack-dump-and-
 // crash behavior is replaced while the watcher is installed.) The
 // returned stop function uninstalls it. No-op without -flight-out.
-func (f *CLIFlags) WatchQuit(proc string, logf func(format string, args ...any)) (stop func()) {
+func (f *CLIFlags) WatchQuit(proc string) (stop func()) {
 	if f.FlightOut == "" {
 		return func() {}
 	}
@@ -153,10 +154,11 @@ func (f *CLIFlags) WatchQuit(proc string, logf func(format string, args ...any))
 				return
 			case <-ch:
 				Flight.Record("signal", "SIGQUIT", map[string]string{"proc": proc})
-				if err := f.DumpFlight(proc, "sigquit"); err != nil && logf != nil {
-					logf("flight dump on SIGQUIT: %v", err)
-				} else if logf != nil {
-					logf("flight recorder dumped to %s.sigquit", f.FlightOut)
+				if err := f.DumpFlight(proc, "sigquit"); err != nil {
+					slog.Default().LogAttrs(context.Background(), slog.LevelWarn, "flight dump on SIGQUIT failed", slog.Any("err", err))
+				} else {
+					slog.Default().LogAttrs(context.Background(), slog.LevelInfo, "flight recorder dumped",
+						slog.String("path", f.FlightOut+".sigquit"))
 				}
 			}
 		}

@@ -12,8 +12,9 @@ import (
 
 // The flight recorder is the process's always-on black box: a bounded
 // lock-free ring of recent structured events — log records ≥ warn
-// (teed in by the ctxHandler), span open/close, retry, shed, brownout
-// and breaker decisions — that every binary dumps to its state dir on
+// (teed in by the ctxHandler: retries, brownouts, lease expiries and
+// every other logged fault), span open/close, and the shed and breaker
+// decisions nothing logs — that every binary dumps to its state dir on
 // panic, SIGQUIT, or nonzero structured exit. Daemons additionally
 // persist a snapshot on a short cadence (Persist), so even a SIGKILL
 // — which no handler can catch — leaves a dump on disk naming the
@@ -185,8 +186,9 @@ func (r *FlightRecorder) DumpOnPanic(path, proc string) {
 	}
 }
 
-// RecordFlight records one event on the process-wide recorder — sugar
-// for call sites annotating retry/shed/brownout decisions.
+// RecordFlight records one event on the process-wide recorder — for
+// events that are not logged, such as shed and breaker decisions. A
+// logged Warn+ event reaches the recorder through the log tee instead.
 func RecordFlight(kind, msg string, attrs map[string]string) {
 	Flight.Record(kind, msg, attrs)
 }

@@ -90,7 +90,7 @@ func TestWarnLogsTeeIntoFlight(t *testing.T) {
 	before := Flight.Seq()
 	var buf bytes.Buffer
 	l := NewLogger(&buf, slog.LevelInfo, false)
-	ctx := WithJobID(context.Background(), "job-42")
+	ctx := WithIDs(context.Background(), slog.String("job", "job-42"))
 	l.InfoContext(ctx, "calm")
 	l.WarnContext(ctx, "trouble", slog.String("what", "disk"))
 	evs := Flight.Snapshot()
@@ -101,8 +101,33 @@ func TestWarnLogsTeeIntoFlight(t *testing.T) {
 	if last.Kind != "log" || last.Msg != "trouble" {
 		t.Fatalf("teed event: %+v", last)
 	}
-	if last.Attrs["job_id"] != "job-42" || last.Attrs["what"] != "disk" {
+	if last.Attrs["job"] != "job-42" || last.Attrs["what"] != "disk" {
 		t.Fatalf("teed attrs missing IDs: %+v", last.Attrs)
+	}
+}
+
+// TestTeeIgnoresOutputLevel: a warning reaches the flight recorder
+// once whatever the logger writes — through Discard, and through a
+// logger whose level keeps it off the output.
+func TestTeeIgnoresOutputLevel(t *testing.T) {
+	var buf bytes.Buffer
+	for name, l := range map[string]*slog.Logger{
+		"discard":     Discard,
+		"error level": NewLogger(&buf, slog.LevelError, true),
+	} {
+		before := Flight.Seq()
+		l.Info("calm")
+		l.Warn("trouble", slog.String("via", name))
+		if got := Flight.Seq() - before; got != 1 {
+			t.Fatalf("%s: flight grew by %d, want 1", name, got)
+		}
+		evs := Flight.Snapshot()
+		if last := evs[len(evs)-1]; last.Msg != "trouble" || last.Attrs["via"] != name || last.Attrs["level"] != "WARN" {
+			t.Errorf("%s: teed event %+v", name, last)
+		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("warning written past an error-level logger: %s", buf.String())
 	}
 }
 

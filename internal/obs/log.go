@@ -9,9 +9,9 @@ import (
 )
 
 // Structured logging: every layer logs through log/slog, and the
-// correlation IDs a log line needs — run, job, cell — travel in the
-// context, not in call signatures. ctxHandler lifts them out of the
-// context into attributes at emit time, so a deep callee (a retrying
+// correlation IDs a log line needs — job or sweep, cell, trace — travel
+// in the context, not in call signatures. ctxHandler lifts them out of
+// the context into attributes at emit time, so a deep callee (a retrying
 // cell inside a journaled sweep inside a daemon job) logs lines that
 // carry the whole chain without any layer knowing about the others.
 
@@ -21,17 +21,6 @@ type ctxKey int
 const (
 	keyIDs ctxKey = iota // []slog.Attr accumulated by WithIDs
 )
-
-// WithRunID returns ctx carrying run_id=id for every log line emitted
-// under it.
-func WithRunID(ctx context.Context, id string) context.Context {
-	return WithIDs(ctx, slog.String("run_id", id))
-}
-
-// WithJobID returns ctx carrying job_id=id.
-func WithJobID(ctx context.Context, id string) context.Context {
-	return WithIDs(ctx, slog.String("job_id", id))
-}
 
 // WithCellKey returns ctx carrying cell=key.
 func WithCellKey(ctx context.Context, key string) context.Context {
@@ -60,6 +49,13 @@ type ctxHandler struct {
 	slog.Handler
 }
 
+// Enabled admits every warning and error whatever the output level, so
+// the flight-recorder tee in Handle sees them even when -log-level (or
+// Discard) keeps them off the output.
+func (h ctxHandler) Enabled(ctx context.Context, level slog.Level) bool {
+	return level >= slog.LevelWarn || h.Handler.Enabled(ctx, level)
+}
+
 func (h ctxHandler) Handle(ctx context.Context, rec slog.Record) error {
 	if attrs := IDs(ctx); len(attrs) > 0 {
 		rec = rec.Clone()
@@ -74,6 +70,9 @@ func (h ctxHandler) Handle(ctx context.Context, rec slog.Record) error {
 			return true
 		})
 		Flight.Record("log", rec.Message, attrs)
+	}
+	if !h.Handler.Enabled(ctx, rec.Level) {
+		return nil
 	}
 	return h.Handler.Handle(ctx, rec)
 }
@@ -103,7 +102,7 @@ func ParseLevel(s string) (slog.Level, error) {
 }
 
 // NewLogger builds the repo-standard logger: text or JSON lines on w at
-// the given level, with context IDs (WithRunID and friends) appended to
+// the given level, with context IDs (WithIDs, WithCellKey, WithTraceContext) appended to
 // every record.
 func NewLogger(w io.Writer, level slog.Level, jsonOut bool) *slog.Logger {
 	opts := &slog.HandlerOptions{Level: level}
@@ -129,9 +128,10 @@ func SetupLogger(w io.Writer, levelFlag string, jsonOut bool) (*slog.Logger, err
 	return l, nil
 }
 
-// Discard is a logger that drops everything — the default for library
-// code handed no logger.
-var Discard = slog.New(discardHandler{})
+// Discard is the logger for library code handed none: it writes
+// nothing, but warnings and errors still reach the flight recorder, so
+// an event logged once is in the black box whoever built the logger.
+var Discard = slog.New(ctxHandler{discardHandler{}})
 
 type discardHandler struct{}
 

@@ -11,8 +11,7 @@ import (
 func TestContextIDsReachLogLines(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, slog.LevelInfo, true)
-	ctx := WithRunID(context.Background(), "r1")
-	ctx = WithJobID(ctx, "j000001")
+	ctx := WithIDs(context.Background(), slog.String("job", "j000001"))
 	ctx = WithCellKey(ctx, "xlisp/cps|SP|ET=8")
 	l.InfoContext(ctx, "cell done", "speedup", 3.5)
 
@@ -21,10 +20,9 @@ func TestContextIDsReachLogLines(t *testing.T) {
 		t.Fatalf("log line is not JSON: %v\n%s", err, b.String())
 	}
 	for k, want := range map[string]string{
-		"run_id": "r1",
-		"job_id": "j000001",
-		"cell":   "xlisp/cps|SP|ET=8",
-		"msg":    "cell done",
+		"job":  "j000001",
+		"cell": "xlisp/cps|SP|ET=8",
+		"msg":  "cell done",
 	} {
 		if rec[k] != want {
 			t.Errorf("log line %s = %v, want %q (line: %s)", k, rec[k], want, b.String())
@@ -38,14 +36,14 @@ func TestContextIDsReachLogLines(t *testing.T) {
 func TestTextLoggerAndLevelGate(t *testing.T) {
 	var b strings.Builder
 	l := NewLogger(&b, slog.LevelWarn, false)
-	ctx := WithJobID(context.Background(), "j9")
+	ctx := WithIDs(context.Background(), slog.String("job", "j9"))
 	l.InfoContext(ctx, "dropped")
 	l.WarnContext(ctx, "kept")
 	out := b.String()
 	if strings.Contains(out, "dropped") {
 		t.Errorf("info line leaked past warn level: %s", out)
 	}
-	if !strings.Contains(out, "kept") || !strings.Contains(out, "job_id=j9") {
+	if !strings.Contains(out, "kept") || !strings.Contains(out, "job=j9") {
 		t.Errorf("warn line missing content: %s", out)
 	}
 }
@@ -69,7 +67,7 @@ func TestParseLevel(t *testing.T) {
 }
 
 func TestDiscardLogger(t *testing.T) {
-	// Must not panic, must drop everything silently.
+	// Must not panic on any derivation.
 	Discard.Info("nothing", "k", "v")
 	Discard.With("a", 1).WithGroup("g").Error("still nothing")
 }

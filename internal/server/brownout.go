@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"strconv"
-
-	"deesim/internal/obs"
 )
 
 // Brownout is the job host's graceful-degradation ladder, the same on
@@ -58,26 +55,18 @@ func (h *Host) brownoutLocked() int {
 }
 
 // noteBrownoutLocked publishes the current level on the gauge and logs
-// transitions. The context is the admission request that tripped the
-// transition: its correlation IDs (trace_id, job ids) ride into the
-// structured log line, so a brownout can be joined to the submission
-// that pushed the queue over the watermark. Caller holds h.mu.
+// transitions at Warn, which also lands them in obs.Flight. The context
+// is the admission request that tripped the transition: its correlation
+// IDs (trace_id, job ids) ride into the log record, so a brownout can
+// be joined to the submission that pushed the queue over the watermark.
+// Caller holds h.mu.
 func (h *Host) noteBrownoutLocked(ctx context.Context, level int) {
 	if level == h.brownout {
 		return
 	}
-	h.logf("brownout level %d -> %d (%s)", h.brownout, level, brownoutName(level))
 	h.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "brownout transition",
 		slog.Int("from", h.brownout), slog.Int("to", level), slog.String("policy", brownoutName(level)),
 		slog.Int("waiting_interactive", h.waitingInt), slog.Int("waiting_batch", h.waitingBatch))
-	attrs := map[string]string{
-		"from": strconv.Itoa(h.brownout), "to": strconv.Itoa(level),
-		"policy": brownoutName(level),
-	}
-	if tc, ok := obs.TraceContextFrom(ctx); ok {
-		attrs["trace"] = tc.TraceID
-	}
-	obs.RecordFlight("brownout", "level "+strconv.Itoa(h.brownout)+" -> "+strconv.Itoa(level), attrs)
 	h.brownout = level
 	h.met.brownoutLevel.Set(float64(level))
 }

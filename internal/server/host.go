@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"sort"
@@ -74,13 +75,12 @@ type Host struct {
 type Executor func(ctx context.Context, j *Job) ([]byte, error)
 
 // Daemon is what one daemon supplies to the shared host. The naming
-// fields are fixed in code per daemon, so log lines, error stages,
-// span names and metric series stay distinct when both run in one
-// process.
+// fields are fixed in code per daemon, so log attributes, error
+// stages, span names and metric series stay distinct when both run in
+// one process.
 type Daemon struct {
-	Name     string // log prefix, e.g. "deesimd"
 	Stage    string // runx stage of host errors
-	Noun     string // what a job is called in messages, span names and span attrs
+	Noun     string // what a job is called in messages, span names, and span and log attrs
 	Dir      string // jobs live under StateDir/Dir/<id>
 	IDPrefix string // job ids are IDPrefix followed by six digits
 	Series   Series
@@ -169,16 +169,6 @@ func NewHost(cfg Config, d Daemon) (*Host, error) {
 	return h, nil
 }
 
-// logf prefixes an operational log line with the daemon name.
-func (h *Host) logf(format string, args ...any) {
-	h.cfg.Logf(h.d.Name+": "+format, args...)
-}
-
-// jobLogf is logf about one job: "<daemon>: <noun> <id>: ...".
-func (h *Host) jobLogf(id, format string, args ...any) {
-	h.logf(h.d.Noun+" "+id+": "+format, args...)
-}
-
 // pushLocked appends a job to its class's lane and bumps that lane's
 // waiting count. Callers that already reserved the waiting slot at
 // admission (Submit) must decrement first — the counter is owned here.
@@ -260,15 +250,18 @@ func (h *Host) recover() ([]*Job, error) {
 			if runx.IsKind(err, runx.KindCorrupt) {
 				qp, _ := durable.Quarantine(fsys, filepath.Join(jdir, "spec.json"))
 				h.met.quarantined.Inc()
-				h.logf("recovery: %s %s spec corrupt, quarantined to %s: %v", h.d.Noun, id, qp, err)
+				h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "recovery: spec corrupt, quarantined",
+					slog.String(h.d.Noun, id), slog.String("quarantine", qp), slog.Any("err", err))
 			} else {
-				h.logf("recovery: %s %s has no readable spec, skipping: %v", h.d.Noun, id, err)
+				h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "recovery: no readable spec, skipping",
+					slog.String(h.d.Noun, id), slog.Any("err", err))
 			}
 			continue
 		}
 		var sp Spec
 		if err := json.Unmarshal(specData, &sp); err != nil {
-			h.logf("recovery: %s %s spec unparsable, skipping: %v", h.d.Noun, id, err)
+			h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "recovery: spec unparsable, skipping",
+				slog.String(h.d.Noun, id), slog.Any("err", err))
 			continue
 		}
 		jb := &Job{id: id, spec: sp, cellsTotal: sp.CellsTotal()}
@@ -295,7 +288,8 @@ func (h *Host) recover() ([]*Job, error) {
 		h.order = append(h.order, id)
 	}
 	if len(pending) > 0 {
-		h.logf("recovery: re-queued %d incomplete %s(s)", len(pending), h.d.Noun)
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "recovery: re-queued incomplete "+h.d.Noun+"s",
+			slog.Int("count", len(pending)))
 	}
 	return pending, nil
 }
@@ -311,13 +305,15 @@ func (h *Host) verifyOrQuarantine(jb *Job, path string) bool {
 	if _, err := durable.ReadFileVerified(h.cfg.FS, path); err != nil {
 		qp, qerr := durable.Quarantine(h.cfg.FS, path)
 		if qerr != nil {
-			h.jobLogf(jb.id, "%s corrupt and quarantine failed (%v); treating as absent: %v", filepath.Base(path), qerr, err)
+			h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "artifact corrupt and quarantine failed; treating as absent",
+				slog.String(h.d.Noun, jb.id), slog.String("file", filepath.Base(path)), slog.Any("err", err), slog.Any("quarantine_err", qerr))
 			return false
 		}
 		h.met.quarantined.Inc()
 		h.met.healed.Inc()
 		durable.NoteHealed()
-		h.jobLogf(jb.id, "%s failed integrity check, quarantined to %s; %s will re-run: %v", filepath.Base(path), qp, h.d.Noun, err)
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "artifact failed integrity check, quarantined; "+h.d.Noun+" will re-run",
+			slog.String(h.d.Noun, jb.id), slog.String("file", filepath.Base(path)), slog.String("quarantine", qp), slog.Any("err", err))
 		return false
 	}
 	return true
@@ -400,7 +396,7 @@ func (h *Host) run(ctx context.Context, jb *Job) (err error) {
 	// emitted under this job carries it, and rejoin the trace the
 	// submission minted (persisted with the spec, so resume rejoins it
 	// too) so everything under this job records fragments.
-	ctx = obs.WithJobID(ctx, jb.id)
+	ctx = obs.WithIDs(ctx, slog.String(h.d.Noun, jb.id))
 	if tc, ok := jb.traceCtx(); ok {
 		ctx = obs.WithTraceContext(ctx, tc)
 		ctx = obs.WithFragments(ctx, h.cfg.Frags)
@@ -463,7 +459,8 @@ func (h *Host) ReopenJournal(j *Job, name string, resume, create func(fsys durab
 	if qp != "" {
 		h.met.quarantined.Inc()
 		h.met.healed.Inc()
-		h.jobLogf(j.id, "journal unusable (%v), quarantined to %s, restarting from scratch", cause, qp)
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "journal unusable, quarantined; restarting from scratch",
+			slog.String(h.d.Noun, j.id), slog.String("quarantine", qp), slog.Any("err", cause))
 	}
 	return err
 }
@@ -487,7 +484,8 @@ func (h *Host) finishJob(jb *Job, err error) {
 		jb.state = StateDone
 		h.mu.Unlock()
 		h.met.done.Inc()
-		h.jobLogf(jb.id, "done (%d cells)", jb.cellsTotal)
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "done",
+			slog.String(h.d.Noun, jb.id), slog.Int("cells", jb.cellsTotal))
 		return
 	}
 	jb.errText = err.Error()
@@ -505,7 +503,8 @@ func (h *Host) finishJob(jb *Job, err error) {
 		if durable.IsNoSpace(err) {
 			h.setDegraded(true)
 		}
-		h.jobLogf(jb.id, "interrupted, journaled for resume: %v", err)
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "interrupted, journaled for resume",
+			slog.String(h.d.Noun, jb.id), slog.Any("err", err))
 		return
 	}
 	// The marker must be durable before StateFailed is observable:
@@ -523,13 +522,15 @@ func (h *Host) finishJob(jb *Job, err error) {
 		if durable.IsNoSpace(werr) {
 			h.setDegraded(true)
 		}
-		h.jobLogf(jb.id, "could not record failure: %v", werr)
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn, "could not record failure",
+			slog.String(h.d.Noun, jb.id), slog.Any("err", werr))
 	}
 	h.mu.Lock()
 	jb.state = StateFailed
 	h.mu.Unlock()
 	h.met.failed.Inc()
-	h.jobLogf(jb.id, "failed permanently: %v", err)
+	h.cfg.Logger.LogAttrs(context.Background(), slog.LevelError, "failed permanently",
+		slog.String(h.d.Noun, jb.id), slog.Any("err", err))
 }
 
 // Submit admits a job under the class-aware SLO policy: an expired
@@ -681,7 +682,8 @@ func (h *Host) SubmitCtx(ctx context.Context, sp Spec) (*JobStatus, error) {
 	st := statusLocked(jb)
 	h.mu.Unlock()
 	h.met.accepted.Inc()
-	h.jobLogf(id, "accepted (%d cells)", jb.cellsTotal)
+	h.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "accepted",
+		slog.String(h.d.Noun, id), slog.Int("cells", jb.cellsTotal))
 	return st, nil
 }
 
@@ -754,7 +756,8 @@ func (h *Host) Draining() bool {
 // Returns once every worker has exited. Idempotent.
 func (h *Host) Drain(ctx context.Context) error {
 	h.closeAdmission()
-	h.logf("draining: admission closed, waiting up to %s for running %ss", h.cfg.DrainGrace, h.d.Noun)
+	h.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "draining: admission closed, waiting for running "+h.d.Noun+"s",
+		slog.Duration("grace", h.cfg.DrainGrace))
 
 	done := make(chan struct{})
 	go func() {
@@ -766,11 +769,11 @@ func (h *Host) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 	case <-grace.C:
-		h.logf("drain grace expired, canceling running %ss (progress stays journaled)", h.d.Noun)
+		h.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "drain grace expired, canceling running "+h.d.Noun+"s (progress stays journaled)")
 		h.cancelRunning()
 		<-done
 	case <-ctx.Done():
-		h.logf("drain aborted by caller, canceling running %ss", h.d.Noun)
+		h.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "drain aborted by caller, canceling running "+h.d.Noun+"s")
 		h.cancelRunning()
 		<-done
 	}
@@ -810,8 +813,9 @@ func (h *Host) logDrainSummary() {
 		counts[jb.state]++
 	}
 	h.mu.Unlock()
-	h.logf("drained: %d done, %d failed, %d interrupted, %d queued (interrupted/queued resume on restart)",
-		counts[StateDone], counts[StateFailed], counts[StateInterrupted], counts[StateQueued])
+	h.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "drained (interrupted and queued resume on restart)",
+		slog.Int(StateDone, counts[StateDone]), slog.Int(StateFailed, counts[StateFailed]),
+		slog.Int(StateInterrupted, counts[StateInterrupted]), slog.Int(StateQueued, counts[StateQueued]))
 }
 
 // Close hard-stops the host: cancels everything and waits for the
@@ -880,11 +884,12 @@ func (h *Host) setDegraded(on bool) {
 	if on {
 		h.met.lowDisk.Set(1)
 		durable.SetLowDisk(true)
-		h.logf("durable write hit ENOSPC; entering degraded mode (shedding new work, previously-acked state intact)")
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelWarn,
+			"durable write hit ENOSPC; entering degraded mode (shedding new work, previously-acked state intact)")
 	} else {
 		h.met.lowDisk.Set(0)
 		durable.SetLowDisk(false)
-		h.logf("disk probe succeeded; leaving degraded mode")
+		h.cfg.Logger.LogAttrs(context.Background(), slog.LevelInfo, "disk probe succeeded; leaving degraded mode")
 	}
 	// Degraded is brownout level 3 (reads only); publish the transition.
 	h.noteReadsOnly(on)

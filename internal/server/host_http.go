@@ -124,7 +124,7 @@ func (h *Host) wrapTimeout(endpoint string, timeout time.Duration, fn http.Handl
 		defer func() {
 			if p := recover(); p != nil {
 				err := runx.FromPanic(p, h.d.Stage+"."+r.Method+" "+r.URL.Path)
-				h.logf("%v", err)
+				h.cfg.Logger.LogAttrs(r.Context(), slog.LevelError, "handler panic", slog.Any("err", err))
 				h.WriteError(rec, err)
 			}
 			if rec.status == 0 {
@@ -219,7 +219,8 @@ func (h *Host) handleResult(w http.ResponseWriter, r *http.Request) {
 			// the meantime.
 			if qp, qerr := durable.Quarantine(h.cfg.FS, h.ResultPath(id)); qerr == nil {
 				h.met.quarantined.Inc()
-				h.jobLogf(id, "result failed integrity check, quarantined to %s: %v", qp, err)
+				h.cfg.Logger.LogAttrs(r.Context(), slog.LevelWarn, "result failed integrity check, quarantined",
+					slog.String(h.d.Noun, id), slog.String("quarantine", qp), slog.Any("err", err))
 				if h.requeueForHeal(id) {
 					h.met.healed.Inc()
 					durable.NoteHealed()

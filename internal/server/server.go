@@ -97,10 +97,13 @@ type Config struct {
 	// them unset (defaults 2 and 250ms).
 	Retries int
 	Backoff time.Duration
-	// Logf, if non-nil, receives operational log lines.
-	Logf func(format string, args ...any)
-	// Logger, if non-nil, receives the structured access log — one line
-	// per HTTP request, shed and drain responses included. Nil discards.
+	// Logger receives every line the host writes: lifecycle events at
+	// Info (accepted, done, resuming, draining), faults at Warn
+	// (quarantine, degraded mode, brownout, cell retries), permanent
+	// job failures and handler panics at Error, and one Info access
+	// line per HTTP request, shed and drain responses included. Ids go
+	// in attributes. Nil means obs.Discard, which still tees warnings
+	// and errors into obs.Flight.
 	Logger *slog.Logger
 	// Metrics is the registry server series register on; nil means
 	// obs.Default, so one /metrics scrape covers every layer of the
@@ -175,9 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.Backoff <= 0 {
 		c.Backoff = 250 * time.Millisecond
 	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
 	if c.Logger == nil {
 		c.Logger = obs.Discard
 	}
@@ -232,7 +232,7 @@ func New(cfg Config) (*Server, error) {
 		inputs:    experiments.NewInputPool(cfg.CellSlots),
 	}
 	h, err := NewHost(cfg, Daemon{
-		Name: "deesimd", Stage: stageServer, Noun: "job", Dir: "jobs", IDPrefix: "j",
+		Stage: stageServer, Noun: "job", Dir: "jobs", IDPrefix: "j",
 		Series:  Series{Prefix: "deesim_server", HTTP: "deesim_http", Resumed: "deesim_server_jobs_resumed_total"},
 		Execute: s.execute,
 	})
@@ -287,7 +287,7 @@ func (s *Server) execute(ctx context.Context, jb *Job) ([]byte, error) {
 	defer jr.Close()
 
 	if prior != nil && len(prior.Done) > 0 {
-		s.jobLogf(jb.id, "resuming, %s", prior.Summary(jb.cellsTotal))
+		s.cfg.Logger.LogAttrs(ctx, slog.LevelInfo, "resuming", slog.String("progress", prior.Summary(jb.cellsTotal)))
 	}
 	mcfg := experiments.MatrixConfig{
 		Jobs:    s.cfg.CellJobs,
@@ -300,7 +300,8 @@ func (s *Server) execute(ctx context.Context, jb *Job) ([]byte, error) {
 			Backoff:  backoff,
 		},
 		OnRetry: func(key string, attempt int, delay string, err error) {
-			s.jobLogf(jb.id, "retrying %s (attempt %d after %s): %v", key, attempt, delay, err)
+			s.cfg.Logger.LogAttrs(ctx, slog.LevelWarn, "retrying cell",
+				slog.String("cell", key), slog.Int("attempt", attempt), slog.String("delay", delay), slog.Any("err", err))
 		},
 		OnCell: func(key string, replayed bool) {
 			s.CellDone(jb)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"deesim/internal/durable"
+	"deesim/internal/obs"
 	"deesim/internal/superv"
 )
 
@@ -131,6 +133,50 @@ func TestSubmitStatusResult(t *testing.T) {
 	resp, body = getJSON(t, hs.URL+"/v1/jobs")
 	if resp.StatusCode != 200 || !strings.Contains(string(body), st.ID) {
 		t.Errorf("list: HTTP %d body %s", resp.StatusCode, body)
+	}
+}
+
+// TestSpecModelVocabulary: a spec names models as results and journal
+// keys print them, reference models and their aliases included.
+func TestSpecModelVocabulary(t *testing.T) {
+	sp := smokeSpec()
+	sp.Models = []string{"DEE-pure-CD-MF", "dee-profile", " sp-cd-mf "}
+	_, cfg, err := sp.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range cfg.Models {
+		got = append(got, m.String())
+	}
+	if want := "DEE-pure-CD-MF DEE-profile-CD-MF SP-CD-MF"; strings.Join(got, " ") != want {
+		t.Errorf("models = %v, want %s", got, want)
+	}
+}
+
+// TestHandlerPanicLandsInFlight: a recovered handler panic answers 500
+// and is logged at Error, so it reaches the flight recorder even
+// through the default Discard logger.
+func TestHandlerPanicLandsInFlight(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	token := fmt.Sprintf("boom-%d", time.Now().UnixNano())
+	h := s.wrapTimeout("panic", time.Second, func(http.ResponseWriter, *http.Request) { panic(token) })
+	rec := httptest.NewRecorder()
+	h(rec, httptest.NewRequest(http.MethodGet, "/panic-probe", nil))
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("panicking handler answered %d, want 500", rec.Code)
+	}
+	n := 0
+	for _, ev := range obs.Flight.Snapshot() {
+		if strings.Contains(ev.Attrs["err"], token) {
+			n++
+			if ev.Kind != "log" || ev.Msg != "handler panic" || ev.Attrs["level"] != "ERROR" {
+				t.Errorf("panic recorded as %+v, want an ERROR handler-panic log record", ev)
+			}
+		}
+	}
+	if n != 1 {
+		t.Errorf("panic recorded %d times in the flight recorder, want 1", n)
 	}
 }
 

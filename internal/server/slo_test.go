@@ -47,6 +47,38 @@ func submitOK(t *testing.T, base string, sp Spec) JobStatus {
 	return st
 }
 
+// TestBrownoutFlightOnce: with no Logger configured, a brownout
+// transition still reaches the flight recorder, as one Warn log record
+// carrying the submission's trace id.
+func TestBrownoutFlightOnce(t *testing.T) {
+	s, err := New(Config{StateDir: t.TempDir(), QueueDepth: 4, BrownoutWatermark: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close) // never started: submissions stay queued
+	if _, err := s.Submit(oneCellSpec()); err != nil {
+		t.Fatal(err)
+	}
+	tc := obs.NewTrace()
+	if _, err := s.SubmitCtx(obs.WithTraceContext(context.Background(), tc), oneCellSpec()); err != nil {
+		t.Fatal(err)
+	}
+	var got []obs.FlightEvent
+	for _, ev := range obs.Flight.Snapshot() {
+		if ev.Attrs["trace_id"] == tc.TraceID || ev.Attrs["trace"] == tc.TraceID {
+			got = append(got, ev)
+		}
+	}
+	if len(got) != 1 {
+		t.Fatalf("brownout recorded %d times, want once: %+v", len(got), got)
+	}
+	ev := got[0]
+	if ev.Kind != "log" || ev.Msg != "brownout transition" || ev.Attrs["level"] != "WARN" ||
+		ev.Attrs["from"] != "0" || ev.Attrs["to"] != "1" {
+		t.Errorf("brownout recorded as %+v, want a WARN transition 0 -> 1", ev)
+	}
+}
+
 // TestPriorityLanesInteractiveFirst: with one worker busy and a batch
 // job queued ahead of an interactive one, the worker must pop the
 // interactive job first — class order beats arrival order.

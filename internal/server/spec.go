@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"deesim/internal/bench"
-	"deesim/internal/dee"
 	"deesim/internal/experiments"
 	"deesim/internal/ilpsim"
 	"deesim/internal/runx"
@@ -193,18 +192,12 @@ func ParseDuration(name, val string) (time.Duration, error) {
 	return d, nil
 }
 
-// resolveModels mirrors the deesim CLI's model vocabulary: the paper's
-// seven plus the dee-pure/dee-profile reference strategies.
+// resolveModels resolves spec model names through ilpsim.ParseModel,
+// the deesim CLI's vocabulary.
 func resolveModels(names []string) ([]ilpsim.Model, error) {
-	byName := make(map[string]ilpsim.Model)
-	for _, m := range ilpsim.PaperModels {
-		byName[strings.ToLower(m.String())] = m
-	}
-	byName["dee-pure"] = ilpsim.Model{Strategy: dee.DEEPure, CDMode: ilpsim.CDMF}
-	byName["dee-profile"] = ilpsim.Model{Strategy: dee.DEEProfile, CDMode: ilpsim.CDMF}
 	var out []ilpsim.Model
 	for _, n := range names {
-		m, ok := byName[strings.ToLower(strings.TrimSpace(n))]
+		m, ok := ilpsim.ParseModel(n)
 		if !ok {
 			return nil, runx.Newf(runx.KindInvalidInput, stageSpec, "unknown model %q", n)
 		}
