@@ -50,6 +50,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"strconv"
 	"strings"
@@ -63,7 +64,6 @@ import (
 	"deesim/internal/memo"
 	"deesim/internal/obs"
 	"deesim/internal/predictor"
-	"deesim/internal/runx"
 	"deesim/internal/stats"
 	"deesim/internal/superv"
 	"deesim/internal/trace"
@@ -87,13 +87,11 @@ func main() {
 // cmd/deesim for the same structure).
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ablate", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		study       = fs.String("study", "all", "penalty, memory, designp, pe, latency, cache, tree, accuracy, or all")
 		benchFlag   = fs.String("bench", "xlisp", "workload")
 		etFlag      = fs.String("et", "64,256", "resource levels")
 		max         = fs.Uint64("max", 150_000, "dynamic instruction cap")
-		timeout     = fs.Duration("timeout", 0, "wall-clock limit for the whole run, e.g. 30s (0 = none)")
 		dlFlag      = fs.Int("deadlock-limit", 0, fmt.Sprintf("abort a simulation after this many cycles without progress (0 = default %d)", ilpsim.DefaultDeadlockLimit))
 		journalFlag = fs.String("journal", "", "record completed studies to a crash-safe run journal at this path")
 		resumeFlag  = fs.String("resume", "", "resume an interrupted run from this journal (re-runs only unfinished studies)")
@@ -103,197 +101,149 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		memoDir     = fs.String("memo-dir", "", "content-addressed result-cache directory: repeated runs replay cached studies (empty = caching off)")
 		memoMem     = fs.Int64("memo-mem", 0, "in-memory result-cache budget in bytes (0 = 64 MiB; effective with -memo-dir)")
 	)
-	obsFlags := obs.RegisterCLIFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "ablate:", err)
-		code := runx.ExitCode(err)
-		obsFlags.DumpFlightOnExit("ablate", code)
-		return code
-	}
-	if _, done, err := obsFlags.Handle("ablate", stdout, stderr); done {
-		return 0
-	} else if err != nil {
-		return fail(err)
-	}
-	defer func() {
-		if err := obsFlags.WriteMetrics(); err != nil {
-			fmt.Fprintln(stderr, "ablate:", err)
+	fs.Duration("timeout", 0, "wall-clock limit for the whole run, e.g. 30s (0 = none)") // obs.Main applies it
+	return obs.Main("ablate", fs, args, stdout, stderr, func(ctx context.Context, log *slog.Logger) error {
+		deadlockLimit = *dlFlag
+		studies := []struct {
+			name string
+			run  func(context.Context, io.Writer, *trace.Trace, []int) error
+		}{
+			{"penalty", penaltyStudy},
+			{"memory", memoryStudy},
+			{"designp", designPStudy},
+			{"pe", peStudy},
+			{"latency", latencyStudy},
+			{"cache", cacheStudy},
+			{"tree", treeStudy},
+			{"accuracy", func(ctx context.Context, w io.Writer, _ *trace.Trace, ets []int) error {
+				return accuracyStudy(ctx, w, ets)
+			}},
 		}
-	}()
-	stopFlush := obsFlags.FlushOnSignal()
-	defer stopFlush()
-	defer obsFlags.DumpFlightOnPanic("ablate")
-	stopQuit := obsFlags.WatchQuit("ablate")
-	defer stopQuit()
-	deadlockLimit = *dlFlag
-	if *journalFlag != "" && *resumeFlag != "" {
-		return fail(fmt.Errorf("-journal and -resume are mutually exclusive (resume appends to the journal it is given)"))
-	}
-
-	ctx, stop := runx.MainContext(*timeout)
-	defer stop()
-
-	w, err := bench.ByName(*benchFlag)
-	if err != nil {
-		return fail(err)
-	}
-	prog, err := w.Inputs[0].Build(0)
-	if err != nil {
-		return fail(err)
-	}
-	tr, err := trace.RecordContext(ctx, prog, *max)
-	if err != nil {
-		return fail(err)
-	}
-	var ets []int
-	for _, f := range strings.Split(*etFlag, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || v <= 0 {
-			return fail(fmt.Errorf("bad ET %q", f))
-		}
-		ets = append(ets, v)
-	}
-	fmt.Fprintf(stdout, "workload %s: %d dynamic instructions\n\n", w.Name, tr.Len())
-
-	studies := []struct {
-		name string
-		run  func(context.Context, io.Writer, *trace.Trace, []int) error
-	}{
-		{"penalty", penaltyStudy},
-		{"memory", memoryStudy},
-		{"designp", designPStudy},
-		{"pe", peStudy},
-		{"latency", latencyStudy},
-		{"cache", cacheStudy},
-		{"tree", treeStudy},
-		{"accuracy", func(ctx context.Context, w io.Writer, _ *trace.Trace, ets []int) error {
-			return accuracyStudy(ctx, w, ets)
-		}},
-	}
-	var selected []int
-	for i, st := range studies {
-		if *study == st.name || *study == "all" {
-			selected = append(selected, i)
-		}
-	}
-	if len(selected) == 0 {
-		return fail(fmt.Errorf("unknown study %q", *study))
-	}
-
-	var mm *memo.Memo
-	if *memoDir != "" {
-		if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
-			return fail(err)
-		}
-	}
-	// Ablation studies do not decompose into matrix cells, so the memo
-	// keys them whole: a study's rendered text is a pure function of
-	// (study, workload, ET list, instruction cap, deadlock limit) under
-	// the same sim-version salt cell keys use.
-	etParts := make([]string, len(ets))
-	for i, et := range ets {
-		etParts[i] = strconv.Itoa(et)
-	}
-	runStudy := func(ctx context.Context, name string, run func(context.Context, io.Writer, *trace.Trace, []int) error) (string, error) {
-		render := func(ctx context.Context) ([]byte, error) {
-			var b bytes.Buffer
-			if err := run(ctx, &b, tr, ets); err != nil {
-				return nil, err
+		var selected []int
+		for i, st := range studies {
+			if *study == st.name || *study == "all" {
+				selected = append(selected, i)
 			}
-			return b.Bytes(), nil
 		}
-		if mm == nil {
-			data, err := render(ctx)
-			return string(data), err
+		if len(selected) == 0 {
+			return fmt.Errorf("unknown study %q", *study)
 		}
-		key := strings.Join([]string{
-			"ablate", experiments.MemoSalt,
-			"study=" + name,
-			"bench=" + w.Name,
-			"et=" + strings.Join(etParts, ","),
-			"max=" + strconv.FormatUint(*max, 10),
-			"deadlock=" + strconv.Itoa(*dlFlag),
-		}, "|")
-		data, err := mm.Do(ctx, key, render)
-		return string(data), err
-	}
-
-	// Each study is a supervised task whose payload is its rendered
-	// text; with a journal, resume replays finished studies byte for byte.
-	meta := map[string]string{
-		"study": *study, "bench": *benchFlag, "et": *etFlag,
-		"max": strconv.FormatUint(*max, 10),
-	}
-	var (
-		j     *superv.Journal
-		prior *superv.State
-		path  = *journalFlag
-	)
-	if *resumeFlag != "" {
-		path = *resumeFlag
-		j, prior, err = superv.Resume(path, "ablate", meta)
+		// Each study is a supervised task whose payload is its rendered
+		// text; with a journal, resume replays finished studies byte for byte.
+		j, err := superv.OpenCLIJournal(ctx, log, "ablate", *journalFlag, *resumeFlag, map[string]string{
+			"study": *study, "bench": *benchFlag, "et": *etFlag,
+			"max": strconv.FormatUint(*max, 10),
+		}, len(selected))
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		fmt.Fprintf(stderr, "ablate: resuming %s: %s\n", path, prior.Summary(len(selected)))
-	} else if path != "" {
-		if j, err = superv.Create(path, "ablate", meta); err != nil {
-			return fail(err)
-		}
-	}
-	if j != nil {
 		defer j.Close()
-	}
 
-	var tasks []superv.Task
-	outputs := make(map[string]string, len(selected))
-	for _, i := range selected {
-		st := studies[i]
-		tasks = append(tasks, superv.Task{
-			Key: "study/" + st.name,
-			Run: func(ctx context.Context) (any, error) {
-				out, err := runStudy(ctx, st.name, st.run)
-				if err != nil {
+		w, err := bench.ByName(*benchFlag)
+		if err != nil {
+			return err
+		}
+		prog, err := w.Inputs[0].Build(0)
+		if err != nil {
+			return err
+		}
+		tr, err := trace.RecordContext(ctx, prog, *max)
+		if err != nil {
+			return err
+		}
+		var ets []int
+		for _, f := range strings.Split(*etFlag, ",") {
+			v, err := strconv.Atoi(strings.TrimSpace(f))
+			if err != nil || v <= 0 {
+				return fmt.Errorf("bad ET %q", f)
+			}
+			ets = append(ets, v)
+		}
+		fmt.Fprintf(stdout, "workload %s: %d dynamic instructions\n\n", w.Name, tr.Len())
+
+		var mm *memo.Memo
+		if *memoDir != "" {
+			if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
+				return err
+			}
+		}
+		// Ablation studies do not decompose into matrix cells, so the memo
+		// keys them whole: a study's rendered text is a pure function of
+		// (study, workload, ET list, instruction cap, deadlock limit) under
+		// the same sim-version salt cell keys use.
+		etParts := make([]string, len(ets))
+		for i, et := range ets {
+			etParts[i] = strconv.Itoa(et)
+		}
+		runStudy := func(ctx context.Context, name string, run func(context.Context, io.Writer, *trace.Trace, []int) error) (string, error) {
+			render := func(ctx context.Context) ([]byte, error) {
+				var b bytes.Buffer
+				if err := run(ctx, &b, tr, ets); err != nil {
 					return nil, err
 				}
-				return studyOutput{Study: st.name, Output: out}, nil
+				return b.Bytes(), nil
+			}
+			if mm == nil {
+				data, err := render(ctx)
+				return string(data), err
+			}
+			key := strings.Join([]string{
+				"ablate", experiments.MemoSalt,
+				"study=" + name,
+				"bench=" + w.Name,
+				"et=" + strings.Join(etParts, ","),
+				"max=" + strconv.FormatUint(*max, 10),
+				"deadlock=" + strconv.Itoa(*dlFlag),
+			}, "|")
+			data, err := mm.Do(ctx, key, render)
+			return string(data), err
+		}
+
+		var tasks []superv.Task
+		outputs := make(map[string]string, len(selected))
+		for _, i := range selected {
+			st := studies[i]
+			tasks = append(tasks, superv.Task{
+				Key: "study/" + st.name,
+				Run: func(ctx context.Context) (any, error) {
+					out, err := runStudy(ctx, st.name, st.run)
+					if err != nil {
+						return nil, err
+					}
+					return studyOutput{Study: st.name, Output: out}, nil
+				},
+			})
+		}
+		runErr := superv.Run(ctx, tasks, superv.Config{
+			Jobs:    *jobsFlag,
+			Journal: j.Journal,
+			Prior:   j.Prior,
+			Retry:   superv.RetryPolicy{Attempts: *retriesFlag + 1, Backoff: *backoffFlag},
+			OnDone: func(key string, payload json.RawMessage, replayed bool) {
+				var out studyOutput
+				if err := json.Unmarshal(payload, &out); err == nil {
+					outputs[key] = out.Output
+				}
+			},
+			OnRetry: func(key string, attempt int, delay time.Duration, err error) {
+				log.LogAttrs(ctx, slog.LevelWarn, "retrying study",
+					slog.String("study", key), slog.Int("attempt", attempt), slog.Duration("delay", delay), slog.Any("err", err))
 			},
 		})
-	}
-	runErr := superv.Run(ctx, tasks, superv.Config{
-		Jobs:    *jobsFlag,
-		Journal: j,
-		Prior:   prior,
-		Retry:   superv.RetryPolicy{Attempts: *retriesFlag + 1, Backoff: *backoffFlag},
-		OnDone: func(key string, payload json.RawMessage, replayed bool) {
-			var out studyOutput
-			if err := json.Unmarshal(payload, &out); err == nil {
-				outputs[key] = out.Output
+		// Print whatever completed — journaled and fresh alike — in the
+		// canonical study order, so interrupt → resume reprints identically.
+		for _, i := range selected {
+			if out, ok := outputs["study/"+studies[i].name]; ok {
+				io.WriteString(stdout, out)
 			}
-		},
-		OnRetry: func(key string, attempt int, delay time.Duration, err error) {
-			fmt.Fprintf(stderr, "ablate: retrying %s (attempt %d after %s): %v\n", key, attempt, delay, err)
-		},
+		}
+		if runErr != nil {
+			log.LogAttrs(ctx, slog.LevelWarn, "studies completed before failure",
+				slog.Int("completed", len(outputs)), slog.Int("total", len(selected)))
+			j.LogIncomplete(ctx, log)
+		}
+		return runErr
 	})
-	// Print whatever completed — journaled and fresh alike — in the
-	// canonical study order, so interrupt → resume reprints identically.
-	for _, i := range selected {
-		if out, ok := outputs["study/"+studies[i].name]; ok {
-			io.WriteString(stdout, out)
-		}
-	}
-	if runErr != nil {
-		fmt.Fprintf(stderr, "ablate: %d of %d studies completed", len(outputs), len(selected))
-		if j != nil {
-			fmt.Fprintf(stderr, " — resume with: ablate -resume %s", path)
-		}
-		fmt.Fprintln(stderr)
-		return fail(runErr)
-	}
-	return 0
 }
 
 // newSim builds a simulator with the CLI-wide deadlock limit applied.

@@ -6,6 +6,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"deesim/internal/obs/obstest"
+	"deesim/internal/runx"
 )
 
 // run invokes the CLI in-process and returns (exit code, stdout, stderr).
@@ -119,4 +122,17 @@ func TestUnknownStudyRejected(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, "unknown study") {
 		t.Errorf("exit %d, stderr %s", code, stderr)
 	}
+}
+
+// TestLifecycle: a run past its -timeout exits with the deadline code,
+// and on every path the -metrics-out snapshot is written and stderr is
+// JSON log records only.
+func TestLifecycle(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "run.journal")
+	obstest.Lifecycle(t, realMain, []obstest.Case{
+		{Name: "journaled", Args: fastArgs("-study", "penalty", "-journal", journal), Code: runx.ExitOK},
+		{Name: "resume", Args: fastArgs("-study", "penalty", "-resume", journal), Code: runx.ExitOK},
+		{Name: "deadline", Args: []string{"-study", "penalty", "-max", "300000", "-timeout", "1ms"}, Code: runx.ExitDeadline},
+		{Name: "unknown study", Args: fastArgs("-study", "nope"), Code: runx.ExitError},
+	})
 }

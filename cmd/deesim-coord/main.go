@@ -57,22 +57,16 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	"deesim/internal/budget"
 	"deesim/internal/coord"
-	"deesim/internal/durable"
-	"deesim/internal/fsck"
 	"deesim/internal/memo"
 	"deesim/internal/obs"
-	"deesim/internal/runx"
+	"deesim/internal/server"
 )
 
 func main() {
@@ -81,7 +75,6 @@ func main() {
 
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("deesim-coord", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		addrFlag     = fs.String("addr", "127.0.0.1:8525", "listen address (host:port; port 0 picks a free one)")
 		addrFileFlag = fs.String("addr-file", "", "write the bound listen address to this file once serving")
@@ -102,129 +95,41 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		memoMem      = fs.Int64("memo-mem", 0, "in-memory result-cache budget in bytes (0 = 64 MiB; effective with -memo-dir)")
 		fsckFlag     = fs.Bool("fsck", false, "integrity-check the -state directory and exit (do not serve)")
 	)
-	obsFlags := obs.RegisterCLIFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return runx.ExitUsage
-	}
-	logger, done, err := obsFlags.Handle("deesim-coord", stdout, stderr)
-	if done {
-		return runx.ExitOK
-	} else if err != nil {
-		fmt.Fprintln(stderr, "deesim-coord:", err)
-		return runx.ExitCode(err)
-	}
-	fail := func(err error) int {
-		code := runx.ExitCode(err)
-		logger.LogAttrs(context.Background(), slog.LevelError, "exiting on error", slog.Int("code", code), slog.Any("err", err))
-		obsFlags.DumpFlightOnExit("deesim-coord", code)
-		return code
-	}
-	defer func() {
-		if err := obsFlags.WriteMetrics(); err != nil {
-			logger.LogAttrs(context.Background(), slog.LevelWarn, "write metrics failed", slog.Any("err", err))
+	return obs.Main("deesim-coord", fs, args, stdout, stderr, func(ctx context.Context, log *slog.Logger) error {
+		var bud *budget.Budget
+		if *retryBudget > 0 {
+			bud = budget.New(*retryBudget, *budgetRefill)
 		}
-	}()
-	stopFlush := obsFlags.FlushOnSignal()
-	defer stopFlush()
-
-	if *fsckFlag {
-		r, err := fsck.Dir(nil, *stateFlag)
-		if err != nil {
-			return fail(err)
+		open := func(frags *obs.FragmentLog) (server.Service, error) {
+			var (
+				mm  *memo.Memo
+				err error
+			)
+			if *memoDir != "" {
+				if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
+					return nil, err
+				}
+			}
+			return coord.New(coord.Config{
+				StateDir:         *stateFlag,
+				Budget:           bud,
+				Memo:             mm,
+				QueueDepth:       *queueFlag,
+				LeaseTTL:         *leaseTTL,
+				HeartbeatTimeout: *hbTimeout,
+				CellRetries:      *cellRetries,
+				Backoff:          *backoffFlag,
+				StragglerFactor:  *stragglerF,
+				CellTimeout:      *cellTimeout,
+				RequestTimeout:   *reqTimeout,
+				DrainGrace:       *drainGrace,
+				RetryAfter:       *retryAfter,
+				Logger:           log,
+				Frags:            frags,
+			})
 		}
-		r.Render(stdout)
-		if err := r.Err(); err != nil {
-			return fail(err)
-		}
-		return runx.ExitOK
-	}
-
-	// Flight recorder and span fragments, exactly as on deesimd: the
-	// black box defaults into -state and survives SIGKILL via the
-	// periodic snapshot; the fragment log holds the coordinator's half
-	// of every sweep trace (root, lease-dispatch, and merge spans).
-	obsFlags.DefaultFlightOut(filepath.Join(*stateFlag, "flight.json"))
-	defer obsFlags.DumpFlightOnPanic("deesim-coord")
-	stopQuit := obsFlags.WatchQuit("deesim-coord")
-	defer stopQuit()
-	frCtx, frStop := context.WithCancel(context.Background())
-	defer frStop()
-	go obs.Flight.Persist(frCtx, obsFlags.FlightOut, "deesim-coord", 0)
-
-	frags, err := obs.OpenFragmentLog(filepath.Join(*stateFlag, "fragments.jsonl"), "deesim-coord")
-	if err != nil {
-		return fail(runx.Newf(runx.KindUnknown, "deesim-coord", "open fragment log: %v", err))
-	}
-	defer frags.Close()
-
-	var bud *budget.Budget
-	if *retryBudget > 0 {
-		bud = budget.New(*retryBudget, *budgetRefill)
-	}
-	var mm *memo.Memo
-	if *memoDir != "" {
-		if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
-			return fail(err)
-		}
-	}
-	c, err := coord.New(coord.Config{
-		StateDir:         *stateFlag,
-		Budget:           bud,
-		Memo:             mm,
-		QueueDepth:       *queueFlag,
-		LeaseTTL:         *leaseTTL,
-		HeartbeatTimeout: *hbTimeout,
-		CellRetries:      *cellRetries,
-		Backoff:          *backoffFlag,
-		StragglerFactor:  *stragglerF,
-		CellTimeout:      *cellTimeout,
-		RequestTimeout:   *reqTimeout,
-		DrainGrace:       *drainGrace,
-		RetryAfter:       *retryAfter,
-		Logger:           logger,
-		Frags:            frags,
+		return server.Serve(ctx, log, stdout, "deesim-coord", server.ServeFlags{
+			Addr: *addrFlag, AddrFile: *addrFileFlag, State: *stateFlag, Fsck: *fsckFlag,
+		}, open, nil)
 	})
-	if err != nil {
-		return fail(err)
-	}
-
-	ln, err := net.Listen("tcp", *addrFlag)
-	if err != nil {
-		return fail(runx.Newf(runx.KindUnavailable, "deesim-coord", "listen %s: %v", *addrFlag, err))
-	}
-	if *addrFileFlag != "" {
-		if err := durable.WriteFileAtomic(nil, *addrFileFlag, []byte(ln.Addr().String()+"\n")); err != nil {
-			ln.Close()
-			return fail(err)
-		}
-	}
-
-	c.Start()
-	httpSrv := &http.Server{Handler: c.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.LogAttrs(context.Background(), slog.LevelInfo, "serving", slog.String("url", "http://"+ln.Addr().String()),
-		slog.String("state", *stateFlag), slog.Duration("lease_ttl", *leaseTTL), slog.Duration("heartbeat_timeout", *hbTimeout))
-	fmt.Fprintln(stdout, ln.Addr().String())
-
-	ctx, stop := runx.MainContext(0)
-	select {
-	case <-ctx.Done():
-		stop()
-		logger.LogAttrs(ctx, slog.LevelInfo, "signal received, draining")
-		if err := c.Drain(context.Background()); err != nil {
-			return fail(err)
-		}
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			logger.LogAttrs(ctx, slog.LevelWarn, "http shutdown failed", slog.Any("err", err))
-		}
-		logger.LogAttrs(ctx, slog.LevelInfo, "drained, exiting")
-		return runx.ExitOK
-	case err := <-serveErr:
-		stop()
-		c.Close()
-		return fail(runx.Newf(runx.KindUnavailable, "deesim-coord", "serve: %v", err))
-	}
 }

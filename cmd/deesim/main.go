@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"slices"
 	"strconv"
@@ -78,7 +79,6 @@ func main() {
 // resume / golden workflows are testable end to end in-process.
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("deesim", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		benchFlag   = fs.String("bench", "all", "workloads to run: all or comma-separated names")
 		resFlag     = fs.String("resources", "8,16,32,64,128,256", "comma-separated ET sweep (branch paths; 0 = unlimited, the Lam & Wilson setting)")
@@ -93,7 +93,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		pesFlag     = fs.Int("pes", 0, "processing elements issued per cycle (0 = unlimited, the paper's assumption)")
 		latFlag     = fs.String("latency", "unit", "instruction latencies: unit (the paper) or realistic")
 		cacheFlag   = fs.String("cache", "none", "data cache: none (the paper) or 16k (16KiB 4-way, 10-cycle miss)")
-		timeoutFlag = fs.Duration("timeout", 0, "wall-clock limit for the whole run, e.g. 30s or 1m (0 = none)")
 		dlFlag      = fs.Int("deadlock-limit", 0, fmt.Sprintf("abort a simulation after this many cycles without progress (0 = default %d)", ilpsim.DefaultDeadlockLimit))
 
 		fsckFlag    = fs.Bool("fsck", false, "integrity-check the -journal file and exit (no sweep runs)")
@@ -110,215 +109,136 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 
 		traceOut = fs.String("trace-out", "", "write a Chrome trace-event JSON timeline of the sweep to this path (load in chrome://tracing or Perfetto)")
 	)
-	obsFlags := obs.RegisterCLIFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "deesim:", err)
-		code := runx.ExitCode(err)
-		obsFlags.DumpFlightOnExit("deesim", code)
-		return code
-	}
-	if _, done, err := obsFlags.Handle("deesim", stdout, stderr); done {
-		return 0
-	} else if err != nil {
-		return fail(err)
-	}
-	defer func() {
-		if err := obsFlags.WriteMetrics(); err != nil {
-			fmt.Fprintln(stderr, "deesim:", err)
-		}
-	}()
-	// Flush telemetry at first SIGINT/SIGTERM, not only on clean exit: a
-	// second signal (or a kill mid-drain) skips the deferred writers, and
-	// an interrupted sweep's metrics and trace are exactly the runs worth
-	// examining. The trace file is a no-op without -trace-out.
-	tw := &traceFile{path: *traceOut, frags: obs.NewMemFragmentLog("deesim")}
-	stopFlush := obsFlags.FlushOnSignal(func() error {
-		_, err := tw.write()
-		return err
-	})
-	defer stopFlush()
-	defer obsFlags.DumpFlightOnPanic("deesim")
-	stopQuit := obsFlags.WatchQuit("deesim")
-	defer stopQuit()
-
-	if *fsckFlag {
-		if *journalFlag == "" {
-			return fail(runx.Newf(runx.KindInvalidInput, "deesim", "-fsck needs -journal <path> to check"))
-		}
-		r := fsck.JournalReport(nil, *journalFlag)
-		r.Render(stdout)
-		if err := r.Err(); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
-	cfg := experiments.Config{
-		Scale:     *scaleFlag,
-		MaxInstrs: *maxFlag,
-		Predictor: *predFlag,
-		Opts: ilpsim.Options{
-			Penalty:       *penaltyFlag,
-			StrictMemory:  *strictMem,
-			PEs:           *pesFlag,
-			DeadlockLimit: *dlFlag,
-		},
-	}
-	switch *latFlag {
-	case "unit":
-	case "realistic":
-		cfg.Opts.Lat = ilpsim.RealisticLatencies()
-	default:
-		return fail(fmt.Errorf("unknown latency model %q", *latFlag))
-	}
-	switch *cacheFlag {
-	case "none":
-	case "16k":
-		c := cache.Default16K()
-		cfg.Opts.Cache = &c
-	default:
-		return fail(fmt.Errorf("unknown cache %q", *cacheFlag))
-	}
-	var err error
-	cfg.Resources, err = parseInts(*resFlag)
-	if err != nil {
-		return fail(err)
-	}
-	cfg.Models, err = parseModels(*modelsFlag)
-	if err != nil {
-		return fail(err)
-	}
-	ws, err := selectWorkloads(*benchFlag)
-	if err != nil {
-		return fail(err)
-	}
-	if *journalFlag != "" && *resumeFlag != "" {
-		return fail(fmt.Errorf("-journal and -resume are mutually exclusive (resume appends to the journal it is given)"))
-	}
-	var mm *memo.Memo
-	if *memoDir != "" {
-		if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
-			return fail(err)
-		}
-	}
-
-	ctx, stop := runx.MainContext(*timeoutFlag)
-	defer stop()
-	if *traceOut != "" {
-		ctx = obs.WithFragments(obs.WithTraceContext(ctx, obs.NewTrace()), tw.frags)
-		defer func() {
-			if n, err := tw.write(); err != nil {
-				fmt.Fprintln(stderr, "deesim: write trace:", err)
-			} else {
-				fmt.Fprintf(stderr, "deesim: wrote %d trace events to %s\n", n, *traceOut)
+	fs.Duration("timeout", 0, "wall-clock limit for the whole run, e.g. 30s or 1m (0 = none)") // obs.Main applies it
+	return obs.Main("deesim", fs, args, stdout, stderr, func(ctx context.Context, log *slog.Logger) error {
+		if *fsckFlag {
+			if *journalFlag == "" {
+				return runx.Newf(runx.KindInvalidInput, "deesim", "-fsck needs -journal <path> to check")
 			}
-		}()
-	}
+			r := fsck.JournalReport(nil, *journalFlag)
+			r.Render(stdout)
+			return r.Err()
+		}
 
-	results, err := runSweep(ctx, ws, cfg, sweepOpts{
-		journal: *journalFlag, resume: *resumeFlag,
-		jobs: *jobsFlag, retries: *retriesFlag, backoff: *backoffFlag,
-		memo: mm,
-	}, stderr)
-	// Every panel that completed, in -bench order, whether or not the
-	// sweep failed.
-	for _, r := range results {
-		fmt.Fprintln(stdout, experiments.Render(r, cfg))
-		if *statsFlag && r.Workload != "harmonic-mean" {
-			printRootStats(stdout, r, cfg)
+		cfg := experiments.Config{
+			Scale:     *scaleFlag,
+			MaxInstrs: *maxFlag,
+			Predictor: *predFlag,
+			Opts: ilpsim.Options{
+				Penalty:       *penaltyFlag,
+				StrictMemory:  *strictMem,
+				PEs:           *pesFlag,
+				DeadlockLimit: *dlFlag,
+			},
 		}
-		if *csvFlag {
-			fmt.Fprintln(stdout, renderCSV(r, cfg))
+		switch *latFlag {
+		case "unit":
+		case "realistic":
+			cfg.Opts.Lat = ilpsim.RealisticLatencies()
+		default:
+			return fmt.Errorf("unknown latency model %q", *latFlag)
 		}
-	}
-	if err != nil {
-		fmt.Fprintf(stderr, "deesim: %d of %d workloads completed before failure\n", len(results), len(ws))
-		return fail(err)
-	}
-
-	if *writeGolden != "" {
-		g := goldenFromResults(*figureFlag, fs, results, cfg)
-		if err := g.Write(*writeGolden); err != nil {
-			return fail(fmt.Errorf("write golden %s: %w", *writeGolden, err))
+		switch *cacheFlag {
+		case "none":
+		case "16k":
+			c := cache.Default16K()
+			cfg.Opts.Cache = &c
+		default:
+			return fmt.Errorf("unknown cache %q", *cacheFlag)
 		}
-		fmt.Fprintf(stderr, "deesim: wrote golden snapshot %s (%d points)\n", *writeGolden, len(g.Points))
-	}
-	if *goldenFlag != "" {
-		g, err := superv.LoadGolden(*goldenFlag)
+		var err error
+		if cfg.Resources, err = parseInts(*resFlag); err != nil {
+			return err
+		}
+		if cfg.Models, err = parseModels(*modelsFlag); err != nil {
+			return err
+		}
+		ws, err := bench.SelectFlag(*benchFlag)
 		if err != nil {
-			return fail(err)
+			return err
 		}
-		if err := superv.CompareGolden(g, lookupResults(results), 0); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stderr, "deesim: %d golden cells within tolerance of %s\n", len(g.Points), *goldenFlag)
-	}
-	return 0
-}
-
-type sweepOpts struct {
-	journal, resume string
-	jobs, retries   int
-	backoff         time.Duration
-	memo            *memo.Memo
-}
-
-// runSweep runs the sweep through experiments.RunMatrixContext,
-// creating or resuming the run journal when one is given. Without one
-// the sweep runs unjournaled and an interrupted run starts over (or,
-// with -memo-dir, replays its finished cells from the memo store).
-func runSweep(ctx context.Context, ws []bench.Workload, cfg experiments.Config, o sweepOpts, stderr io.Writer) ([]*experiments.WorkloadResult, error) {
-	meta := experiments.MatrixMeta(ws, cfg)
-	total := experiments.MatrixTaskCount(ws, cfg)
-	var (
-		j     *superv.Journal
-		prior *superv.State
-		path  = o.journal
-		err   error
-	)
-	if o.resume != "" {
-		path = o.resume
-		j, prior, err = superv.Resume(path, "deesim", meta)
+		j, err := superv.OpenCLIJournal(ctx, log, "deesim", *journalFlag, *resumeFlag,
+			experiments.MatrixMeta(ws, cfg), experiments.MatrixTaskCount(ws, cfg))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		fmt.Fprintf(stderr, "deesim: resuming %s: %s\n", path, prior.Summary(total))
-	} else if path != "" {
-		if j, err = superv.Create(path, "deesim", meta); err != nil {
-			return nil, err
-		}
-	}
-	if j != nil {
 		defer j.Close()
-	}
-	mcfg := experiments.MatrixConfig{
-		Jobs:    o.jobs,
-		Journal: j,
-		Prior:   prior,
-		Memo:    o.memo,
-		Retry: superv.RetryPolicy{
-			Attempts: o.retries + 1,
-			Backoff:  o.backoff,
-		},
-		OnRetry: func(key string, attempt int, delay string, err error) {
-			fmt.Fprintf(stderr, "deesim: retrying %s (attempt %d after %s): %v\n", key, attempt, delay, err)
-		},
-	}
-	results, err := experiments.RunMatrixContext(ctx, ws, cfg, mcfg)
-	if err != nil {
-		// The journal knows exactly what a resumed run will skip.
-		if path != "" {
-			if st, lerr := superv.Load(path); lerr == nil {
-				fmt.Fprintf(stderr, "deesim: journal %s: %s — resume with: deesim -resume %s\n",
-					path, st.Summary(total), path)
+		var mm *memo.Memo
+		if *memoDir != "" {
+			if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
+				return err
 			}
 		}
-		return results, err
-	}
-	return results, nil
+
+		if *traceOut != "" {
+			// Write the trace the moment the run is cancelled too: a second
+			// signal (or a kill mid-drain) never reaches the exit path, and an
+			// interrupted sweep's trace is exactly the one worth examining.
+			tw := &traceFile{path: *traceOut, frags: obs.NewMemFragmentLog("deesim")}
+			ctx = obs.WithFragments(obs.WithTraceContext(ctx, obs.NewTrace()), tw.frags)
+			stop := context.AfterFunc(ctx, func() {
+				if _, err := tw.write(); err != nil {
+					log.LogAttrs(ctx, slog.LevelWarn, "flush on signal failed", slog.Any("err", err))
+				}
+			})
+			defer func() {
+				stop()
+				if n, err := tw.write(); err != nil {
+					log.LogAttrs(ctx, slog.LevelWarn, "write trace failed", slog.Any("err", err))
+				} else {
+					log.LogAttrs(ctx, slog.LevelInfo, "wrote trace", slog.Int("events", n), slog.String("path", *traceOut))
+				}
+			}()
+		}
+
+		results, err := experiments.RunMatrixContext(ctx, ws, cfg, experiments.MatrixConfig{
+			Jobs:    *jobsFlag,
+			Journal: j.Journal,
+			Prior:   j.Prior,
+			Memo:    mm,
+			Retry:   superv.RetryPolicy{Attempts: *retriesFlag + 1, Backoff: *backoffFlag},
+			OnRetry: func(key string, attempt int, delay string, err error) {
+				log.LogAttrs(ctx, slog.LevelWarn, "retrying cell",
+					slog.String("cell", key), slog.Int("attempt", attempt), slog.String("delay", delay), slog.Any("err", err))
+			},
+		})
+		// Every panel that completed, in -bench order, whether or not the
+		// sweep failed.
+		for _, r := range results {
+			fmt.Fprintln(stdout, experiments.Render(r, cfg))
+			if *statsFlag && r.Workload != "harmonic-mean" {
+				printRootStats(stdout, r, cfg)
+			}
+			if *csvFlag {
+				fmt.Fprintln(stdout, renderCSV(r, cfg))
+			}
+		}
+		if err != nil {
+			log.LogAttrs(ctx, slog.LevelWarn, "workloads completed before failure",
+				slog.Int("completed", len(results)), slog.Int("total", len(ws)))
+			j.LogIncomplete(ctx, log)
+			return err
+		}
+
+		if *writeGolden != "" {
+			g := goldenFromResults(*figureFlag, fs, results, cfg)
+			if err := g.Write(*writeGolden); err != nil {
+				return fmt.Errorf("write golden %s: %w", *writeGolden, err)
+			}
+			log.LogAttrs(ctx, slog.LevelInfo, "wrote golden snapshot", slog.String("path", *writeGolden), slog.Int("points", len(g.Points)))
+		}
+		if *goldenFlag != "" {
+			g, err := superv.LoadGolden(*goldenFlag)
+			if err != nil {
+				return err
+			}
+			if err := superv.CompareGolden(g, lookupResults(results), 0); err != nil {
+				return err
+			}
+			log.LogAttrs(ctx, slog.LevelInfo, "golden cells within tolerance", slog.Int("cells", len(g.Points)), slog.String("golden", *goldenFlag))
+		}
+		return nil
+	})
 }
 
 // lookupResults adapts merged workload results to the golden-compare
@@ -428,28 +348,6 @@ func parseModels(s string) ([]ilpsim.Model, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("empty model list")
-	}
-	return out, nil
-}
-
-func selectWorkloads(s string) ([]bench.Workload, error) {
-	if s == "all" {
-		return bench.All(), nil
-	}
-	var out []bench.Workload
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		w, err := bench.ByName(f)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, w)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty workload list")
 	}
 	return out, nil
 }

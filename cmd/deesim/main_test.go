@@ -15,6 +15,7 @@ import (
 	"deesim/internal/dee"
 	"deesim/internal/ilpsim"
 	"deesim/internal/obs"
+	"deesim/internal/obs/obstest"
 	"deesim/internal/runx"
 	"deesim/internal/superv"
 )
@@ -217,20 +218,6 @@ func TestParseModels(t *testing.T) {
 	}
 }
 
-func TestSelectWorkloads(t *testing.T) {
-	ws, err := selectWorkloads("all")
-	if err != nil || len(ws) != 5 {
-		t.Fatalf("all workloads: %d, %v", len(ws), err)
-	}
-	ws, err = selectWorkloads("compress,xlisp")
-	if err != nil || len(ws) != 2 || ws[1].Name != "xlisp" {
-		t.Fatalf("subset: %v, %v", ws, err)
-	}
-	if _, err := selectWorkloads("gcc"); err == nil {
-		t.Error("unknown workload accepted")
-	}
-}
-
 // TestObservabilityFlags exercises the shared telemetry flag block
 // end to end: -version short-circuits, -metrics-out dumps a Prometheus
 // snapshot with simulator series, -trace-out writes a loadable Chrome
@@ -346,4 +333,21 @@ func TestTraceFileConcurrentWrites(t *testing.T) {
 	if left, _ := filepath.Glob(path + ".*"); len(left) != 0 {
 		t.Errorf("temp files left behind: %v", left)
 	}
+}
+
+// TestLifecycle: a sweep past its -timeout exits with the deadline
+// code, and on every path the -metrics-out snapshot is written and
+// stderr is JSON log records only — progress, retry, resume hint and
+// error alike.
+func TestLifecycle(t *testing.T) {
+	dir := t.TempDir()
+	obstest.Lifecycle(t, realMain, []obstest.Case{
+		{Name: "golden", Args: fastArgs("-journal", filepath.Join(dir, "ok.journal"),
+			"-write-golden", filepath.Join(dir, "g.json")), Code: runx.ExitOK},
+		{Name: "resume", Args: fastArgs("-resume", filepath.Join(dir, "ok.journal"),
+			"-golden", filepath.Join(dir, "g.json")), Code: runx.ExitOK},
+		{Name: "deadline", Args: []string{"-bench", "xlisp", "-max", "300000", "-timeout", "1ms",
+			"-journal", filepath.Join(dir, "late.journal")}, Code: runx.ExitDeadline},
+		{Name: "unknown model", Args: []string{"-models", "nope"}, Code: runx.ExitError},
+	})
 }

@@ -72,10 +72,12 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
+	"log/slog"
 	"os"
 	"time"
 
@@ -95,254 +97,214 @@ func main() {
 
 func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("deesimctl", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		serverFlag  = fs.String("server", "http://127.0.0.1:8425", "deesimd base URL")
 		retriesFlag = fs.Int("retries", 3, "retries per request after the first attempt")
 		backoffFlag = fs.Duration("backoff", 250*time.Millisecond, "base retry backoff (exponential, seeded jitter; Retry-After raises it)")
-		timeoutFlag = fs.Duration("timeout", 0, "wall-clock limit for the whole command (0 = none)")
 		pollFlag    = fs.Duration("poll", 500*time.Millisecond, "status poll interval for wait")
 		waitFlag    = fs.Bool("wait", false, "with submit: wait for completion and print the result")
 		retryBudget = fs.Int("retry-budget", 0, "total retries this invocation may issue across all requests (0 = unlimited)")
 		prioFlag    = fs.String("priority", "", `with submit: stamp the spec's priority class ("interactive" or "batch")`)
 		deadlineRel = fs.Duration("deadline", 0, "with submit: absolute deadline this far from now (0 = none)")
 	)
-	obsFlags := obs.RegisterCLIFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return runx.ExitUsage
-	}
-	logger, done, err := obsFlags.Handle("deesimctl", stdout, stderr)
-	if done {
-		return runx.ExitOK
-	} else if err != nil {
-		fmt.Fprintln(stderr, "deesimctl:", err)
-		return runx.ExitCode(err)
-	}
-	defer func() {
-		if err := obsFlags.WriteMetrics(); err != nil {
-			fmt.Fprintln(stderr, "deesimctl:", err)
+	fs.Duration("timeout", 0, "wall-clock limit for the whole command (0 = none)") // obs.Main applies it
+	return obs.Main("deesimctl", fs, args, stdout, stderr, func(ctx context.Context, log *slog.Logger) error {
+		if fs.NArg() < 1 {
+			fs.Usage()
+			return fmt.Errorf("missing command (submit, submit-distributed, status, list, result, wait, health, fleet, fsck, memo, trace): %w", flag.ErrHelp)
 		}
-	}()
-	stopFlush := obsFlags.FlushOnSignal()
-	defer stopFlush()
-	defer obsFlags.DumpFlightOnPanic("deesimctl")
-	stopQuit := obsFlags.WatchQuit("deesimctl")
-	defer stopQuit()
-	if fs.NArg() < 1 {
-		fmt.Fprintln(stderr, "deesimctl: missing command (submit, submit-distributed, status, list, result, wait, health, fleet, fsck, memo, trace)")
-		fs.Usage()
-		return runx.ExitUsage
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, "deesimctl:", err)
-		code := runx.ExitCode(err)
-		// Nonzero typed exits leave a flight-recorder dump when the user
-		// asked for one (-flight-out); silently nothing otherwise.
-		obsFlags.DumpFlightOnExit("deesimctl", code)
-		return code
-	}
+		c := client.New(*serverFlag)
+		c.Retry = superv.RetryPolicy{Attempts: *retriesFlag + 1, Backoff: *backoffFlag}
+		c.Logger = log
+		if *retryBudget > 0 {
+			c.Budget = budget.New(*retryBudget, 0)
+		}
 
-	c := client.New(*serverFlag)
-	c.Retry = superv.RetryPolicy{Attempts: *retriesFlag + 1, Backoff: *backoffFlag}
-	c.Logger = logger
-	if *retryBudget > 0 {
-		c.Budget = budget.New(*retryBudget, 0)
-	}
-
-	ctx, stop := runx.MainContext(*timeoutFlag)
-	defer stop()
-
-	emit := func(v any) error {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(v)
-	}
-	needArg := func(what string) (string, error) {
-		if fs.NArg() < 2 {
-			return "", runx.Newf(runx.KindInvalidInput, "deesimctl", "usage: deesimctl %s <%s>", fs.Arg(0), what)
+		emit := func(v any) error {
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			return enc.Encode(v)
 		}
-		return fs.Arg(1), nil
-	}
-
-	switch cmd := fs.Arg(0); cmd {
-	case "submit", "submit-distributed":
-		path, err := needArg("spec.json")
-		if err != nil {
-			return fail(err)
+		emitRaw := func(raw []byte) error {
+			_, err := stdout.Write(append(raw, '\n'))
+			return err
 		}
-		var data []byte
-		if path == "-" {
-			data, err = io.ReadAll(stdin)
-		} else {
-			data, err = os.ReadFile(path)
-		}
-		if err != nil {
-			return fail(runx.Newf(runx.KindInvalidInput, "deesimctl", "read spec: %v", err))
-		}
-		var sp server.Spec
-		if err := json.Unmarshal(data, &sp); err != nil {
-			return fail(runx.Newf(runx.KindInvalidInput, "deesimctl", "parse spec %s: %v", path, err))
-		}
-		if *prioFlag != "" {
-			sp.Priority = *prioFlag
-		}
-		if *deadlineRel > 0 {
-			// The wire carries an absolute RFC3339 deadline so every hop
-			// (server, coordinator, worker cells) enforces the same instant
-			// regardless of queueing delay in between.
-			sp.Deadline = time.Now().Add(*deadlineRel).UTC().Format(time.RFC3339)
-		}
-		// Mint the trace here, at the true root of the request: the
-		// client injects it as a traceparent header, the daemon persists
-		// it into the spec, and every hop downstream joins it.
-		tc := obs.NewTrace()
-		st, err := c.Submit(obs.WithTraceContext(ctx, tc), sp)
-		if err != nil {
-			return fail(err)
-		}
-		noun := "job"
-		if cmd == "submit-distributed" {
-			noun = "distributed sweep"
-		}
-		fmt.Fprintf(stderr, "deesimctl: %s %s accepted (%d cells, trace %s)\n", noun, st.ID, st.CellsTotal, tc.TraceID)
-		if !*waitFlag {
-			fmt.Fprintln(stdout, st.ID)
-			return runx.ExitOK
-		}
-		if _, err := c.Wait(ctx, st.ID, *pollFlag); err != nil {
-			return fail(err)
-		}
-		raw, err := c.Result(ctx, st.ID)
-		if err != nil {
-			return fail(err)
-		}
-		stdout.Write(append(raw, '\n'))
-		return runx.ExitOK
-
-	case "status":
-		id, err := needArg("job-id")
-		if err != nil {
-			return fail(err)
-		}
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return fail(err)
-		}
-		emit(st)
-		return runx.ExitOK
-
-	case "list":
-		sts, err := c.List(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		emit(sts)
-		return runx.ExitOK
-
-	case "result":
-		id, err := needArg("job-id")
-		if err != nil {
-			return fail(err)
-		}
-		raw, err := c.Result(ctx, id)
-		if err != nil {
-			return fail(err)
-		}
-		stdout.Write(append(raw, '\n'))
-		return runx.ExitOK
-
-	case "wait":
-		id, err := needArg("job-id")
-		if err != nil {
-			return fail(err)
-		}
-		st, err := c.Wait(ctx, id, *pollFlag)
-		if err != nil {
-			return fail(err)
-		}
-		emit(st)
-		return runx.ExitOK
-
-	case "fleet":
-		raw, err := c.Fleet(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		stdout.Write(append(raw, '\n'))
-		return runx.ExitOK
-
-	case "fsck":
-		// Offline: walks the state directory directly, no daemon involved
-		// (run it against a stopped daemon's -state dir).
-		dir, err := needArg("state-dir")
-		if err != nil {
-			return fail(err)
-		}
-		r, err := fsck.Dir(nil, dir)
-		if err != nil {
-			return fail(err)
-		}
-		r.Render(stdout)
-		if err := r.Err(); err != nil {
-			return fail(err)
-		}
-		return runx.ExitOK
-
-	case "memo":
-		// Offline like fsck: operates on the store directory directly,
-		// so it works against a stopped daemon's -memo-dir.
-		if fs.NArg() < 3 {
-			return fail(runx.Newf(runx.KindInvalidInput, "deesimctl", "usage: deesimctl memo stats|purge <memo-dir>"))
-		}
-		sub, dir := fs.Arg(1), fs.Arg(2)
-		switch sub {
-		case "stats":
-			st, err := memo.DirStats(nil, dir)
-			if err != nil {
-				return fail(err)
+		needArg := func(what string) (string, error) {
+			if fs.NArg() < 2 {
+				return "", runx.Newf(runx.KindInvalidInput, "deesimctl", "usage: deesimctl %s <%s>", fs.Arg(0), what)
 			}
-			emit(st)
-			return runx.ExitOK
-		case "purge":
-			n, err := memo.PurgeDir(nil, dir)
+			return fs.Arg(1), nil
+		}
+
+		switch cmd := fs.Arg(0); cmd {
+		case "submit", "submit-distributed":
+			path, err := needArg("spec.json")
 			if err != nil {
-				return fail(err)
+				return err
 			}
-			fmt.Fprintf(stdout, "purged %d cache entries from %s\n", n, dir)
-			return runx.ExitOK
+			var data []byte
+			if path == "-" {
+				data, err = io.ReadAll(stdin)
+			} else {
+				data, err = os.ReadFile(path)
+			}
+			if err != nil {
+				return runx.Newf(runx.KindInvalidInput, "deesimctl", "read spec: %v", err)
+			}
+			var sp server.Spec
+			if err := json.Unmarshal(data, &sp); err != nil {
+				return runx.Newf(runx.KindInvalidInput, "deesimctl", "parse spec %s: %v", path, err)
+			}
+			if *prioFlag != "" {
+				sp.Priority = *prioFlag
+			}
+			if *deadlineRel > 0 {
+				// The wire carries an absolute RFC3339 deadline so every hop
+				// (server, coordinator, worker cells) enforces the same instant
+				// regardless of queueing delay in between.
+				sp.Deadline = time.Now().Add(*deadlineRel).UTC().Format(time.RFC3339)
+			}
+			// Mint the trace here, at the true root of the request: the
+			// client injects it as a traceparent header, the daemon persists
+			// it into the spec, and every hop downstream joins it.
+			tc := obs.NewTrace()
+			st, err := c.Submit(obs.WithTraceContext(ctx, tc), sp)
+			if err != nil {
+				return err
+			}
+			noun := "job"
+			if cmd == "submit-distributed" {
+				noun = "sweep"
+			}
+			log.LogAttrs(ctx, slog.LevelInfo, "accepted", slog.String(noun, st.ID),
+				slog.Int("cells", st.CellsTotal), slog.String("trace_id", tc.TraceID))
+			if !*waitFlag {
+				fmt.Fprintln(stdout, st.ID)
+				return nil
+			}
+			if _, err := c.Wait(ctx, st.ID, *pollFlag); err != nil {
+				return err
+			}
+			raw, err := c.Result(ctx, st.ID)
+			if err != nil {
+				return err
+			}
+			return emitRaw(raw)
+
+		case "status":
+			id, err := needArg("job-id")
+			if err != nil {
+				return err
+			}
+			st, err := c.Status(ctx, id)
+			if err != nil {
+				return err
+			}
+			return emit(st)
+
+		case "list":
+			sts, err := c.List(ctx)
+			if err != nil {
+				return err
+			}
+			return emit(sts)
+
+		case "result":
+			id, err := needArg("job-id")
+			if err != nil {
+				return err
+			}
+			raw, err := c.Result(ctx, id)
+			if err != nil {
+				return err
+			}
+			return emitRaw(raw)
+
+		case "wait":
+			id, err := needArg("job-id")
+			if err != nil {
+				return err
+			}
+			st, err := c.Wait(ctx, id, *pollFlag)
+			if err != nil {
+				return err
+			}
+			return emit(st)
+
+		case "fleet":
+			raw, err := c.Fleet(ctx)
+			if err != nil {
+				return err
+			}
+			return emitRaw(raw)
+
+		case "fsck":
+			// Offline: walks the state directory directly, no daemon involved
+			// (run it against a stopped daemon's -state dir).
+			dir, err := needArg("state-dir")
+			if err != nil {
+				return err
+			}
+			r, err := fsck.Dir(nil, dir)
+			if err != nil {
+				return err
+			}
+			r.Render(stdout)
+			return r.Err()
+
+		case "memo":
+			// Offline like fsck: operates on the store directory directly,
+			// so it works against a stopped daemon's -memo-dir.
+			if fs.NArg() < 3 {
+				return runx.Newf(runx.KindInvalidInput, "deesimctl", "usage: deesimctl memo stats|purge <memo-dir>")
+			}
+			sub, dir := fs.Arg(1), fs.Arg(2)
+			switch sub {
+			case "stats":
+				st, err := memo.DirStats(nil, dir)
+				if err != nil {
+					return err
+				}
+				return emit(st)
+			case "purge":
+				n, err := memo.PurgeDir(nil, dir)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(stdout, "purged %d cache entries from %s\n", n, dir)
+				return nil
+			default:
+				return runx.Newf(runx.KindInvalidInput, "deesimctl", "unknown memo subcommand %q (stats, purge)", sub)
+			}
+
+		case "trace":
+			if fs.NArg() < 3 || fs.Arg(1) != "fetch" {
+				return runx.Newf(runx.KindInvalidInput, "deesimctl", "usage: deesimctl trace fetch <sweep-id>")
+			}
+			id := fs.Arg(2)
+			raw, err := c.TraceFetch(ctx, id)
+			if err != nil {
+				return err
+			}
+			summary, err := obs.CheckTimeline(raw)
+			if err != nil {
+				return runx.Newf(runx.KindCorrupt, "deesimctl", "trace %s: %v", id, err)
+			}
+			log.LogAttrs(ctx, slog.LevelInfo, "trace fetched", slog.String("sweep", id), slog.String("summary", summary))
+			return emitRaw(raw)
+
+		case "health":
+			if err := c.Healthy(ctx); err != nil {
+				return err
+			}
+			if err := c.Ready(ctx); err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, "ok")
+			return nil
+
 		default:
-			return fail(runx.Newf(runx.KindInvalidInput, "deesimctl", "unknown memo subcommand %q (stats, purge)", sub))
+			return fmt.Errorf("unknown command %q: %w", cmd, flag.ErrHelp)
 		}
-
-	case "trace":
-		if fs.NArg() < 3 || fs.Arg(1) != "fetch" {
-			return fail(runx.Newf(runx.KindInvalidInput, "deesimctl", "usage: deesimctl trace fetch <sweep-id>"))
-		}
-		id := fs.Arg(2)
-		raw, err := c.TraceFetch(ctx, id)
-		if err != nil {
-			return fail(err)
-		}
-		summary, err := obs.CheckTimeline(raw)
-		if err != nil {
-			return fail(runx.Newf(runx.KindCorrupt, "deesimctl", "trace %s: %v", id, err))
-		}
-		fmt.Fprintf(stderr, "deesimctl: trace %s: %s\n", id, summary)
-		stdout.Write(append(raw, '\n'))
-		return runx.ExitOK
-
-	case "health":
-		if err := c.Healthy(ctx); err != nil {
-			return fail(err)
-		}
-		if err := c.Ready(ctx); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintln(stdout, "ok")
-		return runx.ExitOK
-
-	default:
-		fmt.Fprintf(stderr, "deesimctl: unknown command %q\n", cmd)
-		return runx.ExitUsage
-	}
+	})
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -12,6 +14,7 @@ import (
 	"deesim/internal/durable"
 	"deesim/internal/faultinject"
 	"deesim/internal/memo"
+	"deesim/internal/obs/obstest"
 	"deesim/internal/runx"
 	"deesim/internal/server"
 )
@@ -238,4 +241,37 @@ func TestCtlMemoStatsAndPurge(t *testing.T) {
 	if code, _, _ := run("memo", "stats", filepath.Join(dir, "missing")); code != runx.ExitInvalidInput {
 		t.Fatalf("missing dir exited %d, want %d", code, runx.ExitInvalidInput)
 	}
+}
+
+// TestLifecycle: with -log-json every stderr line is a JSON record —
+// the client's retries, the accepted and trace lines, and the exit
+// record — a command past its -timeout exits with the deadline code,
+// and -metrics-out is written on every path.
+func TestLifecycle(t *testing.T) {
+	s, err := server.New(server.Config{StateDir: t.TempDir()})
+	if err != nil {
+		t.Fatalf("server.New: %v", err)
+	}
+	s.Start()
+	defer s.Close()
+	h := httptest.NewServer(s.Handler())
+	defer h.Close()
+	// hang answers nothing until the request is given up.
+	hang := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer hang.Close()
+	specPath := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(specPath, []byte(smokeSpec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	main := func(args []string, stdout, stderr io.Writer) int {
+		return realMain(args, strings.NewReader(""), stdout, stderr)
+	}
+	obstest.Lifecycle(t, main, []obstest.Case{
+		{Name: "submit and wait", Args: []string{"-server", h.URL, "-poll", "20ms", "-wait", "submit", specPath}, Code: runx.ExitOK},
+		{Name: "unavailable", Args: []string{"-server", "http://127.0.0.1:1", "-retries", "1", "-backoff", "1ms", "health"}, Code: runx.ExitUnavailable},
+		{Name: "deadline", Args: []string{"-server", hang.URL, "-retries", "0", "-timeout", "50ms", "status", "j000001"}, Code: runx.ExitDeadline},
+	})
 }

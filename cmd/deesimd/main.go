@@ -75,22 +75,15 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"io"
 	"log/slog"
-	"net"
-	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	"deesim/internal/budget"
 	"deesim/internal/coord"
-	"deesim/internal/durable"
-	"deesim/internal/fsck"
 	"deesim/internal/memo"
 	"deesim/internal/obs"
-	"deesim/internal/runx"
 	"deesim/internal/server"
 )
 
@@ -100,7 +93,6 @@ func main() {
 
 func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("deesimd", flag.ContinueOnError)
-	fs.SetOutput(stderr)
 	var (
 		addrFlag     = fs.String("addr", "127.0.0.1:8425", "listen address (host:port; port 0 picks a free one)")
 		addrFileFlag = fs.String("addr-file", "", "write the bound listen address to this file once serving")
@@ -128,162 +120,70 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		pprofFlag    = fs.Bool("pprof", false, "expose /debug/pprof/ profiling endpoints (debug surface; off by default)")
 		fsckFlag     = fs.Bool("fsck", false, "integrity-check the -state directory and exit (do not serve)")
 	)
-	obsFlags := obs.RegisterCLIFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return runx.ExitUsage
-	}
-	logger, done, err := obsFlags.Handle("deesimd", stdout, stderr)
-	if done {
-		return runx.ExitOK
-	} else if err != nil {
-		fmt.Fprintln(stderr, "deesimd:", err)
-		return runx.ExitCode(err)
-	}
-	fail := func(err error) int {
-		code := runx.ExitCode(err)
-		logger.LogAttrs(context.Background(), slog.LevelError, "exiting on error", slog.Int("code", code), slog.Any("err", err))
-		// Every typed failure leaves the black box behind (no-op
-		// without -flight-out, which serving mode defaults into -state).
-		obsFlags.DumpFlightOnExit("deesimd", code)
-		return code
-	}
-	defer func() {
-		if err := obsFlags.WriteMetrics(); err != nil {
-			logger.LogAttrs(context.Background(), slog.LevelWarn, "write metrics failed", slog.Any("err", err))
+	return obs.Main("deesimd", fs, args, stdout, stderr, func(ctx context.Context, log *slog.Logger) error {
+		var bud *budget.Budget
+		if *retryBudget > 0 {
+			bud = budget.New(*retryBudget, *budgetRefill)
 		}
-	}()
-	stopFlush := obsFlags.FlushOnSignal()
-	defer stopFlush()
-
-	if *fsckFlag {
-		r, err := fsck.Dir(nil, *stateFlag)
-		if err != nil {
-			return fail(err)
+		var s *server.Server
+		open := func(frags *obs.FragmentLog) (server.Service, error) {
+			var (
+				mm  *memo.Memo
+				err error
+			)
+			if *memoDir != "" {
+				if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
+					return nil, err
+				}
+			}
+			s, err = server.New(server.Config{
+				StateDir:          *stateFlag,
+				QueueDepth:        *queueFlag,
+				BatchQueueDepth:   *batchQueue,
+				BrownoutWatermark: *brownoutWM,
+				Budget:            bud,
+				Workers:           *workersFlag,
+				CellJobs:          *cellJobsFlag,
+				CellSlots:         *cellSlots,
+				CellTimeout:       *cellTimeout,
+				JobTimeout:        *jobTimeout,
+				RequestTimeout:    *reqTimeout,
+				DrainGrace:        *drainGrace,
+				RetryAfter:        *retryAfter,
+				Retries:           *retriesFlag,
+				Backoff:           *backoffFlag,
+				Logger:            log,
+				Pprof:             *pprofFlag,
+				Memo:              mm,
+				Frags:             frags,
+			})
+			return s, err
 		}
-		r.Render(stdout)
-		if err := r.Err(); err != nil {
-			return fail(err)
+		// Fleet mode: join the coordinator once serving and keep beating
+		// through the drain, so the coordinator sees "draining" and stops
+		// leasing here before the listener closes.
+		var join func(ctx context.Context, addr string)
+		if *coordFlag != "" {
+			join = func(ctx context.Context, addr string) {
+				selfURL := *selfURLFlag
+				if selfURL == "" {
+					selfURL = "http://" + addr
+				}
+				hb := &coord.Heartbeater{
+					CoordURL: *coordFlag,
+					SelfURL:  selfURL,
+					Slots:    s.CellSlots(),
+					Every:    *hbEvery,
+					State: func() (string, int) {
+						return s.WorkerState(), s.CellsActive()
+					},
+					Logger: log,
+				}
+				go hb.Run(ctx)
+			}
 		}
-		return runx.ExitOK
-	}
-
-	// Flight recorder: default the black box into the state directory,
-	// dump it on panic and SIGQUIT, and persist a periodic snapshot so
-	// even SIGKILL leaves a dump naming the in-flight cells.
-	obsFlags.DefaultFlightOut(filepath.Join(*stateFlag, "flight.json"))
-	defer obsFlags.DumpFlightOnPanic("deesimd")
-	stopQuit := obsFlags.WatchQuit("deesimd")
-	defer stopQuit()
-	frCtx, frStop := context.WithCancel(context.Background())
-	defer frStop()
-	go obs.Flight.Persist(frCtx, obsFlags.FlightOut, "deesimd", 0)
-
-	// Span fragments: this process's half of every distributed trace,
-	// served back to the coordinator over GET /v1/tracefrag.
-	frags, err := obs.OpenFragmentLog(filepath.Join(*stateFlag, "fragments.jsonl"), "deesimd")
-	if err != nil {
-		return fail(runx.Newf(runx.KindUnknown, "deesimd", "open fragment log: %v", err))
-	}
-	defer frags.Close()
-
-	var bud *budget.Budget
-	if *retryBudget > 0 {
-		bud = budget.New(*retryBudget, *budgetRefill)
-	}
-	var mm *memo.Memo
-	if *memoDir != "" {
-		if mm, err = memo.New(memo.Config{Dir: *memoDir, MemBytes: *memoMem}); err != nil {
-			return fail(err)
-		}
-	}
-	s, err := server.New(server.Config{
-		StateDir:          *stateFlag,
-		QueueDepth:        *queueFlag,
-		BatchQueueDepth:   *batchQueue,
-		BrownoutWatermark: *brownoutWM,
-		Budget:            bud,
-		Workers:           *workersFlag,
-		CellJobs:          *cellJobsFlag,
-		CellSlots:         *cellSlots,
-		CellTimeout:       *cellTimeout,
-		JobTimeout:        *jobTimeout,
-		RequestTimeout:    *reqTimeout,
-		DrainGrace:        *drainGrace,
-		RetryAfter:        *retryAfter,
-		Retries:           *retriesFlag,
-		Backoff:           *backoffFlag,
-		Logger:            logger,
-		Pprof:             *pprofFlag,
-		Memo:              mm,
-		Frags:             frags,
+		return server.Serve(ctx, log, stdout, "deesimd", server.ServeFlags{
+			Addr: *addrFlag, AddrFile: *addrFileFlag, State: *stateFlag, Fsck: *fsckFlag,
+		}, open, join)
 	})
-	if err != nil {
-		return fail(err)
-	}
-
-	ln, err := net.Listen("tcp", *addrFlag)
-	if err != nil {
-		return fail(runx.Newf(runx.KindUnavailable, "deesimd", "listen %s: %v", *addrFlag, err))
-	}
-	if *addrFileFlag != "" {
-		if err := durable.WriteFileAtomic(nil, *addrFileFlag, []byte(ln.Addr().String()+"\n")); err != nil {
-			ln.Close()
-			return fail(err)
-		}
-	}
-
-	s.Start()
-	httpSrv := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	logger.LogAttrs(context.Background(), slog.LevelInfo, "serving", slog.String("url", "http://"+ln.Addr().String()),
-		slog.String("state", *stateFlag), slog.Int("queue", *queueFlag), slog.Int("workers", *workersFlag))
-	fmt.Fprintln(stdout, ln.Addr().String())
-
-	// Fleet mode: join the coordinator and keep beating until shutdown.
-	hbCtx, hbStop := context.WithCancel(context.Background())
-	defer hbStop()
-	if *coordFlag != "" {
-		selfURL := *selfURLFlag
-		if selfURL == "" {
-			selfURL = "http://" + ln.Addr().String()
-		}
-		hb := &coord.Heartbeater{
-			CoordURL: *coordFlag,
-			SelfURL:  selfURL,
-			Slots:    s.CellSlots(),
-			Every:    *hbEvery,
-			State: func() (string, int) {
-				return s.WorkerState(), s.CellsActive()
-			},
-			Logger: logger,
-		}
-		go hb.Run(hbCtx)
-	}
-
-	ctx, stop := runx.MainContext(0)
-	select {
-	case <-ctx.Done():
-		// First signal: drain. stop() restores the default handler so a
-		// second signal kills the process outright. The heartbeater keeps
-		// beating through the drain so the coordinator sees "draining"
-		// and stops leasing here before the listener closes.
-		stop()
-		logger.LogAttrs(ctx, slog.LevelInfo, "signal received, draining")
-		if err := s.Drain(context.Background()); err != nil {
-			return fail(err)
-		}
-		hbStop()
-		shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			logger.LogAttrs(ctx, slog.LevelWarn, "http shutdown failed", slog.Any("err", err))
-		}
-		logger.LogAttrs(ctx, slog.LevelInfo, "drained, exiting")
-		return runx.ExitOK
-	case err := <-serveErr:
-		stop()
-		s.Close()
-		return fail(runx.Newf(runx.KindUnavailable, "deesimd", "serve: %v", err))
-	}
 }

@@ -28,6 +28,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"deesim/internal/isa"
 )
@@ -97,6 +98,42 @@ func ByName(name string) (Workload, error) {
 		}
 	}
 	return Workload{}, fmt.Errorf("bench: unknown workload %q", name)
+}
+
+// Select returns the named workloads in the order given; an empty list
+// selects every workload. Names are trimmed of spaces, and an unknown
+// or blank one is an error.
+func Select(names []string) ([]Workload, error) {
+	if len(names) == 0 {
+		return All(), nil
+	}
+	out := make([]Workload, 0, len(names))
+	for _, n := range names {
+		w, err := ByName(strings.TrimSpace(n))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, w)
+	}
+	return out, nil
+}
+
+// SelectFlag resolves a CLI -bench value: "all", or comma-separated
+// names with blank entries skipped.
+func SelectFlag(s string) ([]Workload, error) {
+	if s == "all" {
+		return All(), nil
+	}
+	var names []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			names = append(names, f)
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("empty workload list")
+	}
+	return Select(names)
 }
 
 // Names returns the workload names in order.

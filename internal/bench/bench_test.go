@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"testing"
 
 	"deesim/internal/cpu"
@@ -194,4 +195,54 @@ func TestQueensBytecode(t *testing.T) {
 			t.Errorf("queens(%d) = %d solutions, want %d", c.n, ck, c.want)
 		}
 	}
+}
+
+func TestSelect(t *testing.T) {
+	for _, c := range []struct {
+		flag string
+		want []string // nil: an error
+	}{
+		{"all", Names()},
+		{"compress,xlisp", []string{"compress", "xlisp"}},
+		{" xlisp , cc1,", []string{"xlisp", "cc1"}},
+		{"gcc", nil},
+		{"xlisp,gcc", nil},
+		{"", nil},
+		{" , ", nil},
+	} {
+		ws, err := SelectFlag(c.flag)
+		if (err != nil) != (c.want == nil) {
+			t.Errorf("SelectFlag(%q): err %v, want %v", c.flag, err, c.want)
+			continue
+		}
+		if got := workloadNames(ws); c.want != nil && !slices.Equal(got, c.want) {
+			t.Errorf("SelectFlag(%q) = %v, want %v", c.flag, got, c.want)
+		}
+	}
+	for _, c := range []struct {
+		names []string
+		want  []string
+	}{
+		{nil, Names()},
+		{[]string{"xlisp", " compress"}, []string{"xlisp", "compress"}},
+		{[]string{"all"}, nil},
+		{[]string{""}, nil},
+	} {
+		ws, err := Select(c.names)
+		if (err != nil) != (c.want == nil) {
+			t.Errorf("Select(%q): err %v, want %v", c.names, err, c.want)
+			continue
+		}
+		if got := workloadNames(ws); c.want != nil && !slices.Equal(got, c.want) {
+			t.Errorf("Select(%q) = %v, want %v", c.names, got, c.want)
+		}
+	}
+}
+
+func workloadNames(ws []Workload) []string {
+	var out []string
+	for _, w := range ws {
+		out = append(out, w.Name)
+	}
+	return out
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"deesim/internal/coord"
 	"deesim/internal/durable"
 	"deesim/internal/faultinject"
 	"deesim/internal/runx"
@@ -43,7 +42,7 @@ func writeTree(t *testing.T) string {
 		t.Fatal(err)
 	}
 
-	cj, err := superv.Create(filepath.Join(jobDir, "coord.journal"), coord.Tool, nil)
+	cj, err := superv.Create(filepath.Join(jobDir, "coord.journal"), "deesim-coord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +188,7 @@ func TestJournalTornIsNotCorrupt(t *testing.T) {
 // worker-stamped legacy records verify against the one decoder.
 func TestJournalDecoderFromHeader(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "renamed.journal")
-	cj, err := superv.Create(path, coord.Tool, nil)
+	cj, err := superv.Create(path, "deesim-coord", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

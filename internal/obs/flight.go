@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -171,18 +170,6 @@ func (r *FlightRecorder) Persist(ctx context.Context, path, proc string, every t
 				_ = r.WriteDump(path, proc, "periodic")
 			}
 		}
-	}
-}
-
-// DumpOnPanic is meant for `defer obs.Flight.DumpOnPanic(path, proc)`
-// at the top of a binary's main: if the goroutine is panicking it
-// records the panic, writes a dump with reason "panic", and re-panics
-// so the crash still surfaces normally.
-func (r *FlightRecorder) DumpOnPanic(path, proc string) {
-	if p := recover(); p != nil {
-		r.Record("panic", fmt.Sprint(p), nil)
-		_ = r.WriteDump(path, proc, "panic")
-		panic(p)
 	}
 }
 

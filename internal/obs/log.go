@@ -115,19 +115,6 @@ func NewLogger(w io.Writer, level slog.Level, jsonOut bool) *slog.Logger {
 	return slog.New(ctxHandler{h})
 }
 
-// SetupLogger parses the shared -log-level/-log-json flag pair, builds
-// the logger on w, and installs it as the slog default so package-level
-// slog calls inherit it. Returns the logger for explicit threading.
-func SetupLogger(w io.Writer, levelFlag string, jsonOut bool) (*slog.Logger, error) {
-	level, err := ParseLevel(levelFlag)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLogger(w, level, jsonOut)
-	slog.SetDefault(l)
-	return l, nil
-}
-
 // Discard is the logger for library code handed none: it writes
 // nothing, but warnings and errors still reach the flight recorder, so
 // an event logged once is in the black box whoever built the logger.

@@ -1,13 +1,5 @@
 package runx
 
-import (
-	"context"
-	"os"
-	"os/signal"
-	"syscall"
-	"time"
-)
-
 // Exit codes shared by every CLI in the repo. 0 is success and 2 is a
 // usage error (the flag package's convention); each structured failure
 // kind gets its own code so shell scripts and CI can branch on *why* a
@@ -62,22 +54,4 @@ func ExitCode(err error) int {
 		return ExitUnavailable
 	}
 	return ExitError
-}
-
-// MainContext builds the root context every CLI runs under: it is
-// cancelled by SIGINT/SIGTERM (first signal cancels gracefully so
-// partial results can be printed; a second signal kills the process via
-// the restored default handler) and, when timeout > 0, expires after
-// the wall-clock timeout. The returned stop function releases the
-// signal registration.
-func MainContext(timeout time.Duration) (context.Context, context.CancelFunc) {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	if timeout <= 0 {
-		return ctx, stop
-	}
-	tctx, tcancel := context.WithTimeout(ctx, timeout)
-	return tctx, func() {
-		tcancel()
-		stop()
-	}
 }

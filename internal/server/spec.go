@@ -125,9 +125,9 @@ func (sp Spec) resolve() ([]bench.Workload, experiments.Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, cfg, err
 	}
-	ws, err := resolveWorkloads(sp.Workloads)
+	ws, err := bench.Select(sp.Workloads)
 	if err != nil {
-		return nil, cfg, err
+		return nil, cfg, runx.Newf(runx.KindInvalidInput, stageSpec, "%v", err)
 	}
 	return ws, cfg, nil
 }
@@ -202,21 +202,6 @@ func resolveModels(names []string) ([]ilpsim.Model, error) {
 			return nil, runx.Newf(runx.KindInvalidInput, stageSpec, "unknown model %q", n)
 		}
 		out = append(out, m)
-	}
-	return out, nil
-}
-
-func resolveWorkloads(names []string) ([]bench.Workload, error) {
-	if len(names) == 0 {
-		return bench.All(), nil
-	}
-	var out []bench.Workload
-	for _, n := range names {
-		w, err := bench.ByName(strings.TrimSpace(n))
-		if err != nil {
-			return nil, runx.Newf(runx.KindInvalidInput, stageSpec, "%v", err)
-		}
-		out = append(out, w)
 	}
 	return out, nil
 }

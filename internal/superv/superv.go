@@ -267,7 +267,9 @@ func runTask(ctx context.Context, t Task, cfg Config, emitMu *sync.Mutex) error 
 				return jerr
 			}
 		}
-		if !retryable {
+		// A run whose own context is done cannot use a retry: failing now
+		// spends no budget token, sleeps nothing and counts no retry.
+		if !retryable || ctx.Err() != nil {
 			return err
 		}
 		if attempt >= cfg.Retry.Attempts {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"deesim/internal/budget"
 	"deesim/internal/runx"
 )
 
@@ -279,5 +280,44 @@ func TestFirstFatalErrorWins(t *testing.T) {
 	err := Run(context.Background(), tasks, Config{Jobs: 4})
 	if !runx.IsKind(err, runx.KindInvalidInput) {
 		t.Errorf("root cause lost: %v", err)
+	}
+}
+
+// TestNoRetryOnceRunContextDone: an attempt that fails because the run's
+// own deadline passed is not retried — no OnRetry call, no retry or
+// backoff metric, no budget token spent — and its error is returned.
+func TestNoRetryOnceRunContextDone(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	task := Task{Key: "late", Run: func(ctx context.Context) (any, error) {
+		cancel() // the run's deadline passes during the attempt
+		return nil, runx.Newf(runx.KindDeadline, "sim", "slow attempt")
+	}}
+	bud := budget.New(5, 0)
+	var retried atomic.Int64
+	cfg := Config{
+		Retry:   RetryPolicy{Attempts: 5, Backoff: time.Second},
+		Budget:  bud,
+		OnRetry: func(string, int, time.Duration, error) { retried.Add(1) },
+	}
+	retries, sleeps, ms := mRetries.Value(), mBackoffSleeps.Value(), mBackoffMs.Value()
+	err := Run(ctx, []Task{task}, cfg)
+	if !runx.IsKind(err, runx.KindDeadline) {
+		t.Errorf("Run = %v, want the attempt's deadline error", err)
+	}
+	if n := retried.Load(); n != 0 {
+		t.Errorf("OnRetry called %d times after the run's context ended", n)
+	}
+	if d := mRetries.Value() - retries; d != 0 {
+		t.Errorf("retries_total moved by %d", d)
+	}
+	if d := mBackoffSleeps.Value() - sleeps; d != 0 {
+		t.Errorf("backoff_sleeps_total moved by %d", d)
+	}
+	if d := mBackoffMs.Value() - ms; d != 0 {
+		t.Errorf("backoff_sleep_ms_total moved by %d", d)
+	}
+	if got := bud.Remaining(); got != 5 {
+		t.Errorf("budget has %d tokens, want all 5", got)
 	}
 }
