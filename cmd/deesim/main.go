@@ -89,7 +89,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		penaltyFlag = fs.Int("penalty", 1, "misprediction restart penalty in cycles")
 		strictMem   = fs.Bool("strictmem", false, "serialize loads behind all prior stores (ablation)")
 		statsFlag   = fs.Bool("stats", false, "print root-resolution statistics per model")
-		csvFlag     = fs.Bool("csv", false, "emit CSV instead of aligned tables")
+		csvFlag     = fs.Bool("csv", false, "emit only CSV (one header, then every row) instead of aligned tables")
 		pesFlag     = fs.Int("pes", 0, "processing elements issued per cycle (0 = unlimited, the paper's assumption)")
 		latFlag     = fs.String("latency", "unit", "instruction latencies: unit (the paper) or realistic")
 		cacheFlag   = fs.String("cache", "none", "data cache: none (the paper) or 16k (16KiB 4-way, 10-cycle miss)")
@@ -203,14 +203,18 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			},
 		})
 		// Every panel that completed, in -bench order, whether or not the
-		// sweep failed.
+		// sweep failed: aligned tables, or one CSV header and every row.
+		if *csvFlag {
+			fmt.Fprintln(stdout, "workload,model,resources,speedup")
+		}
 		for _, r := range results {
+			if *csvFlag {
+				fmt.Fprint(stdout, renderCSV(r, cfg))
+				continue
+			}
 			fmt.Fprintln(stdout, experiments.Render(r, cfg))
 			if *statsFlag && r.Workload != "harmonic-mean" {
 				printRootStats(stdout, r, cfg)
-			}
-			if *csvFlag {
-				fmt.Fprintln(stdout, renderCSV(r, cfg))
 			}
 		}
 		if err != nil {
@@ -296,9 +300,9 @@ func printRootStats(w io.Writer, r *experiments.WorkloadResult, cfg experiments.
 	fmt.Fprintln(w)
 }
 
+// renderCSV returns one workload's CSV rows; -csv prints the header once.
 func renderCSV(r *experiments.WorkloadResult, cfg experiments.Config) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "workload,model,resources,speedup\n")
 	for _, m := range cfg.Models {
 		for _, et := range cfg.Resources {
 			fmt.Fprintf(&b, "%s,%s,%d,%.4f\n", r.Workload, m, et, r.Speedup[m.String()][et])

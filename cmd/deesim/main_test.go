@@ -175,6 +175,37 @@ func TestJournalAndResumeMutuallyExclusive(t *testing.T) {
 	}
 }
 
+// TestCSVOnly: -csv prints nothing but CSV — one header, then one row
+// per model and resource count and one Oracle row for every workload
+// panel, harmonic mean included, in -bench order.
+func TestCSVOnly(t *testing.T) {
+	code, out, stderr := run(t, fastArgs("-csv", "-stats")...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if lines[0] != "workload,model,resources,speedup" {
+		t.Fatalf("first line %q, want the CSV header", lines[0])
+	}
+	var order []string
+	for _, l := range lines[1:] {
+		f := strings.Split(l, ",")
+		if len(f) != 4 || f[0] == "workload" {
+			t.Fatalf("line %q is not one CSV row", l)
+		}
+		if _, err := strconv.ParseFloat(f[3], 64); err != nil {
+			t.Errorf("line %q: speedup: %v", l, err)
+		}
+		if len(order) == 0 || order[len(order)-1] != f[0] {
+			order = append(order, f[0])
+		}
+	}
+	// 3 panels x (2 models x 2 resource counts + Oracle).
+	if want := []string{"xlisp", "compress", "harmonic-mean"}; len(lines) != 1+3*5 || !slices.Equal(order, want) {
+		t.Errorf("%d lines for panels %v, want %d for %v:\n%s", len(lines), order, 1+3*5, want, out)
+	}
+}
+
 func TestParseInts(t *testing.T) {
 	got, err := parseInts("8, 16,256")
 	if err != nil || len(got) != 3 || got[0] != 8 || got[2] != 256 {

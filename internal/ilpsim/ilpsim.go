@@ -328,6 +328,7 @@ type Sim struct {
 	branchOrd  []int32 // per trace position: ordinal of this branch (-1 if not)
 	pathBranch []int32 // per path: dynamic position of terminating branch (-1 tail)
 	pathSize   []int32 // per path: number of instructions on it
+	pathStart  []int32 // path p covers trace positions [pathStart[p], pathStart[p+1])
 	// pathWrong[p] is the write set of the side the machine erroneously
 	// followed at path p's terminating branch — the opposite of the
 	// actual direction — when that branch is mispredicted (zero
@@ -357,15 +358,15 @@ type Sim struct {
 	// joinOf(pathBranch[i]) (-1 without a branch); nextBranch[k] is the
 	// trace position of the conditional branch after branch k (-1
 	// otherwise); misp[k] marks mispredicted branches. initPending and
-	// initReady seed a run's dependency counters and ready lists, indexed
-	// [0] for the serialization-free (MF) models and [1] for the
-	// serialized ones.
+	// initReady seed a run's dependency counters and ready set (one bit
+	// per trace position), indexed [0] for the serialization-free (MF)
+	// models and [1] for the serialized ones.
 	pathCorrect []bool
 	pathJoin    []int32
 	nextBranch  []int32
 	misp        []bool
 	initPending [2][]uint8
-	initReady   [2][]int32
+	initReady   [2][]uint64
 
 	// oracle computes the Oracle result on first use and caches it.
 	oracle func() Result
@@ -441,8 +442,8 @@ func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, 
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	nb, nReady := s.forward(tr, pred, mem == nil)
-	s.fillWakeLists(nReady)
+	nb := s.forward(tr, pred, mem == nil)
+	s.fillWakeLists()
 	s.scanBranches(tr, cfg.Build(tr.Prog), nb)
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
@@ -470,8 +471,8 @@ type staticInfo struct {
 // counters of both model families) and the per-producer consumer counts
 // the CSR fill starts from, and replays the predictor, recording its
 // accuracy and the per-static-branch profile. It returns the number of
-// conditional branches and of initially ready instructions per family.
-func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (nb int32, nReady [2]int) {
+// conditional branches.
+func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (nb int32) {
 	dd := s.d.dd
 	n := s.n
 	lat := s.opts.Lat.normalized()
@@ -525,9 +526,6 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 			}
 		}
 		s.initPending[0][k] = pend
-		if pend == 0 {
-			nReady[0]++
-		}
 		if si.branch {
 			s.branchOrd[k] = nb
 			if nb > 0 {
@@ -546,9 +544,6 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 			nb++
 		}
 		s.initPending[1][k] = pend
-		if pend == 0 {
-			nReady[1]++
-		}
 	}
 
 	s.accuracy = 1
@@ -561,7 +556,7 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 			s.profAcc[st] = float64(si.hits) / float64(si.total)
 		}
 	}
-	return nb, nReady
+	return nb
 }
 
 // fillWakeLists is the second pass. It turns the forward pass's consumer
@@ -572,16 +567,15 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 // twice, matching the per-slot in-degree in initPending, so the event
 // scheduler's pending counters decrement consistently. wakeOff[p+1]
 // serves as p's fill cursor: it starts at p's first slot and ends at
-// p+1's. The same walk collects both families' initial ready lists.
-func (s *Sim) fillWakeLists(nReady [2]int) {
+// p+1's. The same walk sets both families' initial ready bits.
+func (s *Sim) fillWakeLists() {
 	dd := s.d.dd
 	n := s.n
 	for i := 1; i <= n; i++ {
 		s.wakeOff[i] += s.wakeOff[i-1]
 	}
 	s.wakeList = make([]int32, s.wakeOff[n])
-	s.initReady[0] = make([]int32, 0, nReady[0])
-	s.initReady[1] = make([]int32, 0, nReady[1])
+	s.initReady = [2][]uint64{make([]uint64, (n+63)/64), make([]uint64, (n+63)/64)}
 	for k := 0; k < n; k++ {
 		for _, p := range [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]} {
 			if p != noDep {
@@ -589,11 +583,10 @@ func (s *Sim) fillWakeLists(nReady [2]int) {
 				s.wakeOff[p+1]++
 			}
 		}
-		if s.initPending[0][k] == 0 {
-			s.initReady[0] = append(s.initReady[0], int32(k))
-		}
-		if s.initPending[1][k] == 0 {
-			s.initReady[1] = append(s.initReady[1], int32(k))
+		for si := range s.initReady {
+			if s.initPending[si][k] == 0 {
+				s.initReady[si][k>>6] |= 1 << (uint(k) & 63)
+			}
 		}
 	}
 }
@@ -619,6 +612,7 @@ func (s *Sim) scanBranches(tr *trace.Trace, g *cfg.Graph, nb int32) {
 	s.correct = make([]bool, nb)
 	s.pathBranch = make([]int32, np)
 	s.pathSize = make([]int32, np)
+	s.pathStart = make([]int32, np+1)
 	s.pathCorrect = make([]bool, np)
 	s.pathJoin = make([]int32, np)
 	s.pathWrong = make([]cfg.WriteSet, np)
@@ -663,6 +657,9 @@ func (s *Sim) scanBranches(tr *trace.Trace, g *cfg.Graph, nb int32) {
 		nextOcc[din.Static] = i
 	}
 	s.pathSize[0] = end
+	for p, sz := range s.pathSize {
+		s.pathStart[p+1] = s.pathStart[p] + sz
+	}
 }
 
 // replayMemory assigns per-instruction latencies by replaying loads and

@@ -19,7 +19,8 @@ var (
 	mSimSkips      = obs.GetOrCreateCounter("deesim_sim_cycle_skips_total")
 	mSimSkipped    = obs.GetOrCreateCounter("deesim_sim_cycles_skipped_total")
 	mSimRetests    = obs.GetOrCreateCounter("deesim_sim_coverage_retests_total")
-	mSimReadyHW    = obs.GetOrCreateGauge("deesim_sim_ready_depth_high_water")
+	mSimReadyWords = obs.GetOrCreateCounter("deesim_sim_ready_words_scanned_total")
+	mSimReadyHW    = obs.GetOrCreateGauge("deesim_sim_ready_depth_high_water") // simTally.readyHW
 	mSimArenaReuse = obs.GetOrCreateCounter("deesim_sim_arena_reuse_total")
 	mSimArenaAlloc = obs.GetOrCreateCounter("deesim_sim_arena_alloc_total")
 )
@@ -33,7 +34,8 @@ type simTally struct {
 	cycleSkips    int64
 	cyclesSkipped int64
 	retests       int64 // coverage tests of ready instructions past the horizon
-	readyHW       int
+	readyWords    int64 // ready-set and summary words the issue scans loaded
+	readyHW       int   // most ready instructions one cycle's scan visited (issued, kept or parked)
 }
 
 func (t *simTally) flush(cycles int64) {
@@ -44,5 +46,6 @@ func (t *simTally) flush(cycles int64) {
 	mSimSkips.Add(t.cycleSkips)
 	mSimSkipped.Add(t.cyclesSkipped)
 	mSimRetests.Add(t.retests)
+	mSimReadyWords.Add(t.readyWords)
 	mSimReadyHW.SetMax(float64(t.readyHW))
 }

@@ -79,6 +79,8 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 	for i := range tr.Ins {
 		s.pathSize[s.d.path[i]]++
 	}
+	s.pathStart = make([]int32, np+1)
+	copy(s.pathStart[1:], tr.Paths())
 	s.srcMask = make([]uint32, len(tr.Ins))
 	s.isLoad = make([]bool, len(tr.Ins))
 	for i, din := range tr.Ins {
@@ -182,7 +184,7 @@ func oracleSchedTables(s *Sim, depCount []uint8) {
 	}
 	for si := 0; si < 2; si++ {
 		pend := make([]uint8, n)
-		var rdy []int32
+		rdy := make([]uint64, (n+63)/64)
 		for k := 0; k < n; k++ {
 			p := depCount[k]
 			if si == 1 && s.branchOrd[k] > 0 {
@@ -190,7 +192,7 @@ func oracleSchedTables(s *Sim, depCount []uint8) {
 			}
 			pend[k] = p
 			if p == 0 {
-				rdy = append(rdy, int32(k))
+				rdy[k/64] |= 1 << (k % 64)
 			}
 		}
 		s.initPending[si] = pend
@@ -290,8 +292,8 @@ func equalTable(a, b any) bool {
 	case [2][]uint8:
 		y := b.([2][]uint8)
 		return slices.Equal(x[0], y[0]) && slices.Equal(x[1], y[1])
-	case [2][]int32:
-		y := b.([2][]int32)
+	case [2][]uint64:
+		y := b.([2][]uint64)
 		return slices.Equal(x[0], y[0]) && slices.Equal(x[1], y[1])
 	case *deps:
 		y := b.(*deps)

@@ -1,4 +1,4 @@
-// Event-driven ready-list scheduler for the ILP limit simulator.
+// Event-driven ready-set scheduler for the ILP limit simulator.
 //
 // The legacy inner loop (runLegacy) rescans every unissued instruction
 // in the window every simulated cycle: O(cycles × window instructions).
@@ -10,7 +10,9 @@
 //   - producer→consumer wakeup lists (Sim.wakeOff/wakeList, CSR form,
 //     built once in NewContext): when an instruction's completion event
 //     drains, it decrements its consumers' counters, and an instruction
-//     whose counter hits zero is appended to its path's ready list;
+//     whose counter hits zero joins the ready set;
+//   - a two-level ready set: a bit per trace position (readyPos), and a
+//     summary bit per non-zero word (readySum), cleared once it empties;
 //   - a calendar (bucket ring) queue of completion events sized by the
 //     largest instruction latency — an instruction issued at cycle c
 //     with latency l finishes at c+l-1 and wakes consumers at c+l,
@@ -28,9 +30,12 @@
 //
 // Issue order inside a cycle matches the legacy loop — window paths in
 // root-first order, instructions in trace order within a path — so the
-// PEs cap selects the identical instruction set. Within-cycle issues
-// never enable same-cycle dependents (a producer issued at cycle c has
-// finish >= c, and dependents require finish < cycle), which is why
+// PEs cap selects the identical instruction set. Paths are contiguous in
+// trace order, so that order is ascending trace position: a cycle walks
+// the set bits of [pathStart[hp], pathStart[hp+lim+1]), skipping empty
+// words by the summary, unsorted. Within-cycle issues never enable
+// same-cycle dependents (a producer issued at cycle c has finish >= c,
+// and dependents require finish < cycle), which is why
 // wakeup-at-finish+1 reproduces the legacy dependency scan exactly.
 //
 // Coverage horizon. Coverage is also paid per event, not per window
@@ -44,17 +49,15 @@
 // two unknown branches alone (dee.Shape.CoveredDepth): SP stops at the
 // first unknown branch, DEE at the second (or at the first when it sits
 // past the DEE region, or at H), EE covers all of its LEE levels and so
-// tracks no branches at all. Paths with ready instructions are tracked
-// in a bitset over absolute path positions (runState.readyBits), so a
-// cycle visits only non-empty ready lists, and under the Restrictive
-// models only those up to the horizon. The tree-based strategies
+// tracks no branches at all. Under the Restrictive models the ready-set
+// walk ends at the horizon's last path. The tree-based strategies
 // (DEEPure, DEEProfile) rebuild their known bitset from the deque each
 // cycle and keep the per-path tree queries and relaxation.
 //
 // Control parking. Under the CD models a closed-form shape's ready
 // instruction past the horizon is tested against the unknown branches
 // in front of it, and an instruction the test leaves uncovered leaves
-// its ready list and waits for the events that can change the answer.
+// the ready set and waits for the events that can change the answer.
 // Let R be the unknown branches in front of instruction k (on window
 // path ap) that k cannot relax past. SP covers k only when R is empty,
 // so k waits on the deepest branch of R. DEE also covers k when R holds
@@ -62,7 +65,7 @@
 // exactly when ap-hp <= H. So with |R| >= 2, k waits on the deepest and
 // the second-deepest branch of R, and with |R| = 1 it waits on that
 // branch and on the root reaching path ap-H (runState.rootWait).
-// Whichever event comes first returns k to its ready list for one
+// Whichever event comes first returns k to the ready set for one
 // re-test; its twin entry on the other list goes stale and is skipped.
 // Parking is exact because everything the test depends on is monotone
 // while the instruction waits. Whether instruction k relaxes past
@@ -86,7 +89,6 @@ import (
 	"context"
 	"math"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"deesim/internal/dee"
@@ -162,7 +164,7 @@ type waitNode struct{ k, next, twin int32 }
 // runState is the per-run arena: every mutable buffer one RunContext
 // call needs. Instances are recycled through runStates; all slices keep
 // their capacity across runs, so steady-state runs allocate only what
-// the ready lists, parking lists and calendar buckets grow by.
+// the parking lists and calendar buckets grow by.
 type runState struct {
 	// brFinish[p] is the completion cycle of path p's terminating branch,
 	// written only when that branch is mispredicted and issues (0 until
@@ -172,9 +174,8 @@ type runState struct {
 	pending       []uint8   // remaining dependency (+serialization) count
 	pathRemaining []int32   // unissued instructions per path
 	pathDone      []int64   // completion cycle of the path's latest instruction
-	ready         [][]int32 // per path: dep-ready, unissued, unparked instructions
-	readyDirty    []bool    // per path: ready list needs re-sorting
-	readyBits     []uint64  // bit per path: its ready list is non-empty
+	readyPos      []uint64  // bit per trace position: dep-ready, unissued, unparked
+	readySum      []uint64  // bit per readyPos word: the word is non-zero
 	buckets       [][]int32 // calendar ring of completion events (producer positions)
 	mask          int64     // len(buckets)-1; len is a power of two
 	inFlight      int       // scheduled, undrained completion events
@@ -228,9 +229,10 @@ func nextPow2(n int) int {
 var runStates sync.Pool
 
 // getRunState fetches an arena from the pool and resets it for a run
-// over n instructions, np paths and window depths up to maxDepth, with
-// a calendar ring of ring slots.
-func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
+// of model family si (the index into initPending and initReady) over np
+// paths and window depths up to maxDepth, with a calendar ring of ring
+// slots.
+func (s *Sim) getRunState(si, np, maxDepth, ring int) *runState {
 	st, _ := runStates.Get().(*runState)
 	if st == nil {
 		st = new(runState)
@@ -240,15 +242,20 @@ func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
 	}
 	st.brFinish = growSlice(st.brFinish, np)
 	clear(st.brFinish)
-	st.pending = growSlice(st.pending, n)
+	st.pending = growSlice(st.pending, s.n)
+	copy(st.pending, s.initPending[si])
+	st.readyPos = append(st.readyPos[:0], s.initReady[si]...)
+	st.readySum = growSlice(st.readySum, (len(st.readyPos)+63)/64)
+	clear(st.readySum)
+	for w, x := range st.readyPos {
+		if x != 0 {
+			st.readySum[w>>6] |= 1 << (uint(w) & 63)
+		}
+	}
 	st.pathRemaining = growSlice(st.pathRemaining, np)
 	copy(st.pathRemaining, s.pathSize)
 	st.pathDone = growSlice(st.pathDone, np)
 	clear(st.pathDone)
-	st.ready = growSlice(st.ready, np)
-	for i := range st.ready {
-		st.ready[i] = st.ready[i][:0]
-	}
 	st.waitNodes = st.waitNodes[:0]
 	st.freeNode = -1
 	st.rootWait = growSlice(st.rootWait, np)
@@ -256,10 +263,6 @@ func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
 		st.rootWait[i] = -1
 	}
 	st.rootHP = 0
-	st.readyDirty = growSlice(st.readyDirty, np)
-	clear(st.readyDirty)
-	st.readyBits = growSlice(st.readyBits, (np+63)/64)
-	clear(st.readyBits)
 	st.buckets = growSlice(st.buckets, ring)
 	for i := range st.buckets {
 		st.buckets[i] = st.buckets[i][:0]
@@ -274,21 +277,26 @@ func (s *Sim) getRunState(n, np, maxDepth, ring int) *runState {
 	return st
 }
 
-// push appends k to its path's ready list, keeping the sorted-ascending
-// invariant cheap: the dirty flag is set only when k lands out of order
-// (wakeups almost always arrive in trace order).
-func (st *runState) push(ap int32, k int32) {
-	rl := st.ready[ap]
-	if len(rl) > 0 && rl[len(rl)-1] > k {
-		st.readyDirty[ap] = true
-	}
-	st.ready[ap] = append(rl, k)
-	st.readyBits[ap>>6] |= 1 << (uint(ap) & 63)
+// push adds trace position k to the ready set.
+func (st *runState) push(k int32) {
+	w := k >> 6
+	st.readyPos[w] |= 1 << (uint(k) & 63)
+	st.readySum[w>>6] |= 1 << (uint(w) & 63)
 }
 
-// wait adds instruction k, just taken off its ready list, to the
-// parking list headed by *head and returns its slab index.
+// unready takes trace position k out of the ready set, and its word out
+// of the summary when the word empties.
+func (st *runState) unready(k int) {
+	w := k >> 6
+	if st.readyPos[w] &^= 1 << (uint(k) & 63); st.readyPos[w] == 0 {
+		st.readySum[w>>6] &^= 1 << (uint(w) & 63)
+	}
+}
+
+// wait takes instruction k out of the ready set, adds it to the parking
+// list headed by *head and returns its slab index.
 func (st *runState) wait(head *int32, k int32) int32 {
+	st.unready(int(k))
 	i := st.freeNode
 	if i >= 0 {
 		st.freeNode = st.waitNodes[i].next
@@ -302,20 +310,20 @@ func (st *runState) wait(head *int32, k int32) int32 {
 }
 
 // waitEither parks k on two lists at once; the first to be woken
-// returns it to its ready list.
+// returns it to the ready set.
 func (st *runState) waitEither(a, b *int32, k int32) {
 	i, j := st.wait(a, k), st.wait(b, k)
 	st.waitNodes[i].twin, st.waitNodes[j].twin = j, i
 }
 
 // wake returns the waiting instructions of the list headed by *head to
-// their ready lists and empties it. An entry whose twin woke first is
-// stale and only freed.
-func (s *Sim) wake(st *runState, head *int32) {
+// the ready set and empties it. An entry whose twin woke first is stale
+// and only freed.
+func (st *runState) wake(head *int32) {
 	for i := *head; i >= 0; {
 		nd := st.waitNodes[i]
 		if nd.k >= 0 {
-			st.push(s.d.path[nd.k], nd.k)
+			st.push(nd.k)
 			if nd.twin >= 0 {
 				st.waitNodes[nd.twin].k = -1
 			}
@@ -369,7 +377,7 @@ func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
 		for i, u := range st.unk.live() {
 			if u.p >= p {
 				if u.p == p {
-					s.wake(st, &st.unk.live()[i].wait)
+					st.wake(&st.unk.live()[i].wait)
 					st.unk.remove(i)
 				}
 				break
@@ -377,12 +385,12 @@ func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
 		}
 	}
 	for u := st.unk.live(); len(u) > 0 && int(u[0].p) < hp; u = st.unk.live() {
-		s.wake(st, &u[0].wait)
+		st.wake(&u[0].wait)
 		st.unk.pop()
 	}
 	for st.rootHP < hp {
 		st.rootHP++
-		s.wake(st, &st.rootWait[st.rootHP])
+		st.wake(&st.rootWait[st.rootHP])
 	}
 	st.winEnd = max(st.winEnd, hp)
 	for ; st.winEnd < end; st.winEnd++ {
@@ -442,22 +450,16 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 	penalty := int64(s.opts.Penalty)
 	limit := int64(s.opts.DeadlockLimit)
 
-	ring := nextPow2(int(s.maxLat) + 1)
-	st := s.getRunState(n, np, maxDepth, ring)
-	defer runStates.Put(st)
-
-	// Seed dependency counters and the initial ready lists from the
-	// precomputed per-family tables. Under the serialized (non-MF) models
-	// each branch after the first carries one extra pending edge,
-	// released when the previous branch's completion event drains.
+	// Dependency counters and the ready set start from the precomputed
+	// per-family tables. Under the serialized (non-MF) models each branch
+	// after the first carries one extra pending edge, released when the
+	// previous branch's completion event drains.
 	si := 0
 	if !mf {
 		si = 1
 	}
-	copy(st.pending, s.initPending[si])
-	for _, k := range s.initReady[si] {
-		st.push(s.d.path[k], k) // ascending k: stays sorted
-	}
+	st := s.getRunState(si, np, maxDepth, nextPow2(int(s.maxLat)+1))
+	defer runStates.Put(st)
 
 	// DEE-profile: dynamic greedy tree over per-branch accuracies,
 	// rebuilt when the window root moves.
@@ -487,13 +489,13 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		for _, p := range *b {
 			for _, k := range s.wakeList[s.wakeOff[p]:s.wakeOff[p+1]] {
 				if st.pending[k]--; st.pending[k] == 0 {
-					st.push(s.d.path[k], k)
+					st.push(k)
 				}
 			}
 			if !mf {
 				if nk := s.nextBranch[p]; nk >= 0 {
 					if st.pending[nk]--; st.pending[nk] == 0 {
-						st.push(s.d.path[nk], nk)
+						st.push(nk)
 					}
 				}
 			}
@@ -559,82 +561,84 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 			}
 		}
 
-		executed := 0
+		// Walk the ready positions of paths hp..hp+lim in ascending order,
+		// reloading per-path state only at a path end. Nothing before lo is
+		// ready (the root passes only fully issued paths), so only the
+		// upper end is masked.
+		executed, visited := 0, 0
 		capHit := false
 		front := 0 // cursor: unk[:front] lies in front of the path being visited
-		lo, hi := hp, hp+lim
-		for w := lo >> 6; w <= hi>>6 && !capHit; w++ {
-			word := st.readyBits[w]
-			if w == lo>>6 {
-				word &= ^uint64(0) << (uint(lo) & 63)
+		lo, hi := int(s.pathStart[hp]), int(s.pathStart[hp+lim+1])-1
+		var ap, r, pathEnd int
+		var baseCov bool
+		for sw := lo >> 12; sw <= hi>>12 && !capHit; sw++ {
+			sum := st.readySum[sw]
+			if sw == hi>>12 {
+				sum &= ^uint64(0) >> (63 - uint(hi>>6)&63)
 			}
-			if w == hi>>6 {
-				word &= ^uint64(0) >> (63 - uint(hi)&63)
-			}
-			for ; word != 0 && !capHit; word &= word - 1 {
-				ap := w<<6 | bits.TrailingZeros64(word)
-				r := ap - hp
-				rl := st.ready[ap]
-				if len(rl) > tally.readyHW {
-					tally.readyHW = len(rl)
+			tally.readyWords++
+			for ; sum != 0 && !capHit; sum &= sum - 1 {
+				w := sw<<6 | bits.TrailingZeros64(sum)
+				word := st.readyPos[w]
+				if w == hi>>6 {
+					word &= ^uint64(0) >> (63 - uint(hi)&63)
 				}
-				baseCov := r <= cov
-				if vectorCov && r > 0 {
-					if profile {
-						baseCov = profTree.ContainsBits(st.known, r)
-					} else {
-						baseCov = shape.CoveredBits(st.known, r)
+				tally.readyWords++
+				for ; word != 0; word &= word - 1 {
+					k := w<<6 | bits.TrailingZeros64(word)
+					visited++
+					if k >= pathEnd {
+						ap = int(s.d.path[k])
+						pathEnd, r = int(s.pathStart[ap+1]), ap-hp
+						baseCov = r <= cov
+						if vectorCov && r > 0 {
+							if profile {
+								baseCov = profTree.ContainsBits(st.known, r)
+							} else {
+								baseCov = shape.CoveredBits(st.known, r)
+							}
+						}
+						if !baseCov {
+							for front < len(unk) && int(unk[front].p) < ap {
+								front++
+							}
+						}
 					}
-					if !baseCov && m.CDMode == Restrictive {
-						continue
-					}
-				}
-				if st.readyDirty[ap] {
-					slices.Sort(rl)
-					st.readyDirty[ap] = false
-				}
-				if !baseCov {
-					for front < len(unk) && int(unk[front].p) < ap {
-						front++
-					}
-				}
-				keep := rl[:0]
-				for i, k := range rl {
-					kk := int(k)
 					if !baseCov {
+						if vectorCov && m.CDMode == Restrictive {
+							continue // the tree leaves the whole path uncovered
+						}
 						tally.retests++
 						if vectorCov {
-							if !s.treeCovered(st, shape, profTree, unk, k, ap, hp) {
-								keep = append(keep, k)
+							if !s.treeCovered(st, shape, profTree, unk, int32(k), ap, hp) {
 								continue
 							}
-						} else if d := s.deepestUnrelaxed(unk, front, k); d >= 0 {
+						} else if d := s.deepestUnrelaxed(unk, front, int32(k)); d >= 0 {
 							// SP covers k only when it relaxes past every
-							// unknown branch in front of it; DEE also when
-							// exactly one remains and the side path reaches
-							// k (ap-hp <= H). Otherwise k waits (see Control
-							// parking above).
+							// unknown branch in front of it, DEE also when one
+							// remains and ap-hp <= H; else k waits (see above).
 							if shape.Strategy == dee.SP {
-								st.wait(&unk[d].wait, k)
+								st.wait(&unk[d].wait, int32(k))
 								continue
 							}
-							if d2 := s.deepestUnrelaxed(unk, d, k); d2 >= 0 {
-								st.waitEither(&unk[d].wait, &unk[d2].wait, k)
+							if d2 := s.deepestUnrelaxed(unk, d, int32(k)); d2 >= 0 {
+								st.waitEither(&unk[d].wait, &unk[d2].wait, int32(k))
 								continue
 							}
-							if !shape.CoveredCounts(1, int(unk[d].p)-hp, ap-hp) {
-								st.waitEither(&unk[d].wait, &st.rootWait[ap-shape.H], k)
+							if !shape.CoveredCounts(1, int(unk[d].p)-hp, r) {
+								st.waitEither(&unk[d].wait, &st.rootWait[ap-shape.H], int32(k))
 								continue
 							}
 						}
 					}
-					f := cycle + int64(s.lat[kk]) - 1
+					st.unready(k)
+					f := cycle + int64(s.lat[k]) - 1
 					if f > st.pathDone[ap] {
 						st.pathDone[ap] = f
 					}
 					st.pathRemaining[ap]--
 					executed++
-					if s.misp[kk] {
+					if s.misp[k] {
 						// A branch terminates the path it sits on.
 						st.brFinish[ap] = f
 						if r == 0 {
@@ -647,23 +651,19 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 					// Schedule the completion event only if someone listens:
 					// data-dependent consumers, or the next branch under the
 					// serialized models.
-					if s.wakeOff[kk+1] > s.wakeOff[kk] || (!mf && s.nextBranch[kk] >= 0) {
+					if s.wakeOff[k+1] > s.wakeOff[k] || (!mf && s.nextBranch[k] >= 0) {
 						slot := (f + 1) & st.mask
-						st.buckets[slot] = append(st.buckets[slot], k)
+						st.buckets[slot] = append(st.buckets[slot], int32(k))
 						st.inFlight++
 					}
 					if s.opts.PEs > 0 && executed >= s.opts.PEs {
-						keep = append(keep, rl[i+1:]...)
 						capHit = true
 						break
 					}
 				}
-				st.ready[ap] = keep
-				if len(keep) == 0 {
-					st.readyBits[w] &^= 1 << (uint(ap) & 63)
-				}
 			}
 		}
+		tally.readyHW = max(tally.readyHW, visited)
 
 		if executed > res.MaxPEs {
 			res.MaxPEs = executed

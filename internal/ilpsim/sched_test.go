@@ -27,6 +27,12 @@ var diffModels = []Model{
 	{dee.DEEProfile, CDMF},
 }
 
+// edgeModels adds the tree strategies under Restrictive, where the issue
+// scan skips every ready instruction of a path the tree leaves
+// uncovered. Their legacy runs are slow at deep ETs, so only the
+// word-edge test and the fuzz target run them.
+var edgeModels = append(slices.Clip(diffModels), Model{dee.DEEPure, Restrictive}, Model{dee.DEEProfile, Restrictive})
+
 var diffETs = []int{1, 4, 8, 32}
 
 // deepETs extend the differential sweep past one 64-bit word of window
@@ -138,6 +144,109 @@ func TestSchedulerDifferentialOptions(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// wordEdgeSrc builds a loop whose windows and paths straddle the ready
+// set's word boundaries. A prologue of independent instructions ends
+// the first path at trace position prologue+9, next to the 4096-position
+// boundary of one summary word. Each iteration then adds paths of 5, 32
+// and 32 instructions that drift across the 64-position ready words,
+// and over 300 paths in all, so an ET-256 window ends inside the trace.
+// An LCG drives one branch per iteration, so about half of them
+// mispredict, and the instruction at its join reads a register the
+// fall-through side writes, so under the CD models it waits for the
+// branch. Half of each iteration's filler reads only the loop counter,
+// so ready instructions sit past every window's end.
+func wordEdgeSrc(prologue int) string {
+	var b strings.Builder
+	b.WriteString("main:\n    li   $s0, 0\n    li   $s1, 150\n    li   $s5, 12345\n    li   $t8, 1103\n")
+	for i := 0; i < prologue; i++ {
+		fmt.Fprintf(&b, "    addi $t%d, $zero, %d\n", 1+i%6, i)
+	}
+	b.WriteString(`loop:
+    mul  $s5, $s5, $t8
+    addi $s5, $s5, 12345
+    srl  $t0, $s5, 13
+    andi $t0, $t0, 1
+    bne  $t0, $zero, take
+    addi $s3, $s3, 1
+take:
+    add  $t7, $s3, $t7
+`)
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&b, "    addi $t%d, $s0, %d\n", 1+i%6, i)
+	}
+	b.WriteString("    bne  $s0, $s1, mid\nmid:\n")
+	for i := 0; i < 30; i++ {
+		fmt.Fprintf(&b, "    addi $t%d, $t%d, %d\n", 1+i%6, 1+i%6, i)
+	}
+	b.WriteString("    addi $s0, $s0, 1\n    blt  $s0, $s1, loop\n    halt\n")
+	return b.String()
+}
+
+// TestSchedulerDifferentialWordEdges runs deep windows over paths that
+// straddle the ready set's 64-position words and the 4096-position
+// words of its summary, with the first loop path starting one before,
+// at, and one after position 4096, under a PEs cap of 1 and of 4 and
+// without one (where DEE-pure skips paths its tree leaves uncovered).
+func TestSchedulerDifferentialWordEdges(t *testing.T) {
+	for _, first := range []int32{4095, 4096, 4097} {
+		tr := mustTrace(t, wordEdgeSrc(int(first)-9))
+		for _, pes := range []int{0, 1, 4} {
+			s := MustNew(tr, predictor.NewTwoBit(), Options{Penalty: 1, PEs: pes})
+			if s.pathStart[1] != first || s.n < 2*4096 || len(s.pathSize) < 300 {
+				t.Fatalf("first loop path starts at %d of %d instructions on %d paths, want %d of more than 8192 on at least 300",
+					s.pathStart[1], s.n, len(s.pathSize), first)
+			}
+			label := fmt.Sprintf("first=%d/pes%d", first, pes)
+			t.Run(label, func(t *testing.T) {
+				t.Parallel()
+				for _, m := range edgeModels {
+					diffCompare(t, s, m, 256, label)
+				}
+			})
+		}
+	}
+}
+
+// TestReadyScanFollowsEvents counts the ready-set and summary words the
+// issue scans load instead of timing them. The scan walks only the
+// non-empty words of the window's trace range, and the summary's words
+// cover 4096 positions each, so a cycle's scan work follows the ready
+// instructions, not the window size: per simulated cycle, ET 256 may
+// load at most twice the words ET 8 does.
+func TestReadyScanFollowsEvents(t *testing.T) {
+	for _, name := range bench.Names() {
+		w, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := w.Inputs[0].Build(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Record(prog, 60_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+		for _, m := range []Model{ModelSP, ModelSPCD, ModelSPCDMF, ModelDEECDMF} {
+			perCycle := func(et int) float64 {
+				before := mSimReadyWords.Value()
+				r, err := s.runEvent(context.Background(), m, et)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return float64(mSimReadyWords.Value()-before) / float64(r.Cycles)
+			}
+			lo, hi := perCycle(8), perCycle(256)
+			if hi > 2*lo {
+				t.Errorf("%s %v: %.2f ready words scanned per cycle at ET 256, %.2f at ET 8; want at most twice", name, m, hi, lo)
+			} else {
+				t.Logf("%s %v: %.2f words/cycle at ET 256, %.2f at ET 8 (ratio %.2f)", name, m, hi, lo, hi/lo)
+			}
+		}
 	}
 }
 
@@ -278,7 +387,8 @@ func TestSimCollectableAfterRun(t *testing.T) {
 
 // FuzzSchedulerDifferential feeds random short synthetic traces through
 // both schedulers and asserts identical results — the moving parts
-// (penalty, latencies, PEs cap, model, ET) are all fuzz-controlled.
+// (penalty, latencies, PEs cap, model from edgeModels, ET) are all
+// fuzz-controlled.
 func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(uint16(40), uint8(4), uint8(88), uint32(0x5e5e), uint8(3), uint8(8), uint8(0), uint8(1), false)
 	f.Add(uint16(120), uint8(2), uint8(55), uint32(0xdead), uint8(0), uint8(1), uint8(5), uint8(0), true)
@@ -299,6 +409,14 @@ func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(uint16(220), uint8(5), uint8(65), uint32(0xd0e2), uint8(2), uint8(63), uint8(2), uint8(7), true)
 	f.Add(uint16(150), uint8(8), uint8(60), uint32(0xd0e3), uint8(3), uint8(15), uint8(2), uint8(3), false)
 	f.Add(uint16(150), uint8(7), uint8(70), uint32(0xd0e4), uint8(1), uint8(31), uint8(0), uint8(4), false)
+	// Ready-set word edges: 6000-instruction traces at ET 256 cross the
+	// 4096-position summary boundary, under PEs 1 (work 6) and 4 (work
+	// 4), for every model, the Restrictive tree models (path skip)
+	// included.
+	for mi := range edgeModels {
+		f.Add(uint16(299), uint8(8), uint8(60+mi), uint32(0xed9e+mi), uint8(6), uint8(255), uint8(mi), uint8(1), mi%2 == 0)
+		f.Add(uint16(299), uint8(3), uint8(75), uint32(0xed90+mi), uint8(4), uint8(255), uint8(mi), uint8(2), false)
+	}
 	f.Fuzz(func(t *testing.T, iters uint16, branches, bias uint8, seed uint32, work, et, modelIdx, penalty uint8, realistic bool) {
 		cfg := bench.SyntheticConfig{
 			Iterations:      1 + int(iters)%300,
@@ -323,7 +441,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		m := diffModels[int(modelIdx)%len(diffModels)]
+		m := edgeModels[int(modelIdx)%len(edgeModels)]
 		etv := 1 + int(et) // 1..256: deep enough for multi-word windows
 
 		legacy, lerr := s.runLegacy(context.Background(), m, etv)
