@@ -139,18 +139,6 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 		defer j.Close()
 
-		w, err := bench.ByName(*benchFlag)
-		if err != nil {
-			return err
-		}
-		prog, err := w.Inputs[0].Build(0)
-		if err != nil {
-			return err
-		}
-		tr, err := trace.RecordContext(ctx, prog, *max)
-		if err != nil {
-			return err
-		}
 		var ets []int
 		for _, f := range strings.Split(*etFlag, ",") {
 			v, err := strconv.Atoi(strings.TrimSpace(f))
@@ -159,7 +147,29 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 			}
 			ets = append(ets, v)
 		}
-		fmt.Fprintf(stdout, "workload %s: %d dynamic instructions\n\n", w.Name, tr.Len())
+		// The accuracy study runs its own synthetic programs; every other
+		// study runs on the -bench trace, recorded once for all of them.
+		var workload string
+		var tr *trace.Trace
+		if *study == "accuracy" {
+			c := accuracyInput(0)
+			fmt.Fprintf(stdout, "synthetic workload: %d iterations of %d branches (work %d), seeded by the branch bias; one full trace per bias\n\n",
+				c.Iterations, c.BranchesPerIter, c.Work)
+		} else {
+			w, err := bench.ByName(*benchFlag)
+			if err != nil {
+				return err
+			}
+			prog, err := w.Inputs[0].Build(0)
+			if err != nil {
+				return err
+			}
+			if tr, err = trace.RecordContext(ctx, prog, *max); err != nil {
+				return err
+			}
+			workload = w.Name
+			fmt.Fprintf(stdout, "workload %s: %d dynamic instructions\n\n", w.Name, tr.Len())
+		}
 
 		var mm *memo.Memo
 		if *memoDir != "" {
@@ -170,7 +180,9 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		// Ablation studies do not decompose into matrix cells, so the memo
 		// keys them whole: a study's rendered text is a pure function of
 		// (study, workload, ET list, instruction cap, deadlock limit) under
-		// the same sim-version salt cell keys use.
+		// the same sim-version salt cell keys use. The accuracy study's
+		// workload is its synthetic inputs, which no instruction cap
+		// reaches, so -bench and -max stay out of its key.
 		etParts := make([]string, len(ets))
 		for i, et := range ets {
 			etParts[i] = strconv.Itoa(et)
@@ -187,15 +199,15 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 				data, err := render(ctx)
 				return string(data), err
 			}
-			key := strings.Join([]string{
-				"ablate", experiments.MemoSalt,
-				"study=" + name,
-				"bench=" + w.Name,
-				"et=" + strings.Join(etParts, ","),
-				"max=" + strconv.FormatUint(*max, 10),
-				"deadlock=" + strconv.Itoa(*dlFlag),
-			}, "|")
-			data, err := mm.Do(ctx, key, render)
+			key := []string{"ablate", experiments.MemoSalt, "study=" + name}
+			if name == "accuracy" {
+				key = append(key, "bench=synthetic", "et="+strings.Join(etParts, ","))
+			} else {
+				key = append(key, "bench="+workload, "et="+strings.Join(etParts, ","),
+					"max="+strconv.FormatUint(*max, 10))
+			}
+			key = append(key, "deadlock="+strconv.Itoa(*dlFlag))
+			data, err := mm.Do(ctx, strings.Join(key, "|"), render)
 			return string(data), err
 		}
 
@@ -254,6 +266,12 @@ func newSim(ctx context.Context, tr *trace.Trace, opts ilpsim.Options) (*ilpsim.
 	return ilpsim.NewContext(ctx, tr, predictor.NewTwoBit(), opts)
 }
 
+// accuracyInput is the synthetic program the accuracy study runs at one
+// branch bias (percent).
+func accuracyInput(bias int) bench.SyntheticConfig {
+	return bench.SyntheticConfig{Iterations: 4000, BranchesPerIter: 4, Bias: bias, Seed: uint32(bias), Work: 3}
+}
+
 // accuracyStudy sweeps branch predictability on the synthetic workload:
 // §5.3 — "There is a tradeoff between predictor accuracy and its cost
 // versus degree of DEE realization and its cost ... The data suggest
@@ -265,9 +283,7 @@ func accuracyStudy(ctx context.Context, w io.Writer, ets []int) error {
 		fmt.Sprintf("Ablation: branch predictability vs DEE benefit (ET=%d)", et),
 		"branch bias", []string{"accuracy%", "SP", "DEE-CD-MF", "DEE advantage"})
 	for _, bias := range []int{60, 70, 80, 88, 94, 98} {
-		prog, err := bench.BuildSynthetic(bench.SyntheticConfig{
-			Iterations: 4000, BranchesPerIter: 4, Bias: bias, Seed: uint32(bias), Work: 3,
-		})
+		prog, err := bench.BuildSynthetic(accuracyInput(bias))
 		if err != nil {
 			return err
 		}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"deesim/internal/obs"
 	"deesim/internal/obs/obstest"
 	"deesim/internal/runx"
 )
@@ -114,6 +115,51 @@ func TestJournalAndResumeMutuallyExclusive(t *testing.T) {
 	code, _, stderr := run(t, fastArgs("-journal", "a", "-resume", "b")...)
 	if code == 0 || !strings.Contains(stderr, "mutually exclusive") {
 		t.Errorf("exit %d, stderr %s", code, stderr)
+	}
+}
+
+// TestAccuracyStudySkipsBenchTrace: the accuracy study runs its own
+// synthetic programs, so it neither builds nor records the -bench
+// workload (an unknown one is not even looked up), its header describes
+// the synthetic inputs, and -bench and -max do not change its output.
+func TestAccuracyStudySkipsBenchTrace(t *testing.T) {
+	code, out, stderr := run(t, "-study", "accuracy", "-bench", "no-such-workload", "-max", "1", "-et", "8")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	if !strings.HasPrefix(out, "synthetic workload: 4000 iterations of 4 branches") || strings.Contains(out, "dynamic instructions") {
+		t.Errorf("header does not describe the synthetic inputs:\n%s", out)
+	}
+	if !strings.Contains(out, "(ET=8)") {
+		t.Errorf("table does not name the ET it ran at:\n%s", out)
+	}
+	if code, other, stderr := run(t, "-study", "accuracy", "-bench", "xlisp", "-max", "3000", "-et", "8"); code != 0 || other != out {
+		t.Errorf("-bench xlisp changed the accuracy study (exit %d, %s):\n%s\nwant\n%s", code, stderr, other, out)
+	}
+}
+
+// TestAccuracyStudyMemoKeyIgnoresBench: the accuracy study's text does
+// not depend on -bench or -max, so a run under -study all caches it
+// under the one key a lone -study accuracy run with any -bench and
+// -max looks up.
+func TestAccuracyStudyMemoKeyIgnoresBench(t *testing.T) {
+	dir := t.TempDir()
+	hits := obs.GetOrCreateCounter("deesim_memo_hits_total")
+	misses := obs.GetOrCreateCounter("deesim_memo_misses_total")
+	code, all, stderr := run(t, fastArgs("-study", "all", "-memo-dir", dir)...)
+	if code != 0 {
+		t.Fatalf("-study all exited %d: %s", code, stderr)
+	}
+	h0, m0 := hits.Value(), misses.Value()
+	code, acc, stderr := run(t, "-study", "accuracy", "-bench", "compress", "-max", "1", "-et", "16,64", "-memo-dir", dir)
+	if code != 0 {
+		t.Fatalf("-study accuracy exited %d: %s", code, stderr)
+	}
+	if dh, dm := hits.Value()-h0, misses.Value()-m0; dh != 1 || dm != 0 {
+		t.Errorf("accuracy study after -study all: %d memo hits, %d misses; want 1, 0", dh, dm)
+	}
+	if _, table, ok := strings.Cut(acc, "\n\n"); !ok || !strings.HasSuffix(all, table) {
+		t.Errorf("cached accuracy table differs from the -study all one:\n%s", acc)
 	}
 }
 

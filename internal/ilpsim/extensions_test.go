@@ -252,7 +252,9 @@ func TestPEDemandBand(t *testing.T) {
 
 // TestUnlimitedEECDMFEqualsOracle: eager execution with unlimited
 // resources and minimal control dependencies has no control constraints
-// at all — the paper defines its Oracle exactly this way.
+// at all — the paper defines its Oracle exactly this way. Sim.Oracle is
+// that pass, so both are held to pullOracle, a dataflow pass over the
+// trace's data dependences that shares no code with them.
 func TestUnlimitedEECDMFEqualsOracle(t *testing.T) {
 	w, _ := bench.ByName("compress")
 	prog, err := w.Inputs[0].Build(1)
@@ -271,6 +273,12 @@ func TestUnlimitedEECDMFEqualsOracle(t *testing.T) {
 	o := s.Oracle()
 	if r.Cycles != o.Cycles {
 		t.Errorf("EE-CD-MF unlimited (%d cycles) != Oracle (%d)", r.Cycles, o.Cycles)
+	}
+	if want := pullOracle(s, legacyDeps(tr, s)); r.Cycles != want {
+		t.Errorf("EE-CD-MF unlimited (%d cycles) != pull-style dataflow oracle (%d)", r.Cycles, want)
+	}
+	if o.ET != -1 || o.Insts != tr.Len() || o.Speedup != float64(o.Insts)/float64(o.Cycles) {
+		t.Errorf("Oracle header %+v, want ET -1 over %d instructions", o, tr.Len())
 	}
 }
 

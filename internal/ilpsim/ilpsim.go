@@ -279,14 +279,6 @@ func (r Result) RootResolutionRate() float64 {
 	return float64(r.RootResolvedMispredicts) / float64(r.Mispredicts)
 }
 
-// deps pairs the trace's minimal data dependencies with the branch-path
-// index of every instruction (the number of conditional branches before
-// it).
-type deps struct {
-	dd   *trace.DataDeps
-	path []int32 // branch path index per inst
-}
-
 const noDep = trace.NoDep
 
 // Sim is a prepared simulation over one trace. Prepare once, run many
@@ -300,14 +292,14 @@ const noDep = trace.NoDep
 // call. The concurrent-models race test in sched_test.go asserts
 // this contract under the race detector.
 //
-// A Sim does not keep the trace it was prepared from: runs read only
-// the tables below (the instruction count, the per-path wrong-side
-// write sets and branch static ids among them), so a caller that drops
-// its *trace.Trace after NewContext lets the collector free it while
-// the Sim lives on.
+// A Sim does not keep the trace it was prepared from, nor its data
+// dependences: runs read only the tables below (the instruction count,
+// the wakeup lists, the per-path wrong-side write sets and branch
+// static ids among them), so a caller that drops its *trace.Trace after
+// NewContext lets the collector free it while the Sim lives on.
 type Sim struct {
-	n        int // dynamic instructions in the trace
-	d        *deps
+	n        int     // dynamic instructions in the trace
+	path     []int32 // per instruction: branch path index (conditional branches before it)
 	joins    []int32 // per branch ordinal: join position or -1 (see scanBranches)
 	correct  []bool  // per dynamic branch, in branch order
 	accuracy float64
@@ -346,8 +338,10 @@ type Sim struct {
 	// afterwards): wakeOff/wakeList form a CSR producer→consumer
 	// adjacency over the minimal data dependencies (a consumer appears
 	// once per dependency slot, matching the per-slot in-degrees in
-	// initPending[0]), and maxLat is the largest per-instruction latency
-	// (it sizes the calendar ring).
+	// initPending[0]); they are the Sim's only copy of those
+	// dependences, read by the event scheduler and the unlimited pass.
+	// maxLat is the largest per-instruction latency (it sizes the
+	// calendar ring).
 	wakeOff  []int32
 	wakeList []int32
 	maxLat   int32
@@ -368,7 +362,8 @@ type Sim struct {
 	initPending [2][]uint8
 	initReady   [2][]uint64
 
-	// oracle computes the Oracle result on first use and caches it.
+	// oracle runs the unlimited EE-CD-MF pass on first use and caches
+	// its result as the Oracle's.
 	oracle func() Result
 }
 
@@ -400,7 +395,9 @@ func MustNew(tr *trace.Trace, pred predictor.Predictor, opts Options) *Sim {
 // the trace: one forward pass (forward), the CSR fill of the wakeup
 // lists (fillWakeLists), and one backward scan for the per-branch and
 // per-path tables (scanBranches). A memory system, when configured,
-// replays loads and stores in a fourth, dynamic-order pass.
+// replays loads and stores in a fourth, dynamic-order pass. The data
+// dependences themselves are a local: once the wakeup lists hold them,
+// they are dropped.
 func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, opts Options) (s *Sim, err error) {
 	const stage = "ilpsim.New"
 	defer func() {
@@ -434,16 +431,13 @@ func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, 
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	s = &Sim{
-		n:    len(tr.Ins),
-		d:    &deps{dd: tr.DataDeps(opts.StrictMemory)},
-		opts: opts,
-	}
+	s = &Sim{n: len(tr.Ins), opts: opts}
+	dd := tr.DataDeps(opts.StrictMemory)
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
-	nb := s.forward(tr, pred, mem == nil)
-	s.fillWakeLists()
+	nb := s.forward(tr, dd, pred, mem == nil)
+	s.fillWakeLists(dd)
 	s.scanBranches(tr, cfg.Build(tr.Prog), nb)
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
@@ -451,7 +445,16 @@ func NewContext(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, 
 	if mem != nil {
 		s.replayMemory(tr, mem)
 	}
-	s.oracle = sync.OnceValue(s.computeOracle)
+	s.oracle = sync.OnceValue(func() Result {
+		// A background context never cancels and EE-CD-MF is an
+		// unlimited model, so an error here can only be a recovered panic.
+		r, err := s.RunUnlimitedContext(context.Background(), Model{dee.EE, CDMF})
+		if err != nil {
+			panic(err)
+		}
+		r.ET = -1
+		return r
+	})
 	return s, nil
 }
 
@@ -472,8 +475,7 @@ type staticInfo struct {
 // the CSR fill starts from, and replays the predictor, recording its
 // accuracy and the per-static-branch profile. It returns the number of
 // conditional branches.
-func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (nb int32) {
-	dd := s.d.dd
+func (s *Sim) forward(tr *trace.Trace, dd *trace.DataDeps, pred predictor.Predictor, fillLat bool) (nb int32) {
 	n := s.n
 	lat := s.opts.Lat.normalized()
 	info := make([]staticInfo, len(tr.Prog.Code))
@@ -489,7 +491,7 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 		si.branch = isa.IsCondBranch(in.Op)
 	}
 
-	s.d.path = make([]int32, n)
+	s.path = make([]int32, n)
 	s.branchOrd = make([]int32, n)
 	s.srcMask = make([]uint32, n)
 	s.isLoad = make([]bool, n)
@@ -509,7 +511,7 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 	for k := range tr.Ins {
 		din := &tr.Ins[k]
 		si := &info[din.Static]
-		s.d.path[k] = nb
+		s.path[k] = nb
 		s.branchOrd[k] = -1
 		s.nextBranch[k] = -1
 		s.srcMask[k] = si.src
@@ -568,8 +570,7 @@ func (s *Sim) forward(tr *trace.Trace, pred predictor.Predictor, fillLat bool) (
 // scheduler's pending counters decrement consistently. wakeOff[p+1]
 // serves as p's fill cursor: it starts at p's first slot and ends at
 // p+1's. The same walk sets both families' initial ready bits.
-func (s *Sim) fillWakeLists() {
-	dd := s.d.dd
+func (s *Sim) fillWakeLists(dd *trace.DataDeps) {
 	n := s.n
 	for i := 1; i <= n; i++ {
 		s.wakeOff[i] += s.wakeOff[i-1]
@@ -719,47 +720,11 @@ func (s *Sim) designP() float64 {
 
 // Oracle returns the paper's Oracle datum: eager execution with
 // unlimited resources, branches unconstraining — a pure dataflow
-// schedule over minimal data dependencies. It is computed on the first
-// call and shared by every later one, so a sweep asking for it once
-// per cell pays for one pass per Sim.
+// schedule over minimal data dependencies. That is exactly the
+// unlimited EE-CD-MF pass (RunUnlimited), whose Result it returns with
+// ET -1. It is computed on the first call and shared by every later
+// one, so a sweep asking for it once per cell pays for one pass per Sim.
 func (s *Sim) Oracle() Result { return s.oracle() }
-
-func (s *Sim) computeOracle() Result {
-	n := s.n
-	finish := make([]int64, n)
-	var maxc int64
-	for i := 0; i < n; i++ {
-		var ready int64
-		for _, p := range [3]int32{s.d.dd.Rs[i], s.d.dd.Rt[i], s.d.dd.Mem[i]} {
-			if p != noDep && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
-		finish[i] = ready + int64(s.lat[i])
-		if finish[i] > maxc {
-			maxc = finish[i]
-		}
-	}
-	r := Result{ET: -1, Insts: n, Cycles: maxc, Accuracy: s.accuracy}
-	r.Speedup = float64(n) / float64(maxc)
-	r.Branches = len(s.branchPos)
-	return r
-}
-
-// nodeOf converts a known-direction prefix into a speculation-tree node:
-// a known direction follows the predicted arc, an unknown one the
-// not-predicted arc.
-func nodeOf(buf []byte, vec []bool, r int) dee.Node {
-	buf = buf[:r]
-	for i := 0; i < r; i++ {
-		if vec[i] {
-			buf[i] = byte(dee.Pred)
-		} else {
-			buf[i] = byte(dee.NotPred)
-		}
-	}
-	return dee.Node(buf)
-}
 
 // Run simulates one model at the given branch-path resources. In
 // addition to the paper's closed-form shapes (SP, EE, DEE), two
@@ -795,9 +760,9 @@ func attribute(e *runx.Error, m Model, et int, cycle int64) *runx.Error {
 // cycle/window/heap snapshot, and any panic is recovered at this
 // boundary and returned as a *runx.Error with the stack attached.
 //
-// The run is executed by the event-driven ready-list scheduler
-// (sched.go). The retired scan-every-cycle loop stays reachable only
-// through RunLegacyContext, as the differential oracle; the two produce
+// The run is executed by the event-driven ready-set scheduler
+// (sched.go). The retired scan-every-cycle loop lives on in the
+// package's tests as the differential oracle; the two produce
 // cycle-for-cycle identical Results. RunContext is safe to call
 // concurrently from multiple goroutines on one Sim.
 func (s *Sim) RunContext(ctx context.Context, m Model, et int) (Result, error) {
@@ -808,20 +773,9 @@ func (s *Sim) RunContext(ctx context.Context, m Model, et int) (Result, error) {
 	return s.runEvent(ctx, m, et)
 }
 
-// RunLegacyContext runs the cell on the retired scan-every-cycle
-// reference scheduler. The differential tests and the perf pipeline's
-// same-run legacy-vs-event speedup measurement (internal/perf) use it;
-// everything else should call RunContext.
-func (s *Sim) RunLegacyContext(ctx context.Context, m Model, et int) (Result, error) {
-	const stage = "ilpsim.Run"
-	if et < 1 {
-		return Result{}, attribute(runx.Newf(runx.KindInvalidInput, stage, "branch-path resources ET must be >= 1, got %d", et), m, et, 0)
-	}
-	return s.runLegacy(ctx, m, et)
-}
-
-// runSetup builds the per-run invariants shared by both schedulers: the
-// static tree shape, the Result header, and the window depth bound.
+// runSetup builds the per-run invariants of a windowed run: the static
+// tree shape, the Result header, and the window depth bound. The event
+// scheduler and the tests' legacy loop share it.
 func (s *Sim) runSetup(m Model, et int) (shape dee.Shape, res Result, maxDepth int) {
 	profile := m.Strategy == dee.DEEProfile
 	if !profile {
@@ -842,261 +796,4 @@ func (s *Sim) runSetup(m Model, et int) (shape dee.Shape, res Result, maxDepth i
 		maxDepth = shape.MaxDepth()
 	}
 	return shape, res, maxDepth
-}
-
-// runLegacy is the retired scan-every-cycle inner loop: every simulated
-// cycle rescans every unissued instruction in the window. It is the
-// semantic reference the event scheduler is differentially tested
-// against (TestSchedulerDifferential, FuzzSchedulerDifferential).
-func (s *Sim) runLegacy(ctx context.Context, m Model, et int) (res Result, err error) {
-	const stage = "ilpsim.Run"
-	var cycle int64
-	defer func() {
-		// Runs and cycles are counted for both schedulers; the
-		// event-path-only series (calendar events, cycle-skips, arena
-		// reuse) have no legacy analogue.
-		mSimRuns.Inc()
-		mSimCycles.Add(cycle)
-		if r := recover(); r != nil {
-			err = attribute(runx.FromPanic(r, stage), m, et, cycle)
-		}
-	}()
-	vectorCov := m.Strategy == dee.DEEPure || m.Strategy == dee.DEEProfile
-	profile := m.Strategy == dee.DEEProfile
-
-	shape, res, maxDepth := s.runSetup(m, et)
-
-	np := len(s.pathBranch)
-	n := s.n
-	finish := make([]int64, n) // 0 = not issued; else completion cycle
-	pathRemaining := make([]int32, np)
-	pathStart := make([]int32, np+1) // path i covers [pathStart[i], pathStart[i+1])
-	pathDone := make([]int64, np)    // completion cycle of the path's latest instruction
-	for i := 0; i < n; i++ {
-		pathRemaining[s.d.path[i]]++
-	}
-	for i, sz := range s.pathSize {
-		pathStart[i+1] = pathStart[i] + sz
-	}
-
-	known := make([]bool, maxDepth)
-	var unknown []int // window depths of unknown-direction branches
-	nodeBuf := make([]byte, et+1)
-	scratch := make([]bool, et+1)
-
-	// DEE-profile: dynamic greedy tree over per-branch accuracies
-	// (s.profAcc), rebuilt when the window root moves.
-	var profTree *dee.Tree
-	lastHP := -1
-	covered := func(vec []bool, r int) bool {
-		if profile {
-			return profTree.Contains(nodeOf(nodeBuf, vec, r))
-		}
-		return shape.Covered(vec[:r:r], r)
-	}
-
-	hp := 0
-	penalty := int64(s.opts.Penalty)
-	tick := runx.NewTicker(4096)
-	wd := runx.NewWatchdog(int64(s.opts.DeadlockLimit))
-
-	// knownAt reports whether the branch terminating the given absolute
-	// path has a usable direction at cycle c: predicted correctly,
-	// resolved with the misprediction penalty elapsed, or the path is the
-	// branchless trace tail.
-	knownAt := func(absPath int, c int64) bool {
-		b := s.pathBranch[absPath]
-		if b < 0 {
-			return true
-		}
-		if s.correct[s.branchOrd[b]] {
-			return true
-		}
-		f := finish[b]
-		return f > 0 && c > f+penalty
-	}
-
-	for hp < np {
-		cycle++
-		if cerr := tick.Check(ctx, stage); cerr != nil {
-			cerr.Snap = runx.TakeSnapshot(cycle, int64(hp), int64(np), wd.Idle())
-			return res, attribute(cerr, m, et, cycle)
-		}
-		if cycle > int64(s.opts.DeadlockLimit)+int64(n) {
-			e := runx.Newf(runx.KindDeadlock, stage, "exceeded cycle limit %d over %d instructions (hp=%d/%d)", s.opts.DeadlockLimit, n, hp, np)
-			e.Snap = runx.TakeSnapshot(cycle, int64(hp), int64(np), wd.Idle())
-			return res, attribute(e, m, et, cycle)
-		}
-
-		if profile && hp != lastHP {
-			ps := make([]float64, 0, maxDepth)
-			for d := 0; d < maxDepth && hp+d < np; d++ {
-				b := s.pathBranch[hp+d]
-				if b < 0 {
-					ps = append(ps, 0.995)
-					continue
-				}
-				ps = append(ps, s.profAcc[s.pathStatic[hp+d]])
-			}
-			if len(ps) == 0 {
-				ps = append(ps, 0.9)
-			}
-			profTree = dee.BuildGreedyLocal(ps, et)
-			lastHP = hp
-		}
-
-		depth := maxDepth
-		if profile && profTree.Height() < depth {
-			depth = profTree.Height()
-		}
-		if hp+depth > np-1 {
-			depth = np - 1 - hp
-		}
-		known = known[:depth]
-		unknown = unknown[:0]
-		for r := 0; r < depth; r++ {
-			known[r] = knownAt(hp+r, cycle)
-			if !known[r] {
-				unknown = append(unknown, r)
-			}
-		}
-
-		executed := 0
-		for r := 0; r <= depth; r++ {
-			ap := hp + r
-			if pathRemaining[ap] == 0 {
-				continue
-			}
-			// Base coverage: unknown branches before r, first one's depth.
-			fc, ff := 0, -1
-			for _, ur := range unknown {
-				if ur >= r {
-					break
-				}
-				if fc == 0 {
-					ff = ur
-				}
-				fc++
-			}
-			baseCov := r == 0
-			if !baseCov {
-				if vectorCov {
-					baseCov = covered(known, r)
-				} else {
-					baseCov = shape.CoveredCounts(fc, ff, r)
-				}
-			}
-			if !baseCov && m.CDMode == Restrictive {
-				continue
-			}
-			for k := pathStart[ap]; k < pathStart[ap+1]; k++ {
-				if finish[k] != 0 {
-					continue
-				}
-				// Data dependencies: producers must finish strictly earlier.
-				ready := true
-				for _, p := range [3]int32{s.d.dd.Rs[k], s.d.dd.Rt[k], s.d.dd.Mem[k]} {
-					if p != noDep && (finish[p] == 0 || finish[p] >= cycle) {
-						ready = false
-						break
-					}
-				}
-				if !ready {
-					continue
-				}
-				// Branch serialization for non-MF models.
-				if m.CDMode != CDMF && s.branchOrd[k] > 0 {
-					prev := s.branchPos[s.branchOrd[k]-1]
-					if finish[prev] == 0 || finish[prev] >= cycle {
-						continue
-					}
-				}
-				if !baseCov {
-					// CD relaxation: an unknown branch this instruction
-					// is control independent of (the trace reached its
-					// immediate postdominator before k — the static
-					// window never squashed this instruction) does not
-					// count against coverage. Total control dependence
-					// still binds if the branch's wrong side may have
-					// written one of this instruction's operands: the
-					// producer instance is then ambiguous until
-					// resolution.
-					fck, ffk := 0, -1
-					if vectorCov {
-						copy(scratch[:r], known[:r])
-					}
-					for _, ur := range unknown {
-						if ur >= r {
-							break
-						}
-						bpos := s.pathBranch[hp+ur]
-						if j := s.joinOf(bpos); j >= 0 && j <= k {
-							w := s.pathWrong[hp+ur]
-							if s.srcMask[k]&w.Regs == 0 && !(s.isLoad[k] && w.Mem) {
-								if vectorCov {
-									scratch[ur] = true
-								}
-								continue // relaxed
-							}
-						}
-						if fck == 0 {
-							ffk = ur
-						}
-						fck++
-					}
-					if vectorCov {
-						if !covered(scratch, r) {
-							continue
-						}
-					} else if !shape.CoveredCounts(fck, ffk, r) {
-						continue
-					}
-				}
-				finish[k] = cycle + int64(s.lat[k]) - 1
-				if finish[k] > pathDone[ap] {
-					pathDone[ap] = finish[k]
-				}
-				pathRemaining[ap]--
-				executed++
-				if ord := s.branchOrd[k]; ord >= 0 && !s.correct[ord] && r == 0 {
-					res.RootResolvedMispredicts++
-				}
-				if s.opts.PEs > 0 && executed >= s.opts.PEs {
-					break
-				}
-			}
-			if s.opts.PEs > 0 && executed >= s.opts.PEs {
-				break
-			}
-		}
-
-		// Advance the tree root past completed paths — but a resolved
-		// misprediction holds the root until its restart penalty has
-		// elapsed, so squashed work cannot slip into the root path's
-		// unconditional coverage a cycle early.
-		if executed > res.MaxPEs {
-			res.MaxPEs = executed
-		}
-
-		for hp < np && pathRemaining[hp] == 0 && pathDone[hp] <= cycle {
-			if m.Strategy != dee.EE {
-				if b := s.pathBranch[hp]; b >= 0 && !s.correct[s.branchOrd[b]] {
-					if cycle+1 <= finish[b]+penalty {
-						break
-					}
-				}
-			}
-			hp++
-		}
-		if wd.Step(executed > 0) {
-			e := runx.Newf(runx.KindDeadlock, stage, "no forward progress for %d cycles (hp=%d/%d)", wd.Idle(), hp, np)
-			e.Snap = runx.TakeSnapshot(cycle, int64(hp), int64(np), wd.Idle())
-			return res, attribute(e, m, et, cycle)
-		}
-	}
-
-	res.Cycles = cycle
-	res.Speedup = float64(res.Insts) / float64(cycle)
-	res.AvgPEs = res.Speedup // one instruction per PE per cycle
-	return res, nil
 }

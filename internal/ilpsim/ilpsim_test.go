@@ -613,6 +613,47 @@ func TestSimDropsItsTrace(t *testing.T) {
 	}
 }
 
+// maxRetainedPerInst bounds the live heap a prepared Sim keeps per
+// instruction on TestSimRetainedBytes' trace. It reads 36.1 B: the
+// per-instruction tables and the wakeup lists, plus the per-branch and
+// per-path tables. A Sim that also kept the trace's data dependences
+// (Rs/Rt/Mem, 12 B per instruction) read 48.1 B.
+const maxRetainedPerInst = 42.0
+
+// TestSimRetainedBytes prepares a Sim on a fixed synthetic trace, drops
+// the trace, and measures the live heap the Sim keeps per instruction.
+// It guards the Sim's memory layout: a table that grows, or one that is
+// kept when the wakeup lists already hold its contents, fails it.
+func TestSimRetainedBytes(t *testing.T) {
+	prog, err := bench.BuildSynthetic(bench.SyntheticConfig{Iterations: 40_000, BranchesPerIter: 2, Bias: 85, Seed: 1, Work: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() int64 {
+		// Two collections: the first only moves sync.Pool contents to
+		// the victim cache; the second frees them.
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := liveHeap()
+	tr, err := trace.Record(prog, 200_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := tr.Len()
+	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	tr = nil
+	perInst := float64(liveHeap()-base) / float64(n)
+	runtime.KeepAlive(s)
+	t.Logf("a prepared Sim retains %.1f B per instruction over %d instructions", perInst, n)
+	if perInst > maxRetainedPerInst {
+		t.Errorf("a prepared Sim retains %.1f B per instruction, want at most %.0f", perInst, maxRetainedPerInst)
+	}
+}
+
 func TestParseModel(t *testing.T) {
 	for _, tc := range []struct {
 		name string

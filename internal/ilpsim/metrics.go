@@ -9,8 +9,18 @@ import "deesim/internal/obs"
 // Overhead discipline: the event scheduler's per-cycle loop touches
 // only function-local tallies; the shared atomic instruments below are
 // written once per RunContext call, in the deferred flush. The
-// perf-smoke gate (BENCH_core.json, 2.2x geomean vs legacy) holds the
-// instrumented scheduler to this.
+// perf-smoke gate (TestCoreSuiteAgainstBaseline in this package's
+// core_test.go: BENCH_core.json, 2.2x geomean vs the legacy loop)
+// holds the instrumented scheduler to this.
+//
+// Every counter but the two arena counters is a pure function of the
+// cells run: the same cells give the same deltas on any run and any
+// machine (TestSimCountersRepeat). The arena counters are not, so a
+// gate on counted work must leave them out: an arena comes from the
+// runStates sync.Pool, which the garbage collector empties, so how many
+// runs find one to reuse (deesim_sim_arena_reuse_total) and how many
+// allocate (deesim_sim_arena_alloc_total) depends on when collections
+// happen; only their sum, the runs, is fixed.
 var (
 	mSimRuns       = obs.GetOrCreateCounter("deesim_sim_runs_total")
 	mSimCycles     = obs.GetOrCreateCounter("deesim_sim_cycles_total")

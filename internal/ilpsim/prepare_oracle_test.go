@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -52,7 +51,7 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 	g := cfg.Build(tr.Prog)
 	s = &Sim{
 		n:     len(tr.Ins),
-		d:     oracleDeps(tr, opts.StrictMemory),
+		path:  oraclePaths(tr),
 		joins: computeJoinsOracle(tr, g),
 		opts:  opts,
 	}
@@ -77,7 +76,7 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 	}
 	s.pathSize = make([]int32, np)
 	for i := range tr.Ins {
-		s.pathSize[s.d.path[i]]++
+		s.pathSize[s.path[i]]++
 	}
 	s.pathStart = make([]int32, np+1)
 	copy(s.pathStart[1:], tr.Paths())
@@ -114,22 +113,21 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 		}
 	}
 	s.profAcc = oracleProfile(tr, s.branchPos, s.correct, len(tr.Prog.Code))
-	oracleSchedTables(s, oracleWakeLists(s))
+	oracleSchedTables(s, oracleWakeLists(s, tr.DataDeps(opts.StrictMemory)))
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
 	if lerr := oracleLatencies(s, tr); lerr != nil {
 		return nil, lerr
 	}
-	s.oracle = sync.OnceValue(s.computeOracle)
 	return s, nil
 }
 
-// oracleWakeLists builds the CSR wakeup lists with a separate cursor
-// array and returns the per-instruction dependency in-degrees.
-func oracleWakeLists(s *Sim) (depCount []uint8) {
+// oracleWakeLists builds the CSR wakeup lists from the data dependences
+// dd with a separate cursor array and returns the per-instruction
+// dependency in-degrees.
+func oracleWakeLists(s *Sim, dd *trace.DataDeps) (depCount []uint8) {
 	n := s.n
-	dd := s.d.dd
 	s.wakeOff = make([]int32, n+1)
 	depCount = make([]uint8, n)
 	for k := 0; k < n; k++ {
@@ -258,20 +256,19 @@ func oracleLatencies(s *Sim, tr *trace.Trace) error {
 	return nil
 }
 
-// oracleDeps pairs the data dependences with the path index of every
-// instruction, read off the trace's lazily built path segmentation.
-func oracleDeps(tr *trace.Trace, strictMem bool) *deps {
-	n := len(tr.Ins)
-	d := &deps{dd: tr.DataDeps(strictMem), path: make([]int32, n)}
+// oraclePaths returns the path index of every instruction, read off the
+// trace's lazily built path segmentation.
+func oraclePaths(tr *trace.Trace) []int32 {
+	path := make([]int32, len(tr.Ins))
 	ends := tr.Paths()
 	pi := int32(0)
 	for i := range tr.Ins {
 		for int32(i) >= ends[pi] {
 			pi++
 		}
-		d.path[i] = pi
+		path[i] = pi
 	}
-	return d
+	return path
 }
 
 // equalTable compares two prepared tables element by element; a nil
@@ -295,10 +292,6 @@ func equalTable(a, b any) bool {
 	case [2][]uint64:
 		y := b.([2][]uint64)
 		return slices.Equal(x[0], y[0]) && slices.Equal(x[1], y[1])
-	case *deps:
-		y := b.(*deps)
-		return slices.Equal(x.path, y.path) && slices.Equal(x.dd.Rs, y.dd.Rs) &&
-			slices.Equal(x.dd.Rt, y.dd.Rt) && slices.Equal(x.dd.Mem, y.dd.Mem)
 	case Options:
 		y := b.(Options)
 		x.Mem, y.Mem = nil, nil // each preparation replays its own memory system
@@ -361,7 +354,9 @@ var prepareCases = []prepareCase{
 }
 
 // checkPrepareAgainstOracle fails unless NewContext and prepareOracle
-// build identical tables from tr under c.
+// build identical tables from tr under c, and the Oracle pushed along
+// NewContext's wakeup lists matches the pull-style pass over tr's data
+// dependences.
 func checkPrepareAgainstOracle(t *testing.T, label string, tr *trace.Trace, c prepareCase) {
 	t.Helper()
 	prepare := func(f func(context.Context, *trace.Trace, predictor.Predictor, Options) (*Sim, error)) *Sim {
@@ -378,6 +373,9 @@ func checkPrepareAgainstOracle(t *testing.T, label string, tr *trace.Trace, c pr
 	got, want := prepare(NewContext), prepare(prepareOracle)
 	if diff := simDiff(got, want); len(diff) > 0 {
 		t.Fatalf("%s/%s: fused preparation differs from the multi-pass oracle in %v", label, c.name, diff)
+	}
+	if o, pull := got.Oracle().Cycles, pullOracle(got, legacyDeps(tr, got)); o != pull {
+		t.Fatalf("%s/%s: Oracle takes %d cycles, the pull-style dataflow pass %d", label, c.name, o, pull)
 	}
 }
 

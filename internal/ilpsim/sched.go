@@ -1,8 +1,9 @@
 // Event-driven ready-set scheduler for the ILP limit simulator.
 //
-// The legacy inner loop (runLegacy) rescans every unissued instruction
-// in the window every simulated cycle: O(cycles × window instructions).
-// This file replaces the scan with the classic event-driven machinery:
+// The legacy inner loop (runLegacy, kept in legacy_test.go as the
+// differential oracle) rescans every unissued instruction in the window
+// every simulated cycle: O(cycles × window instructions). This file
+// replaces the scan with the classic event-driven machinery:
 //
 //   - per-instruction remaining-dependency counters (pending), seeded
 //     from the precomputed dependency in-degrees plus one serialization
@@ -424,8 +425,8 @@ func (st *runState) queueKnown(p int32, at int64) {
 }
 
 // runEvent is the event-driven scheduler behind RunContext. It produces
-// cycle-for-cycle identical Results to runLegacy (asserted by the
-// differential tests and the fuzz target in sched_test.go).
+// cycle-for-cycle identical Results to the tests' runLegacy (asserted by
+// the differential tests and the fuzz target in sched_test.go).
 func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err error) {
 	const stage = "ilpsim.Run"
 	var cycle int64
@@ -588,7 +589,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 					k := w<<6 | bits.TrailingZeros64(word)
 					visited++
 					if k >= pathEnd {
-						ap = int(s.d.path[k])
+						ap = int(s.path[k])
 						pathEnd, r = int(s.pathStart[ap+1]), ap-hp
 						baseCov = r <= cov
 						if vectorCov && r > 0 {

@@ -26,7 +26,7 @@ var benchCells = []struct {
 	{ModelSPCD, 256},
 }
 
-func benchSim(b *testing.B, workload string) *Sim {
+func benchSim(b *testing.B, workload string) (*Sim, *trace.Trace) {
 	b.Helper()
 	w, err := bench.ByName(workload)
 	if err != nil {
@@ -44,13 +44,13 @@ func benchSim(b *testing.B, workload string) *Sim {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return s
+	return s, tr
 }
 
 // BenchmarkEventScheduler times the event-driven scheduler on xlisp
 // (the longest per-instruction workload in the suite).
 func BenchmarkEventScheduler(b *testing.B) {
-	s := benchSim(b, "xlisp")
+	s, _ := benchSim(b, "xlisp")
 	for _, c := range benchCells {
 		b.Run(fmt.Sprintf("%v/ET%d", c.model, c.et), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
@@ -65,11 +65,12 @@ func BenchmarkEventScheduler(b *testing.B) {
 // BenchmarkLegacyScheduler times the retired scan-every-cycle loop on
 // the same cells, for side-by-side speedup_vs_legacy measurements.
 func BenchmarkLegacyScheduler(b *testing.B) {
-	s := benchSim(b, "xlisp")
+	s, tr := benchSim(b, "xlisp")
+	dd := legacyDeps(tr, s)
 	for _, c := range benchCells {
 		b.Run(fmt.Sprintf("%v/ET%d", c.model, c.et), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := s.runLegacy(context.Background(), c.model, c.et); err != nil {
+				if _, err := s.runLegacy(context.Background(), dd, c.model, c.et); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,6 +13,7 @@ import (
 
 	"deesim/internal/bench"
 	"deesim/internal/dee"
+	"deesim/internal/obs"
 	"deesim/internal/predictor"
 	"deesim/internal/trace"
 )
@@ -49,10 +50,11 @@ func testETs() []int {
 }
 
 // diffCompare runs one (model, ET) cell through both schedulers and
-// fails unless the Results are identical in every field.
-func diffCompare(t *testing.T, s *Sim, m Model, et int, label string) {
+// fails unless the Results are identical in every field. dd is
+// legacyDeps of s's trace.
+func diffCompare(t *testing.T, s *Sim, dd *trace.DataDeps, m Model, et int, label string) {
 	t.Helper()
-	legacy, lerr := s.runLegacy(context.Background(), m, et)
+	legacy, lerr := s.runLegacy(context.Background(), dd, m, et)
 	event, eerr := s.runEvent(context.Background(), m, et)
 	if (lerr == nil) != (eerr == nil) {
 		t.Fatalf("%s %v ET=%d: error mismatch: legacy=%v event=%v", label, m, et, lerr, eerr)
@@ -87,11 +89,12 @@ func TestSchedulerDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+		dd := legacyDeps(tr, s)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel() // the legacy oracle is slow at the deep ETs
 			for _, m := range diffModels {
 				for _, et := range testETs() {
-					diffCompare(t, s, m, et, name)
+					diffCompare(t, s, dd, m, et, name)
 				}
 			}
 		})
@@ -132,6 +135,7 @@ func TestSchedulerDifferentialOptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		s := MustNew(tr, predictor.NewTwoBit(), tc.opts)
+		dd := legacyDeps(tr, s)
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			for _, m := range diffModels {
@@ -140,7 +144,7 @@ func TestSchedulerDifferentialOptions(t *testing.T) {
 					ets = append(ets, deepETs...)
 				}
 				for _, et := range ets {
-					diffCompare(t, s, m, et, tc.name)
+					diffCompare(t, s, dd, m, et, tc.name)
 				}
 			}
 		})
@@ -199,11 +203,12 @@ func TestSchedulerDifferentialWordEdges(t *testing.T) {
 				t.Fatalf("first loop path starts at %d of %d instructions on %d paths, want %d of more than 8192 on at least 300",
 					s.pathStart[1], s.n, len(s.pathSize), first)
 			}
+			dd := legacyDeps(tr, s)
 			label := fmt.Sprintf("first=%d/pes%d", first, pes)
 			t.Run(label, func(t *testing.T) {
 				t.Parallel()
 				for _, m := range edgeModels {
-					diffCompare(t, s, m, 256, label)
+					diffCompare(t, s, dd, m, 256, label)
 				}
 			})
 		}
@@ -315,8 +320,9 @@ func TestConcurrentModelsMatchSequential(t *testing.T) {
 
 // TestConcurrentRunsLeaveTraceUntouched prepares a freshly recorded
 // trace and runs models on it from several goroutines at once, through
-// both schedulers and the unlimited path. No run may write the shared
-// trace: its lazily built path segmentation must never have been
+// the event scheduler, the unlimited path and the Oracle, and the
+// legacy loop over the trace's data dependences. No run may write the
+// shared trace: its lazily built path segmentation must never have been
 // filled, and under -race a write from two runs would be reported.
 func TestConcurrentRunsLeaveTraceUntouched(t *testing.T) {
 	prog, err := bench.BuildSynthetic(bench.DefaultSynthetic())
@@ -328,11 +334,13 @@ func TestConcurrentRunsLeaveTraceUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	dd := legacyDeps(tr, s)
 	runs := []func() (Result, error){
 		func() (Result, error) { return s.RunContext(context.Background(), ModelDEECDMF, 16) },
 		func() (Result, error) { return s.RunContext(context.Background(), ModelSP, 8) },
-		func() (Result, error) { return s.RunLegacyContext(context.Background(), ModelSPCD, 8) },
+		func() (Result, error) { return s.runLegacy(context.Background(), dd, ModelSPCD, 8) },
 		func() (Result, error) { return s.RunUnlimitedContext(context.Background(), ModelEE) },
+		func() (Result, error) { return s.Oracle(), nil },
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(runs))
@@ -375,7 +383,7 @@ func TestSimCollectableAfterRun(t *testing.T) {
 	// The Sim references itself (its Oracle closure), and a finalizer
 	// on a cycle may never run, so watch one of its tables instead.
 	collected := make(chan struct{})
-	runtime.SetFinalizer(s.d, func(*deps) { close(collected) })
+	runtime.SetFinalizer(&s.path[0], func(*int32) { close(collected) })
 	s = nil
 	runtime.GC()
 	select {
@@ -444,7 +452,7 @@ func FuzzSchedulerDifferential(f *testing.F) {
 		m := edgeModels[int(modelIdx)%len(edgeModels)]
 		etv := 1 + int(et) // 1..256: deep enough for multi-word windows
 
-		legacy, lerr := s.runLegacy(context.Background(), m, etv)
+		legacy, lerr := s.runLegacy(context.Background(), legacyDeps(tr, s), m, etv)
 		event, eerr := s.runEvent(context.Background(), m, etv)
 		if (lerr == nil) != (eerr == nil) {
 			t.Fatalf("%v ET=%d: error mismatch: legacy=%v event=%v", m, etv, lerr, eerr)
@@ -495,6 +503,74 @@ func TestCyclesMonotoneInET(t *testing.T) {
 	}
 }
 
+// TestSimCountersRepeat runs one fixed set of cells twice and compares
+// the deltas of every deesim_sim_* counter: each must repeat exactly, so
+// a gate on counted work can compare them across runs and machines.
+// The two arena counters are the exception (see metrics.go): they
+// depend on when the collector empties the arena pool, and only their
+// sum, one per run, repeats.
+func TestSimCountersRepeat(t *testing.T) {
+	prog, err := bench.BuildSynthetic(bench.SyntheticConfig{Iterations: 400, BranchesPerIter: 6, Bias: 70, Seed: 3, Work: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(prog, 12_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sims := []*Sim{
+		MustNew(tr, predictor.NewTwoBit(), DefaultOptions()),
+		MustNew(tr, predictor.NewTwoBit(), Options{Penalty: 8, Lat: RealisticLatencies()}),
+		MustNew(tr, predictor.NewTwoBit(), Options{Penalty: 2, PEs: 4}),
+	}
+	const arenaAlloc, arenaReuse = "deesim_sim_arena_alloc_total", "deesim_sim_arena_reuse_total"
+	counters := func() map[string]float64 {
+		out := map[string]float64{}
+		for _, smp := range obs.Default.Snapshot() {
+			if strings.HasPrefix(smp.Name, "deesim_sim_") && strings.HasSuffix(smp.Name, "_total") {
+				out[smp.Name] = smp.Value
+			}
+		}
+		return out
+	}
+	runCells := func() map[string]float64 {
+		before := counters()
+		for _, s := range sims {
+			for _, m := range diffModels {
+				for _, et := range []int{4, 64} {
+					if _, err := s.RunContext(context.Background(), m, et); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		delta := counters()
+		for name := range delta {
+			delta[name] -= before[name]
+		}
+		delta["arena alloc + reuse"] = delta[arenaAlloc] + delta[arenaReuse]
+		delete(delta, arenaAlloc)
+		delete(delta, arenaReuse)
+		return delta
+	}
+	first, second := runCells(), runCells()
+	if len(first) < 8 {
+		t.Fatalf("only %d deesim_sim_* counters found: %v", len(first), first)
+	}
+	runs := float64(len(sims) * len(diffModels) * 2)
+	if first["deesim_sim_runs_total"] != runs || first["arena alloc + reuse"] != runs {
+		t.Errorf("counted %v runs and %v arenas, want %v of each", first["deesim_sim_runs_total"], first["arena alloc + reuse"], runs)
+	}
+	for name, v := range first {
+		if v <= 0 {
+			t.Errorf("%s: delta %v, want positive (the cells should exercise every counter)", name, v)
+		}
+		if second[name] != v {
+			t.Errorf("%s: delta %v on the first pass, %v on the second", name, v, second[name])
+		}
+	}
+}
+
 // TestOracleComputedOnce: Oracle is a per-Sim constant, so only the
 // first call may pay for the dataflow pass and its allocation.
 func TestOracleComputedOnce(t *testing.T) {
@@ -536,7 +612,7 @@ side2:
 		var counts []int64
 		for _, penalty := range []int{100, 400} {
 			s := MustNew(tr, predictor.NewTwoBit(), Options{Penalty: penalty, DesignP: 0.6})
-			diffCompare(t, s, m, 16, fmt.Sprintf("penalty %d", penalty))
+			diffCompare(t, s, legacyDeps(tr, s), m, 16, fmt.Sprintf("penalty %d", penalty))
 			before := mSimRetests.Value()
 			r, err := s.runEvent(context.Background(), m, 16)
 			if err != nil {

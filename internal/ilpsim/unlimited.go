@@ -30,9 +30,17 @@ import (
 //     The CD models exempt control-independent, operand-unambiguous
 //     instructions exactly as in the windowed simulator.
 //
-// Active-gate bookkeeping is exact for the gates still pending at each
-// instruction; gates are pruned as control passes their joins and as
-// their times fall below the already-required start time.
+// Data readiness comes from the event scheduler's wakeup lists: a
+// producer precedes its consumers in the trace, so when instruction k is
+// reached every producer has already pushed its finish time to k.
+//
+// The CD models' gate bookkeeping is not exact: a gate stops counting
+// once control passes its join with an empty wrong-side write set, but
+// once more than 512 gates are pending only the newest 256 are kept, on
+// the assumption that older gates trail the data-readiness frontier. On
+// the shipped inputs the cap changes no printed table; nothing proves
+// that it cannot. ROADMAP item 1 replaces the scan with an exact
+// structure and removes the cap.
 func (s *Sim) RunUnlimited(m Model) (Result, error) {
 	return s.RunUnlimitedContext(context.Background(), m)
 }
@@ -63,6 +71,8 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 		}
 	}
 
+	// finish[k] is k's data-ready time until k is reached, its finish
+	// time after.
 	finish := make([]int64, n)
 	penalty := int64(s.opts.Penalty)
 	var prevBranchFinish int64
@@ -85,12 +95,7 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 			return Result{}, attribute(cerr, m, 0, int64(k))
 		}
 		// Data readiness: start > producer finishes.
-		var ready int64
-		for _, p := range [3]int32{s.d.dd.Rs[k], s.d.dd.Rt[k], s.d.dd.Mem[k]} {
-			if p != noDep && finish[p] > ready {
-				ready = finish[p]
-			}
-		}
+		ready := finish[k]
 
 		// Misprediction gates.
 		if m.Strategy != dee.EE {
@@ -148,15 +153,18 @@ func (s *Sim) RunUnlimitedContext(ctx context.Context, m Model) (res Result, err
 			}
 		}
 
-		finish[k] = ready + int64(s.lat[k])
-		if finish[k] > maxc {
-			maxc = finish[k]
+		f := ready + int64(s.lat[k])
+		finish[k] = f
+		maxc = max(maxc, f)
+		for _, c := range s.wakeList[s.wakeOff[k]:s.wakeOff[k+1]] {
+			finish[c] = max(finish[c], f)
 		}
 
 		if isBr {
-			prevBranchFinish = finish[k]
-			if !s.correct[s.branchOrd[k]] {
-				gt := finish[k] + penalty
+			prevBranchFinish = f
+			// EE reads no gates, so it records none.
+			if m.Strategy != dee.EE && !s.correct[s.branchOrd[k]] {
+				gt := f + penalty
 				if m.CDMode == Restrictive {
 					if gt > rg1 {
 						rg1, rg2 = gt, rg1

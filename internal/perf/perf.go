@@ -16,6 +16,8 @@
 //     machine-independent and is what the CI gate compares against the
 //     checked-in baseline: if the event scheduler loses more than the
 //     threshold of its measured advantage, the perf-smoke job fails.
+//     The legacy loop is test code of internal/ilpsim, so the caller
+//     hands RunCore a Legacy runner; the gate itself runs there.
 //
 // The sim_speedup field carries the simulated Result.Speedup (the paper
 // metric), tying each perf record back to the figure it regenerates.
@@ -67,7 +69,7 @@ type Record struct {
 	// metric) — identical across schedulers by the differential tests.
 	SimSpeedup float64 `json:"sim_speedup"`
 	// SpeedupVsLegacy is legacy ns/op divided by event ns/op, measured
-	// in the same run (0 when the legacy side was not measured).
+	// in the same run.
 	SpeedupVsLegacy float64 `json:"speedup_vs_legacy,omitempty"`
 }
 
@@ -252,10 +254,13 @@ type CoreConfig struct {
 	// side (0 = 100ms); MinIters the minimum timed runs (0 = 3).
 	MinTime  time.Duration
 	MinIters int
-	// SkipLegacy measures only the event scheduler (no
-	// speedup_vs_legacy), for quick local ns/op captures.
-	SkipLegacy bool
 }
+
+// Legacy binds a reference scheduler to one prepared Sim and the trace
+// it was prepared from, and returns a runner that simulates one cell on
+// it. RunCore times that runner against RunContext for
+// speedup_vs_legacy.
+type Legacy func(tr *trace.Trace, sim *ilpsim.Sim) func(ctx context.Context, m ilpsim.Model, et int) (ilpsim.Result, error)
 
 // The ET-scaling cells compare the Figure 5 sweep's smallest and
 // largest ET, over scalingRounds alternations. Compare fails a
@@ -383,11 +388,10 @@ func measureScaling(ctx context.Context, cells []*scalingCell) ([]Scaling, error
 }
 
 // RunCore measures the ILP core over the configured cells and returns
-// the suite. Each cell is timed on the event scheduler and (unless
-// SkipLegacy) on the legacy scanner, on one shared prepared Sim; the
-// scalingModels are then timed at scalingLoET and scalingHiET on every
-// workload's Sim.
-func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
+// the suite. Each cell is timed on the event scheduler and on the
+// runner legacy binds to the same prepared Sim; the scalingModels are
+// then timed at scalingLoET and scalingHiET on every workload's Sim.
+func RunCore(ctx context.Context, cfg CoreConfig, legacy Legacy) (*Suite, error) {
 	cfg = cfg.withDefaults()
 	suite := &Suite{
 		Schema:   Schema,
@@ -413,6 +417,7 @@ func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
 		if err != nil {
 			return nil, err
 		}
+		runLegacy := legacy(tr, sim)
 		for _, m := range cfg.Models {
 			for _, et := range cfg.ETs {
 				var res ilpsim.Result
@@ -430,16 +435,14 @@ func RunCore(ctx context.Context, cfg CoreConfig) (*Suite, error) {
 					NsPerOp:    eventNs,
 					SimSpeedup: res.Speedup,
 				}
-				if !cfg.SkipLegacy {
-					legacyNs, _, err := measure(ctx, cfg, func(ctx context.Context) error {
-						_, err := sim.RunLegacyContext(ctx, m, et)
-						return err
-					})
-					if err != nil {
-						return nil, err
-					}
-					rec.SpeedupVsLegacy = legacyNs / eventNs
+				legacyNs, _, err := measure(ctx, cfg, func(ctx context.Context) error {
+					_, err := runLegacy(ctx, m, et)
+					return err
+				})
+				if err != nil {
+					return nil, err
 				}
+				rec.SpeedupVsLegacy = legacyNs / eventNs
 				suite.Records = append(suite.Records, rec)
 			}
 		}

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"deesim/internal/ilpsim"
 	"deesim/internal/runx"
+	"deesim/internal/trace"
 )
 
 func sampleSuite() *Suite {
@@ -150,7 +152,9 @@ func TestBenchstatOutput(t *testing.T) {
 
 // TestRunCoreSmoke measures one tiny workload end to end, with the
 // legacy side and the ET-scaling cells, and checks the suite holds
-// plausible records.
+// plausible records. The legacy loop is internal/ilpsim test code, so a
+// stand-in runner (the event scheduler itself) takes its place here;
+// TestRunCoreLegacySmoke there runs the real one.
 func TestRunCoreSmoke(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -160,6 +164,8 @@ func TestRunCoreSmoke(t *testing.T) {
 		TraceCap:  4_000,
 		MinTime:   5 * time.Millisecond,
 		MinIters:  2,
+	}, func(_ *trace.Trace, s *ilpsim.Sim) func(context.Context, ilpsim.Model, int) (ilpsim.Result, error) {
+		return s.RunContext
 	})
 	if err != nil {
 		t.Fatal(err)
