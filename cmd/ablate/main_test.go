@@ -182,3 +182,7 @@ func TestLifecycle(t *testing.T) {
 		{Name: "unknown study", Args: fastArgs("-study", "nope"), Code: runx.ExitError},
 	})
 }
+
+// TestResultsRegenerate regenerates every results/ file ablate writes and
+// compares it byte for byte (not in short mode).
+func TestResultsRegenerate(t *testing.T) { obstest.Results(t, "ablate", realMain) }

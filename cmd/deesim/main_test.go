@@ -382,3 +382,7 @@ func TestLifecycle(t *testing.T) {
 		{Name: "unknown model", Args: []string{"-models", "nope"}, Code: runx.ExitError},
 	})
 }
+
+// TestResultsRegenerate regenerates every results/ file deesim writes and
+// compares it byte for byte (not in short mode).
+func TestResultsRegenerate(t *testing.T) { obstest.Results(t, "deesim", realMain) }

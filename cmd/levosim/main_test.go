@@ -15,3 +15,7 @@ func TestLifecycle(t *testing.T) {
 		{Name: "unknown workload", Args: []string{"-bench", "gcc"}, Code: runx.ExitError},
 	})
 }
+
+// TestResultsRegenerate regenerates every results/ file levosim writes and
+// compares it byte for byte (not in short mode).
+func TestResultsRegenerate(t *testing.T) { obstest.Results(t, "levosim", realMain) }

@@ -14,3 +14,7 @@ func TestLifecycle(t *testing.T) {
 		{Name: "bad IQ size", Args: []string{"-iq", "x"}, Code: runx.ExitError},
 	})
 }
+
+// TestResultsRegenerate regenerates every results/ file tracegen writes and
+// compares it byte for byte (not in short mode).
+func TestResultsRegenerate(t *testing.T) { obstest.Results(t, "tracegen", realMain) }

@@ -15,3 +15,7 @@ func TestLifecycle(t *testing.T) {
 		{Name: "unknown strategy", Args: []string{"-strategy", "x"}, Code: runx.ExitInvalidInput},
 	})
 }
+
+// TestResultsRegenerate regenerates every results/ file treeviz writes and
+// compares it byte for byte (not in short mode).
+func TestResultsRegenerate(t *testing.T) { obstest.Results(t, "treeviz", realMain) }

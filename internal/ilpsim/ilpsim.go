@@ -339,7 +339,7 @@ type Sim struct {
 	// adjacency over the minimal data dependencies (a consumer appears
 	// once per dependency slot, matching the per-slot in-degrees in
 	// initPending[0]); they are the Sim's only copy of those
-	// dependences, read by the event scheduler and the unlimited pass.
+	// dependences, read by the event scheduler and the forward pass.
 	// maxLat is the largest per-instruction latency (it sizes the
 	// calendar ring).
 	wakeOff  []int32
@@ -760,37 +760,46 @@ func attribute(e *runx.Error, m Model, et int, cycle int64) *runx.Error {
 // cycle/window/heap snapshot, and any panic is recovered at this
 // boundary and returned as a *runx.Error with the stack attached.
 //
-// The run is executed by the event-driven ready-set scheduler
-// (sched.go). The retired scan-every-cycle loop lives on in the
-// package's tests as the differential oracle; the two produce
-// cycle-for-cycle identical Results. RunContext is safe to call
-// concurrently from multiple goroutines on one Sim.
+// A closed-form model (SP, EE, DEE) without a PEs cap runs as the
+// forward constraint pass (unlimited.go); a PEs cap or a tree strategy
+// runs on the event-driven ready-set scheduler (sched.go). The retired
+// scan-every-cycle loop lives on in the package's tests as the
+// differential oracle; all three produce cycle-for-cycle identical
+// Results, errors included. RunContext is safe to call concurrently
+// from multiple goroutines on one Sim.
 func (s *Sim) RunContext(ctx context.Context, m Model, et int) (Result, error) {
 	const stage = "ilpsim.Run"
 	if et < 1 {
 		return Result{}, attribute(runx.Newf(runx.KindInvalidInput, stage, "branch-path resources ET must be >= 1, got %d", et), m, et, 0)
 	}
+	if s.opts.PEs == 0 && closedForm(m) {
+		return s.runForward(ctx, m, et)
+	}
 	return s.runEvent(ctx, m, et)
 }
 
-// runSetup builds the per-run invariants of a windowed run: the static
-// tree shape, the Result header, and the window depth bound. The event
-// scheduler and the tests' legacy loop share it.
-func (s *Sim) runSetup(m Model, et int) (shape dee.Shape, res Result, maxDepth int) {
-	profile := m.Strategy == dee.DEEProfile
-	if !profile {
-		shape = dee.NewShape(m.Strategy, s.designP(), et)
-	}
-	res = Result{
-		Model: m, ET: et, Insts: s.n,
-		Branches: len(s.branchPos), Accuracy: s.accuracy,
-		TreeML: shape.ML, TreeH: shape.H,
-	}
+// resultHeader is the part of a Result that does not depend on the
+// schedule.
+func (s *Sim) resultHeader(m Model, et int) Result {
+	res := Result{Model: m, ET: et, Insts: s.n, Branches: len(s.branchPos), Accuracy: s.accuracy}
 	for _, ok := range s.correct {
 		if !ok {
 			res.Mispredicts++
 		}
 	}
+	return res
+}
+
+// runSetup builds the per-run invariants of a windowed run: the static
+// tree shape, the Result header, and the window depth bound. The event
+// scheduler, the forward pass and the tests' legacy loop share it.
+func (s *Sim) runSetup(m Model, et int) (shape dee.Shape, res Result, maxDepth int) {
+	profile := m.Strategy == dee.DEEProfile
+	if !profile {
+		shape = dee.NewShape(m.Strategy, s.designP(), et)
+	}
+	res = s.resultHeader(m, et)
+	res.TreeML, res.TreeH = shape.ML, shape.H
 	maxDepth = et
 	if !profile {
 		maxDepth = shape.MaxDepth()

@@ -6,9 +6,15 @@ import "deesim/internal/obs"
 // /metrics (or -metrics-out) exposition covers every simulator run in
 // the process, whichever layer triggered it.
 //
-// Overhead discipline: the event scheduler's per-cycle loop touches
-// only function-local tallies; the shared atomic instruments below are
-// written once per RunContext call, in the deferred flush. The
+// Overhead discipline: the event scheduler's per-cycle loop and the
+// forward pass's per-instruction loop touch only function-local
+// tallies; the shared atomic instruments below are written once per
+// RunContext call, in the deferred flush. Every RunContext run, on
+// either path, counts in runs, cycles, instructions issued and the
+// arena counters. The calendar, cycle-skip, retest and ready-word
+// counters and the ready-depth gauge measure event-kernel work: a
+// forward-pass run (a closed-form model without a PEs cap) adds
+// nothing to them. Unlimited runs and the Oracle count in none. The
 // perf-smoke gate (TestCoreSuiteAgainstBaseline in this package's
 // core_test.go: BENCH_core.json, 2.2x geomean vs the legacy loop)
 // holds the instrumented scheduler to this.

@@ -1,5 +1,12 @@
 // Event-driven ready-set scheduler for the ILP limit simulator.
 //
+// RunContext runs two kinds of cell here: a PEs cap, under which issue
+// priority, not readiness alone, picks a cycle's instructions; and the
+// tree strategies (DEE-pure, DEE-profile), whose coverage has no
+// threshold form. A closed-form shape (SP, EE, DEE) without a cap runs
+// as the forward constraint pass (unlimited.go), which the control
+// parking argument below makes exact.
+//
 // The legacy inner loop (runLegacy, kept in legacy_test.go as the
 // differential oracle) rescans every unissued instruction in the window
 // every simulated cycle: O(cycles × window instructions). This file
@@ -96,23 +103,38 @@ import (
 	"deesim/internal/runx"
 )
 
-// unkBranch is one unknown-direction window branch: the absolute path
-// it terminates, with the static half of the CD relaxation test hoisted
-// in when it enters the window.
-type unkBranch struct {
-	p    int32  // absolute path index
+// relaxRule is the static half of the CD relaxation test for the
+// mispredicted branch ending one path: its join and the writes of the
+// side the machine wrongly followed.
+type relaxRule struct {
 	join int32  // join position; math.MaxInt32 when unknown (relaxes nothing)
 	regs uint32 // registers the wrong side may write
 	mem  bool   // the wrong side may store
-	wait int32  // head of the instructions parked on this branch; -1 when none
+}
+
+// relaxRuleOf returns the relaxation rule of the branch ending path p.
+func (s *Sim) relaxRuleOf(p int) relaxRule {
+	if s.pathJoin[p] < 0 {
+		return relaxRule{join: math.MaxInt32}
+	}
+	return relaxRule{join: s.pathJoin[p], regs: s.pathWrong[p].Regs, mem: s.pathWrong[p].Mem}
 }
 
 // relaxes reports whether instruction k, with source-register mask sm
 // and load flag ld, is control independent of the branch and cannot
 // have had an operand written by its wrong side — the legacy loop's CD
 // relaxation. It depends on nothing that changes during a run.
-func (u *unkBranch) relaxes(k int32, sm uint32, ld bool) bool {
+func (u *relaxRule) relaxes(k int32, sm uint32, ld bool) bool {
 	return u.join <= k && sm&u.regs == 0 && !(ld && u.mem)
+}
+
+// unkBranch is one unknown-direction window branch: the absolute path
+// it terminates, with its relaxation rule hoisted in when it enters the
+// window.
+type unkBranch struct {
+	p int32 // absolute path index
+	relaxRule
+	wait int32 // head of the instructions parked on this branch; -1 when none
 }
 
 // knownEvt schedules the cycle at which an issued mispredicted branch's
@@ -402,13 +424,7 @@ func (s *Sim) advanceKnown(st *runState, hp, end int, cycle, penalty int64) {
 		if f := st.brFinish[p]; f > 0 && cycle > f+penalty {
 			continue
 		}
-		u := unkBranch{p: int32(p), join: s.pathJoin[p], wait: -1}
-		if u.join < 0 {
-			u.join = math.MaxInt32
-		} else {
-			u.regs, u.mem = s.pathWrong[p].Regs, s.pathWrong[p].Mem
-		}
-		st.unk.push(u)
+		st.unk.push(unkBranch{p: int32(p), relaxRule: s.relaxRuleOf(p), wait: -1})
 	}
 }
 

@@ -62,6 +62,21 @@ func BenchmarkEventScheduler(b *testing.B) {
 	}
 }
 
+// BenchmarkForwardPass times the forward constraint pass, RunContext's
+// path for these cells, on the same trace.
+func BenchmarkForwardPass(b *testing.B) {
+	s, _ := benchSim(b, "xlisp")
+	for _, c := range benchCells {
+		b.Run(fmt.Sprintf("%v/ET%d", c.model, c.et), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := s.runForward(context.Background(), c.model, c.et); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkLegacyScheduler times the retired scan-every-cycle loop on
 // the same cells, for side-by-side speedup_vs_legacy measurements.
 func BenchmarkLegacyScheduler(b *testing.B) {

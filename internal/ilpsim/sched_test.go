@@ -49,9 +49,10 @@ func testETs() []int {
 	return append(slices.Clip(diffETs), deepETs...)
 }
 
-// diffCompare runs one (model, ET) cell through both schedulers and
-// fails unless the Results are identical in every field. dd is
-// legacyDeps of s's trace.
+// diffCompare runs one (model, ET) cell through both schedulers, and
+// through the forward pass when s has no PEs cap and m a closed-form
+// shape, and fails unless the Results are identical in every field. dd
+// is legacyDeps of s's trace.
 func diffCompare(t *testing.T, s *Sim, dd *trace.DataDeps, m Model, et int, label string) {
 	t.Helper()
 	legacy, lerr := s.runLegacy(context.Background(), dd, m, et)
@@ -59,11 +60,17 @@ func diffCompare(t *testing.T, s *Sim, dd *trace.DataDeps, m Model, et int, labe
 	if (lerr == nil) != (eerr == nil) {
 		t.Fatalf("%s %v ET=%d: error mismatch: legacy=%v event=%v", label, m, et, lerr, eerr)
 	}
-	if lerr != nil {
-		return // both failed identically-typed; nothing to compare
-	}
-	if legacy != event {
+	if lerr == nil && legacy != event {
 		t.Errorf("%s %v ET=%d: result drift:\n  legacy: %+v\n  event:  %+v", label, m, et, legacy, event)
+	}
+	if s.opts.PEs == 0 && closedForm(m) {
+		fwd, ferr := s.runForward(context.Background(), m, et)
+		if (eerr == nil) != (ferr == nil) {
+			t.Fatalf("%s %v ET=%d: error mismatch: event=%v forward=%v", label, m, et, eerr, ferr)
+		}
+		if eerr == nil && fwd != event {
+			t.Errorf("%s %v ET=%d: result drift:\n  event:   %+v\n  forward: %+v", label, m, et, event, fwd)
+		}
 	}
 }
 
@@ -396,7 +403,8 @@ func TestSimCollectableAfterRun(t *testing.T) {
 // FuzzSchedulerDifferential feeds random short synthetic traces through
 // both schedulers and asserts identical results — the moving parts
 // (penalty, latencies, PEs cap, model from edgeModels, ET) are all
-// fuzz-controlled.
+// fuzz-controlled. Every input also runs once without a PEs cap, where
+// the closed-form models go through the forward pass as well.
 func FuzzSchedulerDifferential(f *testing.F) {
 	f.Add(uint16(40), uint8(4), uint8(88), uint32(0x5e5e), uint8(3), uint8(8), uint8(0), uint8(1), false)
 	f.Add(uint16(120), uint8(2), uint8(55), uint32(0xdead), uint8(0), uint8(1), uint8(5), uint8(0), true)
@@ -441,28 +449,18 @@ func FuzzSchedulerDifferential(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		opts := Options{Penalty: int(penalty) % 9, PEs: int(work) % 5}
-		if realistic {
-			opts.Lat = RealisticLatencies()
-		}
-		s, err := New(tr, predictor.NewTwoBit(), opts)
-		if err != nil {
-			t.Skip()
-		}
 		m := edgeModels[int(modelIdx)%len(edgeModels)]
 		etv := 1 + int(et) // 1..256: deep enough for multi-word windows
-
-		legacy, lerr := s.runLegacy(context.Background(), legacyDeps(tr, s), m, etv)
-		event, eerr := s.runEvent(context.Background(), m, etv)
-		if (lerr == nil) != (eerr == nil) {
-			t.Fatalf("%v ET=%d: error mismatch: legacy=%v event=%v", m, etv, lerr, eerr)
-		}
-		if lerr != nil {
-			return
-		}
-		if legacy.Cycles != event.Cycles || legacy.Speedup != event.Speedup ||
-			legacy.RootResolvedMispredicts != event.RootResolvedMispredicts || legacy != event {
-			t.Fatalf("%v ET=%d: result drift:\n  legacy: %+v\n  event:  %+v", m, etv, legacy, event)
+		for _, pes := range slices.Compact([]int{int(work) % 5, 0}) {
+			opts := Options{Penalty: int(penalty) % 9, PEs: pes}
+			if realistic {
+				opts.Lat = RealisticLatencies()
+			}
+			s, err := New(tr, predictor.NewTwoBit(), opts)
+			if err != nil {
+				t.Skip()
+			}
+			diffCompare(t, s, legacyDeps(tr, s), m, etv, fmt.Sprintf("pes%d", pes))
 		}
 	})
 }
@@ -508,7 +506,10 @@ func TestCyclesMonotoneInET(t *testing.T) {
 // a gate on counted work can compare them across runs and machines.
 // The two arena counters are the exception (see metrics.go): they
 // depend on when the collector empties the arena pool, and only their
-// sum, one per run, repeats.
+// sum, one per run, repeats. Without a PEs cap the closed-form cells
+// run the forward pass, which counts only runs, cycles, issues and
+// arenas; the tree models and the PEs-capped option set keep every
+// event-kernel counter exercised.
 func TestSimCountersRepeat(t *testing.T) {
 	prog, err := bench.BuildSynthetic(bench.SyntheticConfig{Iterations: 400, BranchesPerIter: 6, Bias: 70, Seed: 3, Work: 4})
 	if err != nil {

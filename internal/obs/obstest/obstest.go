@@ -58,3 +58,60 @@ func Lifecycle(t *testing.T, main func(args []string, stdout, stderr io.Writer) 
 		})
 	}
 }
+
+// Results regenerates every results/ file that results/README.md lists
+// under a command of the named binary: it runs the command's arguments
+// through main in-process and fails unless stdout equals the checked-in
+// file byte for byte. The commands run at full trace length, so short
+// mode skips it, and so does the race detector, under which they take
+// minutes. The test must run from cmd/<binary>.
+func Results(t *testing.T, binary string, main func(args []string, stdout, stderr io.Writer) int) {
+	t.Helper()
+	if testing.Short() || raceEnabled {
+		t.Skip("regenerating results/ takes full-length sweeps")
+	}
+	dir := filepath.Join("..", "..", "results")
+	index, err := os.ReadFile(filepath.Join(dir, "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(index), "\n") {
+		// | `file` | `binary args...` | paper artifact |
+		cols := strings.Split(line, "|")
+		if len(cols) < 4 {
+			continue
+		}
+		file, cmd := strings.Trim(cols[1], " `"), strings.Fields(strings.Trim(cols[2], " `"))
+		if len(cmd) == 0 || cmd[0] != binary {
+			continue
+		}
+		rows++
+		t.Run(file, func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join(dir, file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var stdout, stderr bytes.Buffer
+			if code := main(cmd[1:], &stdout, &stderr); code != 0 {
+				t.Fatalf("%s: exit code %d\nstderr:\n%s", strings.Join(cmd, " "), code, stderr.String())
+			}
+			if !bytes.Equal(stdout.Bytes(), want) {
+				got := strings.Split(stdout.String(), "\n")
+				for i, w := range strings.Split(string(want), "\n") {
+					if i >= len(got) || got[i] != w {
+						g := "<missing>"
+						if i < len(got) {
+							g = got[i]
+						}
+						t.Fatalf("%s differs from results/%s at line %d:\n  got:  %q\n  want: %q", strings.Join(cmd, " "), file, i+1, g, w)
+					}
+				}
+				t.Fatalf("%s prints %d lines past the end of results/%s", strings.Join(cmd, " "), len(got)-len(strings.Split(string(want), "\n")), file)
+			}
+		})
+	}
+	if rows == 0 {
+		t.Fatalf("results/README.md lists no %s command", binary)
+	}
+}

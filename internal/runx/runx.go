@@ -282,8 +282,9 @@ func Annotate(err error, benchmark string) error {
 }
 
 // Ticker rate-limits context checks inside hot loops: Check consults the
-// context only every Nth call, so the common case costs one increment
-// and one compare.
+// context on the first call and then every Nth, so the common case
+// costs one increment and one compare, and a loop started under a dead
+// context stops at its first step whatever it counts in.
 type Ticker struct {
 	every uint32
 	n     uint32
@@ -295,7 +296,7 @@ func NewTicker(every uint32) Ticker {
 	if every == 0 {
 		every = 1
 	}
-	return Ticker{every: every}
+	return Ticker{every: every, n: every - 1}
 }
 
 // Check returns a structured cancellation/deadline error once the
