@@ -14,7 +14,6 @@ import (
 	"deesim/internal/predictor"
 	"deesim/internal/runx"
 	"deesim/internal/stats"
-	"deesim/internal/trace"
 )
 
 // PaperResources is the Figure 5 horizontal axis.
@@ -145,26 +144,18 @@ type WorkloadResult struct {
 
 type buildable = func(scale int) (*isa.Program, error)
 
-// recordInput builds an input's program and records its dynamic trace.
-func recordInput(ctx context.Context, name string, prog buildable, cfg Config) (*trace.Trace, error) {
+// buildInputSim builds an input's program and prepares its simulator
+// straight from the recorded instruction stream (ilpsim.RecordContext).
+func buildInputSim(ctx context.Context, name string, prog buildable, cfg Config) (*ilpsim.Sim, error) {
 	p, err := prog(cfg.Scale)
 	if err != nil {
 		return nil, fmt.Errorf("build %s: %w", name, err)
 	}
-	tr, err := trace.RecordContext(ctx, p, cfg.MaxInstrs)
-	if err != nil {
-		return nil, runx.Annotate(err, name)
-	}
-	return tr, nil
-}
-
-// newInputSim constructs the prepared simulator for a recorded trace.
-func newInputSim(ctx context.Context, name string, tr *trace.Trace, cfg Config) (*ilpsim.Sim, error) {
 	pred, err := predictor.New(cfg.Predictor)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := ilpsim.NewContext(ctx, tr, pred, cfg.Opts)
+	sim, err := ilpsim.RecordContext(ctx, p, cfg.MaxInstrs, pred, cfg.Opts)
 	if err != nil {
 		return nil, runx.Annotate(err, name)
 	}

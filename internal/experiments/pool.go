@@ -14,11 +14,11 @@ import (
 )
 
 // InputPool shares prepared inputs — an input's prepared simulator,
-// built by recording the input's trace and preparing the simulator over
-// it — between the cells that run on them, so an input is recorded and
-// prepared once however many (model × ET) cells it serves. An entry
-// holds only the simulator, which carries the instruction count; the
-// trace is dropped as soon as the simulator is prepared. Entries are
+// built straight from the input's recorded instruction stream
+// (ilpsim.RecordContext) — between the cells that run on them, so an
+// input is recorded and prepared once however many (model × ET) cells
+// it serves. An entry holds only the simulator, which carries the
+// instruction count; no trace is kept. Entries are
 // keyed by InputKey and pinned while a user still needs them:
 // RunMatrixContext pins each input for all of its cells and unpins one
 // per merge; a leased cell pins its input only while it runs. The pool
@@ -166,12 +166,11 @@ func (e *poolEntry) get(ctx context.Context, cfg Config, ahead *buildAhead) (*il
 	}
 }
 
-// fill runs the build the caller claimed (by setting e.building):
-// it records the input's trace, prepares the simulator over it, keeps
-// the simulator and lets the trace go. A failed build — a panic
-// included, returned as a KindPanic error — leaves the entry empty, so
-// the next cell to need it builds it again. Either way the build ends,
-// so no cell waits on it forever.
+// fill runs the build the caller claimed (by setting e.building): it
+// records the input's trace into its prepared simulator and keeps the
+// simulator. A failed build — a panic included, returned as a KindPanic
+// error — leaves the entry empty, so the next cell to need it builds it
+// again. Either way the build ends, so no cell waits on it forever.
 func (e *poolEntry) fill(ctx context.Context, cfg Config, ahead bool) (sim *ilpsim.Sim, err error) {
 	mInputBuilds.Inc()
 	var attrs map[string]string
@@ -191,16 +190,7 @@ func (e *poolEntry) fill(ctx context.Context, cfg Config, ahead bool) (sim *ilps
 		e.building = nil
 		e.mu.Unlock()
 	}()
-	return e.buildSim(ctx, cfg)
-}
-
-// buildSim records the input's trace and prepares its simulator.
-func (e *poolEntry) buildSim(ctx context.Context, cfg Config) (*ilpsim.Sim, error) {
-	tr, err := recordInput(ctx, e.name, e.build, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return newInputSim(ctx, e.name, tr, cfg)
+	return buildInputSim(ctx, e.name, e.build, cfg)
 }
 
 // buildAhead gives a sweep's waiting cells work that is certain to be

@@ -253,8 +253,9 @@ func TestPEDemandBand(t *testing.T) {
 // TestUnlimitedEECDMFEqualsOracle: eager execution with unlimited
 // resources and minimal control dependencies has no control constraints
 // at all — the paper defines its Oracle exactly this way. Sim.Oracle is
-// that pass, so both are held to pullOracle, a dataflow pass over the
-// trace's data dependences that shares no code with them.
+// that schedule, computed by the build, so both are held to pullOracle,
+// a dataflow pass over the trace's data dependences that shares no code
+// with them.
 func TestUnlimitedEECDMFEqualsOracle(t *testing.T) {
 	w, _ := bench.ByName("compress")
 	prog, err := w.Inputs[0].Build(1)

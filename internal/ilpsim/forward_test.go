@@ -174,6 +174,7 @@ func TestForwardFailsLikeEvent(t *testing.T) {
 // gate set to.
 func unlimitedScan(s *Sim, m Model) Result {
 	res := s.resultHeader(m, 0)
+	kt := s.kernel()
 	type scanGate struct {
 		relaxRule
 		time int64
@@ -208,20 +209,20 @@ func unlimitedScan(s *Sim, m Model) Result {
 			}
 			ready = max(ready, g1)
 		}
-		isBr := s.branchOrd[k] >= 0
+		isBr := s.pathBranch[kt.path[k]] == int32(k)
 		if isBr && m.CDMode != CDMF {
 			ready = max(ready, prevBr)
 		}
 		f := ready + int64(s.lat[k])
 		maxc = max(maxc, f)
-		for _, c := range s.wakeList[s.wakeOff[k]:s.wakeOff[k+1]] {
+		for _, c := range kt.wakeList[kt.wakeOff[k]:kt.wakeOff[k+1]] {
 			finish[c] = max(finish[c], f)
 		}
 		if isBr {
 			prevBr = f
-			if gt := f + penalty; m.Strategy != dee.EE && s.misp[k] {
+			if gt := f + penalty; m.Strategy != dee.EE && kt.misp[k] {
 				if m.CDMode != Restrictive {
-					gates = append(gates, scanGate{s.relaxRuleOf(int(s.path[k])), gt})
+					gates = append(gates, scanGate{s.relaxRuleOf(int(kt.path[k])), gt})
 				} else if gt > rg1 {
 					rg1, rg2 = gt, rg1
 				} else if gt > rg2 {
@@ -287,4 +288,48 @@ func TestUnlimitedMatchesScan(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzUnlimitedMatchesScan holds unlimited mode to the exhaustive gate
+// scan (unlimitedScan) on synthetic traces whose shape, bias and length
+// are fuzz-controlled, for every closed-form model, under unit or
+// realistic latencies and a fuzzed penalty. The scan pushes finish
+// times along the event kernel's wakeup lists; the pass pulls them from
+// the producer table.
+func FuzzUnlimitedMatchesScan(f *testing.F) {
+	f.Add(uint16(40), uint8(4), uint8(88), uint32(0x5e5e), uint8(3), uint16(3000), uint8(1), false)
+	f.Add(uint16(120), uint8(2), uint8(55), uint32(0xdead), uint8(0), uint16(6000), uint8(0), true)
+	f.Add(uint16(299), uint8(8), uint8(60), uint32(7), uint8(6), uint16(6000), uint8(3), false)
+	f.Add(uint16(10), uint8(1), uint8(99), uint32(99), uint8(1), uint16(17), uint8(8), true)
+	f.Fuzz(func(t *testing.T, iters uint16, branches, bias uint8, seed uint32, work uint8, limit uint16, penalty uint8, realistic bool) {
+		sc := bench.SyntheticConfig{
+			Iterations:      1 + int(iters)%300,
+			BranchesPerIter: 1 + int(branches)%8,
+			Bias:            int(bias) % 101,
+			Seed:            seed,
+			Work:            int(work) % 17,
+		}
+		prog, err := bench.BuildSynthetic(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.Record(prog, 1+uint64(limit)%6000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{Penalty: int(penalty) % 9}
+		if realistic {
+			opts.Lat = RealisticLatencies()
+		}
+		s := MustNew(tr, predictor.NewTwoBit(), opts)
+		for _, m := range closedFormModels {
+			got, err := s.RunUnlimited(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := unlimitedScan(s, m); got != want {
+				t.Errorf("%+v penalty %d %v: unlimited drift:\n  scan:    %+v\n  forward: %+v", sc, opts.Penalty, m, want, got)
+			}
+		}
+	})
 }

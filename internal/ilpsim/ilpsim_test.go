@@ -614,16 +614,19 @@ func TestSimDropsItsTrace(t *testing.T) {
 }
 
 // maxRetainedPerInst bounds the live heap a prepared Sim keeps per
-// instruction on TestSimRetainedBytes' trace. It reads 36.1 B: the
-// per-instruction tables and the wakeup lists, plus the per-branch and
-// per-path tables. A Sim that also kept the trace's data dependences
-// (Rs/Rt/Mem, 12 B per instruction) read 48.1 B.
-const maxRetainedPerInst = 42.0
+// instruction on TestSimRetainedBytes' trace. It reads 23.0 B: the
+// producer table (12 B), latencies, source masks and load flags (9 B),
+// and the per-path tables. The event kernel's tables, derived on the
+// first PEs-capped or tree-model run, are not counted; a Sim that built
+// them with the rest read 36.1 B, and one that also kept the trace's
+// data dependences 48.1 B.
+const maxRetainedPerInst = 26.0
 
 // TestSimRetainedBytes prepares a Sim on a fixed synthetic trace, drops
 // the trace, and measures the live heap the Sim keeps per instruction.
-// It guards the Sim's memory layout: a table that grows, or one that is
-// kept when the wakeup lists already hold its contents, fails it.
+// It guards the Sim's memory layout: a table that grows, or one built
+// before a run needs it, fails it. It also logs what the Sim keeps once
+// one PEs-capped run has derived the event kernel's tables.
 func TestSimRetainedBytes(t *testing.T) {
 	prog, err := bench.BuildSynthetic(bench.SyntheticConfig{Iterations: 40_000, BranchesPerIter: 2, Bias: 85, Seed: 1, Work: 4})
 	if err != nil {
@@ -644,14 +647,18 @@ func TestSimRetainedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := tr.Len()
-	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	s := MustNew(tr, predictor.NewTwoBit(), Options{Penalty: 1, PEs: 4})
 	tr = nil
 	perInst := float64(liveHeap()-base) / float64(n)
-	runtime.KeepAlive(s)
 	t.Logf("a prepared Sim retains %.1f B per instruction over %d instructions", perInst, n)
 	if perInst > maxRetainedPerInst {
 		t.Errorf("a prepared Sim retains %.1f B per instruction, want at most %.0f", perInst, maxRetainedPerInst)
 	}
+	if _, err := s.Run(ModelSP, 8); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("after a PEs-capped run, with the event kernel's tables: %.1f B per instruction", float64(liveHeap()-base)/float64(n))
+	runtime.KeepAlive(s)
 }
 
 func TestParseModel(t *testing.T) {

@@ -10,10 +10,10 @@ import (
 	"deesim/internal/trace"
 )
 
-// computeJoinsOracle is the map-keyed reference for the joins
-// scanBranches computes: the occurrence list of every static
-// instruction that is some branch's ipdom, walked by a per-ipdom
-// cursor. scanBranches must agree with it on every trace.
+// computeJoinsOracle is the map-keyed reference for the joins the build
+// resolves forward (Sim.pathJoin, one per branch path): the occurrence
+// list of every static instruction that is some branch's ipdom, walked
+// by a per-ipdom cursor. The build must agree with it on every trace.
 func computeJoinsOracle(tr *trace.Trace, g *cfg.Graph) []int32 {
 	wanted := make(map[int32][]int32)
 	for _, din := range tr.Ins {
@@ -59,7 +59,8 @@ func computeJoinsOracle(tr *trace.Trace, g *cfg.Graph) []int32 {
 
 func checkJoinsAgainstOracle(t *testing.T, label string, tr *trace.Trace) {
 	t.Helper()
-	got := MustNew(tr, predictor.NewTwoBit(), DefaultOptions()).joins
+	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
+	got := s.pathJoin[:s.branches]
 	want := computeJoinsOracle(tr, cfg.Build(tr.Prog))
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: the prepared joins differ from the oracle (%d vs %d joins)", label, len(got), len(want))

@@ -10,15 +10,16 @@ import (
 
 // legacyDeps returns the data dependences the legacy loop and the pull
 // oracle read: those of tr, the trace s was prepared from, under s's
-// memory-dependence mode. A Sim keeps them only as wakeup lists.
+// memory-dependence mode. A Sim keeps them only as its producer table.
 func legacyDeps(tr *trace.Trace, s *Sim) *trace.DataDeps {
 	return tr.DataDeps(s.opts.StrictMemory)
 }
 
 // pullOracle is the Oracle as a pull-style dataflow pass: each
 // instruction finishes its latency after the latest of its producers,
-// read from the data dependences dd. Sim.Oracle pushes finish times
-// along the wakeup lists instead; the two must agree.
+// read from the data dependences dd, kept 64 bits wide. The build's
+// Oracle reads the Sim's own producer table instead; the two must
+// agree.
 func pullOracle(s *Sim, dd *trace.DataDeps) (cycles int64) {
 	finish := make([]int64, s.n)
 	for i := range finish {
@@ -71,14 +72,11 @@ func (s *Sim) runLegacy(ctx context.Context, dd *trace.DataDeps, m Model, et int
 	np := len(s.pathBranch)
 	n := s.n
 	finish := make([]int64, n) // 0 = not issued; else completion cycle
+	pathStart := s.pathStart   // path i covers [pathStart[i], pathStart[i+1])
 	pathRemaining := make([]int32, np)
-	pathStart := make([]int32, np+1) // path i covers [pathStart[i], pathStart[i+1])
-	pathDone := make([]int64, np)    // completion cycle of the path's latest instruction
-	for i := 0; i < n; i++ {
-		pathRemaining[s.path[i]]++
-	}
-	for i, sz := range s.pathSize {
-		pathStart[i+1] = pathStart[i] + sz
+	pathDone := make([]int64, np) // completion cycle of the path's latest instruction
+	for i := range pathRemaining {
+		pathRemaining[i] = pathStart[i+1] - pathStart[i]
 	}
 
 	known := make([]bool, maxDepth)
@@ -111,7 +109,7 @@ func (s *Sim) runLegacy(ctx context.Context, dd *trace.DataDeps, m Model, et int
 		if b < 0 {
 			return true
 		}
-		if s.correct[s.branchOrd[b]] {
+		if s.pathCorrect[absPath] {
 			return true
 		}
 		f := finish[b]
@@ -207,8 +205,8 @@ func (s *Sim) runLegacy(ctx context.Context, dd *trace.DataDeps, m Model, et int
 					continue
 				}
 				// Branch serialization for non-MF models.
-				if m.CDMode != CDMF && s.branchOrd[k] > 0 {
-					prev := s.branchPos[s.branchOrd[k]-1]
+				if m.CDMode != CDMF && k == s.pathBranch[ap] && ap > 0 {
+					prev := s.pathBranch[ap-1]
 					if finish[prev] == 0 || finish[prev] >= cycle {
 						continue
 					}
@@ -231,8 +229,7 @@ func (s *Sim) runLegacy(ctx context.Context, dd *trace.DataDeps, m Model, et int
 						if ur >= r {
 							break
 						}
-						bpos := s.pathBranch[hp+ur]
-						if j := s.joinOf(bpos); j >= 0 && j <= k {
+						if j := s.pathJoin[hp+ur]; j >= 0 && j <= k {
 							w := s.pathWrong[hp+ur]
 							if s.srcMask[k]&w.Regs == 0 && !(s.isLoad[k] && w.Mem) {
 								if vectorCov {
@@ -260,7 +257,7 @@ func (s *Sim) runLegacy(ctx context.Context, dd *trace.DataDeps, m Model, et int
 				}
 				pathRemaining[ap]--
 				executed++
-				if ord := s.branchOrd[k]; ord >= 0 && !s.correct[ord] && r == 0 {
+				if k == s.pathBranch[ap] && !s.pathCorrect[ap] && r == 0 {
 					res.RootResolvedMispredicts++
 				}
 				if s.opts.PEs > 0 && executed >= s.opts.PEs {
@@ -282,7 +279,7 @@ func (s *Sim) runLegacy(ctx context.Context, dd *trace.DataDeps, m Model, et int
 
 		for hp < np && pathRemaining[hp] == 0 && pathDone[hp] <= cycle {
 			if m.Strategy != dee.EE {
-				if b := s.pathBranch[hp]; b >= 0 && !s.correct[s.branchOrd[b]] {
+				if b := s.pathBranch[hp]; b >= 0 && !s.pathCorrect[hp] {
 					if cycle+1 <= finish[b]+penalty {
 						break
 					}

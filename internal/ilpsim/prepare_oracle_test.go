@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
@@ -11,6 +12,7 @@ import (
 	"deesim/internal/bench"
 	"deesim/internal/cache"
 	"deesim/internal/cfg"
+	"deesim/internal/dee"
 	"deesim/internal/faultinject"
 	"deesim/internal/isa"
 	"deesim/internal/predictor"
@@ -18,11 +20,15 @@ import (
 	"deesim/internal/trace"
 )
 
-// prepareOracle is the multi-pass reference for NewContext: the
-// preparation as it was before the passes were fused, each table built
-// by its own walk over the trace (the lazily segmented trace paths, a
-// separate predictor replay, append-grown branch tables and a cursor
-// array for the CSR fill). NewContext must build identical tables.
+// prepareOracle is the multi-pass reference for the build behind
+// NewContext and RecordContext: the preparation as it was before the
+// passes were fused, each table built by its own walk over the trace
+// (the lazily segmented trace paths, a separate predictor replay,
+// append-grown branch tables, the map-keyed joins, the data dependences
+// as trace.DataDeps, a separate memory replay, a separate Oracle pass
+// and a cursor array for the CSR fill). It builds the event kernel's
+// tables eagerly. The build must prepare identical tables, and derive
+// identical kernel tables.
 func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, opts Options) (s *Sim, err error) {
 	const stage = "ilpsim.New"
 	defer func() {
@@ -49,34 +55,32 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 		return nil, cerr
 	}
 	g := cfg.Build(tr.Prog)
-	s = &Sim{
-		n:     len(tr.Ins),
-		path:  oraclePaths(tr),
-		joins: computeJoinsOracle(tr, g),
-		opts:  opts,
-	}
-	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
-		return nil, cerr
-	}
-	s.accuracy, s.correct = predictor.Accuracy(tr, pred)
-	s.branchOrd = make([]int32, len(tr.Ins))
-	for i := range s.branchOrd {
-		s.branchOrd[i] = -1
+	s = &Sim{n: len(tr.Ins), opts: opts}
+	path := oraclePaths(tr)
+	joins := computeJoinsOracle(tr, g)
+	var correct []bool
+	s.accuracy, correct = predictor.Accuracy(tr, pred)
+	branchOrd := make([]int32, len(tr.Ins))
+	var branchPos []int32
+	for i := range branchOrd {
+		branchOrd[i] = -1
 	}
 	for i, din := range tr.Ins {
 		if din.IsBranch() {
-			s.branchOrd[i] = int32(len(s.branchPos))
-			s.branchPos = append(s.branchPos, int32(i))
+			branchOrd[i] = int32(len(branchPos))
+			branchPos = append(branchPos, int32(i))
+		}
+	}
+	s.branches = len(branchPos)
+	for _, ok := range correct {
+		if !ok {
+			s.mispredicts++
 		}
 	}
 	np := tr.NumPaths()
 	s.pathBranch = make([]int32, np)
 	for i := 0; i < np; i++ {
 		s.pathBranch[i] = tr.PathBranch(i)
-	}
-	s.pathSize = make([]int32, np)
-	for i := range tr.Ins {
-		s.pathSize[s.path[i]]++
 	}
 	s.pathStart = make([]int32, np+1)
 	copy(s.pathStart[1:], tr.Paths())
@@ -95,14 +99,17 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 	}
 	s.pathWrong = make([]cfg.WriteSet, np)
 	s.pathStatic = make([]int32, np)
+	s.pathCorrect = make([]bool, np)
+	s.pathJoin = make([]int32, np)
 	for i, bp := range s.pathBranch {
-		s.pathStatic[i] = -1
+		s.pathStatic[i], s.pathCorrect[i], s.pathJoin[i] = -1, true, -1
 		if bp < 0 {
 			continue
 		}
 		din := tr.Ins[bp]
-		s.pathStatic[i] = din.Static
-		if s.correct[s.branchOrd[bp]] {
+		ord := branchOrd[bp]
+		s.pathStatic[i], s.pathCorrect[i], s.pathJoin[i] = din.Static, correct[ord], joins[ord]
+		if correct[ord] {
 			continue
 		}
 		taken, fall := g.SideWrites(din.Static)
@@ -112,14 +119,24 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 			s.pathWrong[i] = taken
 		}
 	}
-	s.profAcc = oracleProfile(tr, s.branchPos, s.correct, len(tr.Prog.Code))
-	oracleSchedTables(s, oracleWakeLists(s, tr.DataDeps(opts.StrictMemory)))
+	s.profAcc = oracleProfile(tr, branchPos, correct, len(tr.Prog.Code))
+	dd := tr.DataDeps(opts.StrictMemory)
+	s.prod = make([][3]int32, len(tr.Ins))
+	for k := range s.prod {
+		s.prod[k] = [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]}
+	}
+	s.kern.path = path
+	oracleSchedTables(s, branchPos, correct, branchOrd, oracleWakeLists(s, dd))
 	if cerr := runx.CtxErr(ctx, stage); cerr != nil {
 		return nil, cerr
 	}
 	if lerr := oracleLatencies(s, tr); lerr != nil {
 		return nil, lerr
 	}
+	s.oracle = s.resultHeader(Model{dee.EE, CDMF}, -1)
+	s.oracle.Cycles = pullOracle(s, dd)
+	s.oracle.Speedup = float64(s.n) / float64(s.oracle.Cycles)
+	s.oracle.AvgPEs = s.oracle.Speedup
 	return s, nil
 }
 
@@ -128,26 +145,27 @@ func prepareOracle(ctx context.Context, tr *trace.Trace, pred predictor.Predicto
 // dependency in-degrees.
 func oracleWakeLists(s *Sim, dd *trace.DataDeps) (depCount []uint8) {
 	n := s.n
-	s.wakeOff = make([]int32, n+1)
+	kt := &s.kern
+	kt.wakeOff = make([]int32, n+1)
 	depCount = make([]uint8, n)
 	for k := 0; k < n; k++ {
 		for _, p := range [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]} {
 			if p != noDep {
-				s.wakeOff[p+1]++
+				kt.wakeOff[p+1]++
 				depCount[k]++
 			}
 		}
 	}
 	for i := 1; i <= n; i++ {
-		s.wakeOff[i] += s.wakeOff[i-1]
+		kt.wakeOff[i] += kt.wakeOff[i-1]
 	}
 	cursor := make([]int32, n)
-	copy(cursor, s.wakeOff[:n])
-	s.wakeList = make([]int32, s.wakeOff[n])
+	copy(cursor, kt.wakeOff[:n])
+	kt.wakeList = make([]int32, kt.wakeOff[n])
 	for k := 0; k < n; k++ {
 		for _, p := range [3]int32{dd.Rs[k], dd.Rt[k], dd.Mem[k]} {
 			if p != noDep {
-				s.wakeList[cursor[p]] = int32(k)
+				kt.wakeList[cursor[p]] = int32(k)
 				cursor[p]++
 			}
 		}
@@ -155,37 +173,28 @@ func oracleWakeLists(s *Sim, dd *trace.DataDeps) (depCount []uint8) {
 	return depCount
 }
 
-// oracleSchedTables derives the scheduler's hot-loop tables from the
-// branch tables and the in-degrees, one walk per table.
-func oracleSchedTables(s *Sim, depCount []uint8) {
+// oracleSchedTables derives the event kernel's per-instruction tables
+// from the branch tables and the in-degrees, one walk per table.
+func oracleSchedTables(s *Sim, branchPos []int32, correct []bool, branchOrd []int32, depCount []uint8) {
 	n := s.n
-	s.pathCorrect = make([]bool, len(s.pathBranch))
-	s.pathJoin = make([]int32, len(s.pathBranch))
-	for i, bp := range s.pathBranch {
-		s.pathCorrect[i] = bp < 0 || s.correct[s.branchOrd[bp]]
-		if bp < 0 {
-			s.pathJoin[i] = -1
-		} else {
-			s.pathJoin[i] = s.joins[s.branchOrd[bp]]
-		}
+	kt := &s.kern
+	kt.nextBranch = make([]int32, n)
+	kt.misp = make([]bool, n)
+	for k := range kt.nextBranch {
+		kt.nextBranch[k] = -1
 	}
-	s.nextBranch = make([]int32, n)
-	s.misp = make([]bool, n)
-	for k := range s.nextBranch {
-		s.nextBranch[k] = -1
-	}
-	for ord, bp := range s.branchPos {
-		if ord+1 < len(s.branchPos) {
-			s.nextBranch[bp] = s.branchPos[ord+1]
+	for ord, bp := range branchPos {
+		if ord+1 < len(branchPos) {
+			kt.nextBranch[bp] = branchPos[ord+1]
 		}
-		s.misp[bp] = !s.correct[ord]
+		kt.misp[bp] = !correct[ord]
 	}
 	for si := 0; si < 2; si++ {
 		pend := make([]uint8, n)
 		rdy := make([]uint64, (n+63)/64)
 		for k := 0; k < n; k++ {
 			p := depCount[k]
-			if si == 1 && s.branchOrd[k] > 0 {
+			if si == 1 && branchOrd[k] > 0 {
 				p++
 			}
 			pend[k] = p
@@ -193,8 +202,8 @@ func oracleSchedTables(s *Sim, depCount []uint8) {
 				rdy[k/64] |= 1 << (k % 64)
 			}
 		}
-		s.initPending[si] = pend
-		s.initReady[si] = rdy
+		kt.initPending[si] = pend
+		kt.initReady[si] = rdy
 	}
 }
 
@@ -278,6 +287,8 @@ func equalTable(a, b any) bool {
 	switch x := a.(type) {
 	case []int32:
 		return slices.Equal(x, b.([]int32))
+	case [][3]int32:
+		return slices.Equal(x, b.([][3]int32))
 	case []uint32:
 		return slices.Equal(x, b.([]uint32))
 	case []bool:
@@ -301,20 +312,31 @@ func equalTable(a, b any) bool {
 }
 
 // simDiff returns the name of every Sim field whose contents differ
-// between got and want. It walks the struct by reflection, so a table
-// added later is compared without touching this test.
+// between got and want, the Oracle's Result and the event kernel's
+// tables (kern.*) included; got's kernel tables are derived first, and
+// want's are the oracle's eager ones. It walks the structs by
+// reflection, so a table added later is compared without touching this
+// test.
 func simDiff(got, want *Sim) []string {
-	gv, wv := reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem()
+	got.kernel()
 	var diff []string
-	for i := 0; i < gv.NumField(); i++ {
-		name := gv.Type().Field(i).Name
-		if name == "oracle" {
-			continue // computed on first use, not prepared
-		}
-		if !equalTable(readField(gv.Field(i)), readField(wv.Field(i))) {
-			diff = append(diff, name)
+	var walk func(prefix string, gv, wv reflect.Value)
+	walk = func(prefix string, gv, wv reflect.Value) {
+		for i := 0; i < gv.NumField(); i++ {
+			name := prefix + gv.Type().Field(i).Name
+			switch name {
+			case "kernOnce":
+				continue
+			case "kern":
+				walk("kern.", gv.Field(i), wv.Field(i))
+				continue
+			}
+			if !equalTable(readField(gv.Field(i)), readField(wv.Field(i))) {
+				diff = append(diff, name)
+			}
 		}
 	}
+	walk("", reflect.ValueOf(got).Elem(), reflect.ValueOf(want).Elem())
 	return diff
 }
 
@@ -351,13 +373,18 @@ var prepareCases = []prepareCase{
 		return faultinject.NewFaultyMem(c, 0.2, -3, 0.1, 3) // a delay below zero exercises the latency clamp
 	}},
 	{name: "pap2", opts: DefaultOptions(), pred: func() predictor.Predictor { return predictor.NewPAp(2) }},
+	// Past 32 bits: a chain of 512 dependent ALU instructions finishes
+	// after 2^31 cycles, so the build's Oracle takes its 64-bit path.
+	{name: "long-times", opts: Options{Penalty: 1, Lat: Latencies{ALU: 1 << 22}}, pred: twoBit},
 }
 
-// checkPrepareAgainstOracle fails unless NewContext and prepareOracle
-// build identical tables from tr under c, and the Oracle pushed along
-// NewContext's wakeup lists matches the pull-style pass over tr's data
-// dependences.
-func checkPrepareAgainstOracle(t *testing.T, label string, tr *trace.Trace, c prepareCase) {
+// checkPrepareAgainstOracle fails unless both entry points —
+// NewContext over tr, and RecordContext over tr's program at limit, the
+// limit tr was recorded with — prepare the tables prepareOracle builds
+// from tr under c, field by field, the stored Oracle and the derived
+// kernel tables included, and unless the stored Oracle is the unlimited
+// EE-CD-MF pass's Result.
+func checkPrepareAgainstOracle(t *testing.T, label string, tr *trace.Trace, limit uint64, c prepareCase) {
 	t.Helper()
 	prepare := func(f func(context.Context, *trace.Trace, predictor.Predictor, Options) (*Sim, error)) *Sim {
 		opts := c.opts
@@ -370,12 +397,25 @@ func checkPrepareAgainstOracle(t *testing.T, label string, tr *trace.Trace, c pr
 		}
 		return s
 	}
-	got, want := prepare(NewContext), prepare(prepareOracle)
-	if diff := simDiff(got, want); len(diff) > 0 {
-		t.Fatalf("%s/%s: fused preparation differs from the multi-pass oracle in %v", label, c.name, diff)
+	record := func(ctx context.Context, tr *trace.Trace, pred predictor.Predictor, opts Options) (*Sim, error) {
+		return RecordContext(ctx, tr.Prog, limit, pred, opts)
 	}
-	if o, pull := got.Oracle().Cycles, pullOracle(got, legacyDeps(tr, got)); o != pull {
-		t.Fatalf("%s/%s: Oracle takes %d cycles, the pull-style dataflow pass %d", label, c.name, o, pull)
+	want := prepare(prepareOracle)
+	for _, e := range []struct {
+		name string
+		f    func(context.Context, *trace.Trace, predictor.Predictor, Options) (*Sim, error)
+	}{{"NewContext", NewContext}, {"RecordContext", record}} {
+		got := prepare(e.f)
+		if diff := simDiff(got, want); len(diff) > 0 {
+			t.Fatalf("%s/%s: %s's one-pass build differs from the multi-pass oracle in %v", label, c.name, e.name, diff)
+		}
+		u, err := got.RunUnlimited(Model{dee.EE, CDMF})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u.ET = -1; u != got.Oracle() {
+			t.Fatalf("%s/%s: %s's Oracle %+v, the unlimited EE-CD-MF pass %+v", label, c.name, e.name, got.Oracle(), u)
+		}
 	}
 }
 
@@ -397,7 +437,7 @@ func TestPrepareMatchesOracleOnBenchInputs(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, c := range prepareCases {
-				checkPrepareAgainstOracle(t, w.Name+"/"+in.Name, tr, c)
+				checkPrepareAgainstOracle(t, w.Name+"/"+in.Name, tr, limit, c)
 			}
 		}
 	}
@@ -418,7 +458,7 @@ func TestPrepareMatchesOracleOnSynthetic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range prepareCases {
-			checkPrepareAgainstOracle(t, fmt.Sprintf("synthetic%+v", sc), tr, c)
+			checkPrepareAgainstOracle(t, fmt.Sprintf("synthetic%+v", sc), tr, 200_000, c)
 		}
 	}
 }
@@ -455,7 +495,7 @@ func TestPrepareMatchesOracleAtTraceEnds(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, c := range prepareCases {
-			checkPrepareAgainstOracle(t, name, tr, c)
+			checkPrepareAgainstOracle(t, name, tr, uint64(n), c)
 		}
 	}
 	straight := mustTrace(t, `
@@ -467,7 +507,7 @@ func TestPrepareMatchesOracleAtTraceEnds(t *testing.T) {
     halt
 `)
 	for _, c := range prepareCases {
-		checkPrepareAgainstOracle(t, "straight-line", straight, c)
+		checkPrepareAgainstOracle(t, "straight-line", straight, 0, c)
 	}
 }
 
@@ -494,7 +534,7 @@ func FuzzPrepare(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkPrepareAgainstOracle(t, fmt.Sprintf("%+v limit %d", sc, limit), tr, prepareCases[int(mode)%len(prepareCases)])
+		checkPrepareAgainstOracle(t, fmt.Sprintf("%+v limit %d", sc, limit), tr, uint64(limit), prepareCases[int(mode)%len(prepareCases)])
 	})
 }
 
@@ -527,4 +567,57 @@ func BenchmarkPrepareBenchInputs(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
+}
+
+// BenchmarkRecordBenchInputs records and prepares every bench input at
+// full length from its program, through RecordContext, and through
+// trace.Record followed by NewContext, reporting ns and allocated bytes
+// per instruction.
+func BenchmarkRecordBenchInputs(b *testing.B) {
+	var progs []*isa.Program
+	insts := 0
+	for _, w := range bench.All() {
+		for _, in := range w.Inputs {
+			prog, err := in.Build(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tr, err := trace.Record(prog, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs = append(progs, prog)
+			insts += tr.Len()
+		}
+	}
+	for _, v := range []struct {
+		name    string
+		prepare func(*isa.Program) (*Sim, error)
+	}{
+		{"RecordContext", func(p *isa.Program) (*Sim, error) {
+			return RecordContext(context.Background(), p, 0, predictor.NewTwoBit(), DefaultOptions())
+		}},
+		{"Record+NewContext", func(p *isa.Program) (*Sim, error) {
+			tr, err := trace.Record(p, 0)
+			if err != nil {
+				return nil, err
+			}
+			return NewContext(context.Background(), tr, predictor.NewTwoBit(), DefaultOptions())
+		}},
+	} {
+		b.Run(v.name, func(b *testing.B) {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			for i := 0; i < b.N; i++ {
+				for _, p := range progs {
+					if _, err := v.prepare(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			runtime.ReadMemStats(&ms1)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*insts), "ns/inst")
+			b.ReportMetric(float64(ms1.TotalAlloc-ms0.TotalAlloc)/float64(b.N*insts), "B/inst")
+		})
+	}
 }

@@ -15,10 +15,11 @@
 //   - per-instruction remaining-dependency counters (pending), seeded
 //     from the precomputed dependency in-degrees plus one serialization
 //     edge per non-first branch under the non-MF models;
-//   - producer→consumer wakeup lists (Sim.wakeOff/wakeList, CSR form,
-//     built once in NewContext): when an instruction's completion event
-//     drains, it decrements its consumers' counters, and an instruction
-//     whose counter hits zero joins the ready set;
+//   - producer→consumer wakeup lists (kernelTables.wakeOff/wakeList,
+//     CSR form, derived from the producer table on the Sim's first
+//     kernel run): when an instruction's completion event drains, it
+//     decrements its consumers' counters, and an instruction whose
+//     counter hits zero joins the ready set;
 //   - a two-level ready set: a bit per trace position (readyPos), and a
 //     summary bit per non-zero word (readySum), cleared once it empties;
 //   - a calendar (bucket ring) queue of completion events sized by the
@@ -255,7 +256,7 @@ var runStates sync.Pool
 // of model family si (the index into initPending and initReady) over np
 // paths and window depths up to maxDepth, with a calendar ring of ring
 // slots.
-func (s *Sim) getRunState(si, np, maxDepth, ring int) *runState {
+func (s *Sim) getRunState(kt *kernelTables, si, np, maxDepth, ring int) *runState {
 	st, _ := runStates.Get().(*runState)
 	if st == nil {
 		st = new(runState)
@@ -266,8 +267,8 @@ func (s *Sim) getRunState(si, np, maxDepth, ring int) *runState {
 	st.brFinish = growSlice(st.brFinish, np)
 	clear(st.brFinish)
 	st.pending = growSlice(st.pending, s.n)
-	copy(st.pending, s.initPending[si])
-	st.readyPos = append(st.readyPos[:0], s.initReady[si]...)
+	copy(st.pending, kt.initPending[si])
+	st.readyPos = append(st.readyPos[:0], kt.initReady[si]...)
 	st.readySum = growSlice(st.readySum, (len(st.readyPos)+63)/64)
 	clear(st.readySum)
 	for w, x := range st.readyPos {
@@ -276,7 +277,9 @@ func (s *Sim) getRunState(si, np, maxDepth, ring int) *runState {
 		}
 	}
 	st.pathRemaining = growSlice(st.pathRemaining, np)
-	copy(st.pathRemaining, s.pathSize)
+	for p := range st.pathRemaining {
+		st.pathRemaining[p] = s.pathStart[p+1] - s.pathStart[p]
+	}
 	st.pathDone = growSlice(st.pathDone, np)
 	clear(st.pathDone)
 	st.waitNodes = st.waitNodes[:0]
@@ -475,7 +478,8 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 	if !mf {
 		si = 1
 	}
-	st := s.getRunState(si, np, maxDepth, nextPow2(int(s.maxLat)+1))
+	kt := s.kernel()
+	st := s.getRunState(kt, si, np, maxDepth, nextPow2(int(s.maxLat)+1))
 	defer runStates.Put(st)
 
 	// DEE-profile: dynamic greedy tree over per-branch accuracies,
@@ -504,13 +508,13 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 		b := &st.buckets[cycle&st.mask]
 		tally.calendarEvts += int64(len(*b))
 		for _, p := range *b {
-			for _, k := range s.wakeList[s.wakeOff[p]:s.wakeOff[p+1]] {
+			for _, k := range kt.wakeList[kt.wakeOff[p]:kt.wakeOff[p+1]] {
 				if st.pending[k]--; st.pending[k] == 0 {
 					st.push(k)
 				}
 			}
 			if !mf {
-				if nk := s.nextBranch[p]; nk >= 0 {
+				if nk := kt.nextBranch[p]; nk >= 0 {
 					if st.pending[nk]--; st.pending[nk] == 0 {
 						st.push(nk)
 					}
@@ -605,7 +609,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 					k := w<<6 | bits.TrailingZeros64(word)
 					visited++
 					if k >= pathEnd {
-						ap = int(s.path[k])
+						ap = int(kt.path[k])
 						pathEnd, r = int(s.pathStart[ap+1]), ap-hp
 						baseCov = r <= cov
 						if vectorCov && r > 0 {
@@ -655,7 +659,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 					}
 					st.pathRemaining[ap]--
 					executed++
-					if s.misp[k] {
+					if kt.misp[k] {
 						// A branch terminates the path it sits on.
 						st.brFinish[ap] = f
 						if r == 0 {
@@ -668,7 +672,7 @@ func (s *Sim) runEvent(ctx context.Context, m Model, et int) (res Result, err er
 					// Schedule the completion event only if someone listens:
 					// data-dependent consumers, or the next branch under the
 					// serialized models.
-					if s.wakeOff[k+1] > s.wakeOff[k] || (!mf && s.nextBranch[k] >= 0) {
+					if kt.wakeOff[k+1] > kt.wakeOff[k] || (!mf && kt.nextBranch[k] >= 0) {
 						slot := (f + 1) & st.mask
 						st.buckets[slot] = append(st.buckets[slot], int32(k))
 						st.inFlight++

@@ -206,9 +206,9 @@ func TestSchedulerDifferentialWordEdges(t *testing.T) {
 		tr := mustTrace(t, wordEdgeSrc(int(first)-9))
 		for _, pes := range []int{0, 1, 4} {
 			s := MustNew(tr, predictor.NewTwoBit(), Options{Penalty: 1, PEs: pes})
-			if s.pathStart[1] != first || s.n < 2*4096 || len(s.pathSize) < 300 {
+			if s.pathStart[1] != first || s.n < 2*4096 || len(s.pathBranch) < 300 {
 				t.Fatalf("first loop path starts at %d of %d instructions on %d paths, want %d of more than 8192 on at least 300",
-					s.pathStart[1], s.n, len(s.pathSize), first)
+					s.pathStart[1], s.n, len(s.pathBranch), first)
 			}
 			dd := legacyDeps(tr, s)
 			label := fmt.Sprintf("first=%d/pes%d", first, pes)
@@ -292,8 +292,7 @@ func TestConcurrentModelsMatchSequential(t *testing.T) {
 	const rounds = 3 // re-run every cell a few times so pool arenas are contended
 	var wg sync.WaitGroup
 	errs := make(chan error, len(cells)*rounds)
-	// Every goroutine also asks for the Oracle, which the Sim computes
-	// on first use; they race for that first call.
+	// Every goroutine also asks for the Oracle, which the build stored.
 	oracles := make([]Result, len(cells)*rounds)
 	for round := 0; round < rounds; round++ {
 		for i, c := range cells {
@@ -321,6 +320,72 @@ func TestConcurrentModelsMatchSequential(t *testing.T) {
 	for _, o := range oracles {
 		if o != s.Oracle() {
 			t.Fatalf("concurrent Oracle drifted: %+v, want %+v", o, s.Oracle())
+		}
+	}
+}
+
+// TestConcurrentFirstRunsDeriveKernelOnce starts every model's first
+// runs on a fresh PEs-capped Sim at once, so they all reach the event
+// kernel's table derivation together. Under -race this is the proof
+// that the derivation happens once and publishes its tables safely. The
+// runs must match those on a Sim of the same trace whose tables were
+// derived beforehand, and the derived tables must equal its tables.
+func TestConcurrentFirstRunsDeriveKernelOnce(t *testing.T) {
+	prog, err := bench.BuildSynthetic(bench.DefaultSynthetic())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Record(prog, 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Penalty: 1, PEs: 4}
+	ref := MustNew(tr, predictor.NewTwoBit(), opts)
+	ref.kernel()
+	s := MustNew(tr, predictor.NewTwoBit(), opts)
+
+	type cell struct {
+		m  Model
+		et int
+	}
+	var cells []cell
+	want := make(map[cell]Result)
+	for _, m := range diffModels {
+		for _, et := range []int{4, 64} {
+			r, err := ref.RunContext(context.Background(), m, et)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells = append(cells, cell{m, et})
+			want[cell{m, et}] = r
+		}
+	}
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	errs := make(chan error, len(cells))
+	for _, c := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			r, err := s.RunContext(context.Background(), c.m, c.et)
+			if err != nil {
+				errs <- err
+			} else if r != want[c] {
+				errs <- fmt.Errorf("%v ET=%d on a Sim deriving its tables concurrently:\n  want %+v\n  got  %+v", c.m, c.et, want[c], r)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	gv, wv := reflect.ValueOf(&s.kern).Elem(), reflect.ValueOf(&ref.kern).Elem()
+	for i := 0; i < gv.NumField(); i++ {
+		if !equalTable(readField(gv.Field(i)), readField(wv.Field(i))) {
+			t.Errorf("concurrently derived kernel table %s differs", gv.Type().Field(i).Name)
 		}
 	}
 }
@@ -370,10 +435,12 @@ func TestConcurrentRunsLeaveTraceUntouched(t *testing.T) {
 	}
 }
 
-// TestSimCollectableAfterRun drops a Sim right after a run: one GC must
-// reclaim it. The runtime keeps a used sync.Pool reachable until the
-// GC after next, so an arena pool inside the Sim would keep the Sim,
-// its trace and every table alive through that GC.
+// TestSimCollectableAfterRun drops a Sim right after a run on each
+// scheduler (the forward pass, and the event kernel, whose first run
+// derives its tables): one GC must reclaim it. The runtime keeps a used
+// sync.Pool reachable until the GC after next, so an arena pool inside
+// the Sim would keep the Sim, its trace and every table alive through
+// that GC.
 func TestSimCollectableAfterRun(t *testing.T) {
 	prog, err := bench.BuildSynthetic(bench.DefaultSynthetic())
 	if err != nil {
@@ -384,13 +451,14 @@ func TestSimCollectableAfterRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := MustNew(tr, predictor.NewTwoBit(), DefaultOptions())
-	if _, err := s.Run(ModelDEECDMF, 16); err != nil {
-		t.Fatal(err)
+	for _, m := range []Model{ModelDEECDMF, {dee.DEEPure, CDMF}} {
+		if _, err := s.Run(m, 16); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The Sim references itself (its Oracle closure), and a finalizer
-	// on a cycle may never run, so watch one of its tables instead.
+	// Watch one of the tables the build retains.
 	collected := make(chan struct{})
-	runtime.SetFinalizer(&s.path[0], func(*int32) { close(collected) })
+	runtime.SetFinalizer(&s.prod[0], func(*[3]int32) { close(collected) })
 	s = nil
 	runtime.GC()
 	select {

@@ -14,8 +14,9 @@
 // max of the thresholds. In "ready" terms (t = r+1 issues, f = r+lat
 // finishes):
 //
-//   - data: r ≥ the finish of every producer, pushed along the wakeup
-//     lists (a producer precedes its consumers in the trace);
+//   - data: r ≥ the finish of every producer, pulled from the producer
+//     table (a producer precedes its consumers in the trace, so its
+//     finish is known);
 //   - serialization (non-MF): a branch's r ≥ the previous branch's f;
 //   - window: E_q is the cycle at whose end the root passes path q,
 //     E_q = max(E_{q-1}, max f on q, f_b + penalty), the last term only
@@ -283,12 +284,12 @@ func siftDown[T any](h []T, i int, before func(a, b T) bool) {
 }
 
 // fwdState is the forward pass's per-run arena, recycled through
-// fwdStates like the event kernel's runState. Ready times are kept at
+// fwdStates like the event kernel's runState. Finish times are kept at
 // 32 bits when every time a run can store fits (almost always), else at
 // 64.
 type fwdState struct {
-	rdy32 []int32
-	rdy64 []int64
+	fin32 []int32
+	fin64 []int64
 	ends  []int64 // ring of E_q, indexed q & (len-1)
 	gates gateSet
 	log   issueLog
@@ -337,19 +338,19 @@ func (s *Sim) runForward(ctx context.Context, m Model, et int) (res Result, err 
 		bound = min(bound, int64(s.opts.DeadlockLimit)+n+1)
 	}
 	if bound < math.MaxInt32 {
-		st.rdy32 = growSlice(st.rdy32, s.n)
-		clear(st.rdy32)
-		return forwardPass(ctx, s, m, et, st, st.rdy32, &cycle, &tally)
+		st.fin32 = growSlice(st.fin32, s.n+1)
+		return forwardPass(ctx, s, m, et, st, st.fin32, &cycle, &tally)
 	}
-	st.rdy64 = growSlice(st.rdy64, s.n)
-	clear(st.rdy64)
-	return forwardPass(ctx, s, m, et, st, st.rdy64, &cycle, &tally)
+	st.fin64 = growSlice(st.fin64, s.n+1)
+	return forwardPass(ctx, s, m, et, st, st.fin64, &cycle, &tally)
 }
 
-// forwardPass is the loop of runForward over ready times of type T.
-// rdy[k] holds the latest finish among k's producers seen so far (0
-// when none); *cycle tracks the cycle errors are attributed to.
-func forwardPass[T int32 | int64](ctx context.Context, s *Sim, m Model, et int, st *fwdState, rdy []T, cycle *int64, tally *simTally) (Result, error) {
+// forwardPass is the loop of runForward over finish times of type T.
+// fin[k+1] is instruction k's finish, written before any consumer reads
+// it, so the arena needs no clearing; fin[0] = 0 stands for every
+// absent producer (noDep + 1). *cycle tracks the cycle errors are
+// attributed to.
+func forwardPass[T int32 | int64](ctx context.Context, s *Sim, m Model, et int, st *fwdState, fin []T, cycle *int64, tally *simTally) (Result, error) {
 	windowed := et > 0
 	stage := "ilpsim.RunUnlimited"
 	var (
@@ -419,6 +420,7 @@ func forwardPass[T int32 | int64](ctx context.Context, s *Sim, m Model, et int, 
 		return attribute(e, m, et, sat)
 	}
 
+	fin[0] = 0
 	tick := runx.NewTicker(4096)
 	gates := &st.gates
 	gates.reset()
@@ -449,7 +451,8 @@ func forwardPass[T int32 | int64](ctx context.Context, s *Sim, m Model, et int, 
 			return res, attribute(cerr, m, et, log.lo)
 		}
 		for k := start; k < end; k++ {
-			r := int64(rdy[k])
+			pr := &s.prod[k]
+			r := int64(max(fin[pr[0]+1], fin[pr[1]+1], fin[pr[2]+1]))
 			cov := win
 			if gated {
 				g := gates.never
@@ -466,11 +469,7 @@ func forwardPass[T int32 | int64](ctx context.Context, s *Sim, m Model, et int, 
 				r = max(r, prevBr)
 			}
 			f := min(r+int64(s.lat[k]), sat)
-			for _, c := range s.wakeList[s.wakeOff[k]:s.wakeOff[k+1]] {
-				if T(f) > rdy[c] {
-					rdy[c] = T(f)
-				}
-			}
+			fin[k+1] = T(f)
 			pathMax = max(pathMax, f)
 			if t := r + 1; windowed && t < sat {
 				if t-log.lo < int64(len(log.cnt)) {

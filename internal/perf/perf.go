@@ -23,14 +23,16 @@
 // metric), tying each perf record back to the figure it regenerates.
 //
 // A suite can also carry ET-scaling records (et_scaling): one model's
-// event-scheduler cost at a large ET divided by its cost at a small ET
-// on the same prepared Sim, the two runs alternated and the median
-// ratio kept. The kernel's per-cycle cost should follow events, not
+// cost at a large ET divided by its cost at a small ET on the same
+// prepared Sim, the two runs alternated and the median ratio kept.
+// Without a PEs cap the SP, EE and DEE models run as the forward
+// constraint pass; the PEs-capped rows (pes 4, SP and DEE-CD-MF) run
+// the event kernel. The cost of either should follow events, not
 // window size, so the ratio should stay near 1 for models that simulate
 // about as many cycles at both ETs, and below it for those whose cycles
 // fall as ET grows; Compare fails an SP-family, DEE-CD or DEE-CD-MF ratio
-// above maxETScaling. Like speedup_vs_legacy it is a same-run
-// ratio, so it holds on any machine.
+// above maxETScaling, capped or not. Like speedup_vs_legacy it is a
+// same-run ratio, so it holds on any machine.
 package perf
 
 import (
@@ -75,9 +77,11 @@ type Record struct {
 
 // Scaling is one measured ET-scaling cell.
 type Scaling struct {
-	// Name is "core/<workload>/<model>".
+	// Name is "core/<workload>/<model>", with "/PEs<n>" appended on a
+	// Sim with a PEs cap of n (PEs).
 	Name  string `json:"name"`
 	Model string `json:"model"`
+	PEs   int    `json:"pes,omitempty"`
 	// LoET and HiET are the two ETs compared; LoNs and HiNs their
 	// median event-scheduler ns/op over Rounds alternations.
 	LoET   int     `json:"lo_et"`
@@ -263,21 +267,25 @@ type CoreConfig struct {
 type Legacy func(tr *trace.Trace, sim *ilpsim.Sim) func(ctx context.Context, m ilpsim.Model, et int) (ilpsim.Result, error)
 
 // The ET-scaling cells compare the Figure 5 sweep's smallest and
-// largest ET, over scalingRounds alternations. Compare fails a
-// scalingGated model whose ratio exceeds maxETScaling: the SP family
-// simulates about the same cycles at both ETs, and DEE-CD and DEE-CD-MF
-// fewer at the larger one, so none of them should cost much more there.
-// EE is recorded but not gated.
+// largest ET, over scalingRounds alternations: the scalingModels on
+// each workload's Sim, and the cappedScalingModels on a second Sim of
+// the same trace with a PEs cap of scalingPEs, which sends them to the
+// event kernel. Compare fails a scalingGated model whose ratio exceeds
+// maxETScaling: the SP family simulates about the same cycles at both
+// ETs, and DEE-CD and DEE-CD-MF fewer at the larger one, so none of
+// them should cost much more there. EE is recorded but not gated.
 const (
 	scalingLoET   = 8
 	scalingHiET   = 256
 	scalingRounds = 9
+	scalingPEs    = 4
 	maxETScaling  = 2.0
 )
 
 var (
-	scalingModels = []ilpsim.Model{ilpsim.ModelSP, ilpsim.ModelSPCD, ilpsim.ModelSPCDMF, ilpsim.ModelDEECD, ilpsim.ModelDEECDMF, ilpsim.ModelEE}
-	scalingGated  = []string{ilpsim.ModelSP.String(), ilpsim.ModelSPCD.String(), ilpsim.ModelSPCDMF.String(),
+	scalingModels       = []ilpsim.Model{ilpsim.ModelSP, ilpsim.ModelSPCD, ilpsim.ModelSPCDMF, ilpsim.ModelDEECD, ilpsim.ModelDEECDMF, ilpsim.ModelEE}
+	cappedScalingModels = []ilpsim.Model{ilpsim.ModelSP, ilpsim.ModelDEECDMF}
+	scalingGated        = []string{ilpsim.ModelSP.String(), ilpsim.ModelSPCD.String(), ilpsim.ModelSPCDMF.String(),
 		ilpsim.ModelDEECD.String(), ilpsim.ModelDEECDMF.String()}
 )
 
@@ -344,6 +352,7 @@ type scalingCell struct {
 	workload       string
 	sim            *ilpsim.Sim
 	m              ilpsim.Model
+	pes            int // the Sim's PEs cap
 	lo, hi, ratios []float64
 }
 
@@ -378,8 +387,12 @@ func measureScaling(ctx context.Context, cells []*scalingCell) ([]Scaling, error
 	}
 	out := make([]Scaling, len(cells))
 	for i, c := range cells {
+		name := fmt.Sprintf("core/%s/%s", c.workload, c.m)
+		if c.pes > 0 {
+			name += fmt.Sprintf("/PEs%d", c.pes)
+		}
 		out[i] = Scaling{
-			Name: fmt.Sprintf("core/%s/%s", c.workload, c.m), Model: c.m.String(),
+			Name: name, Model: c.m.String(), PEs: c.pes,
 			LoET: scalingLoET, HiET: scalingHiET, LoNs: median(c.lo), HiNs: median(c.hi),
 			Rounds: scalingRounds, Ratio: median(c.ratios),
 		}
@@ -388,9 +401,10 @@ func measureScaling(ctx context.Context, cells []*scalingCell) ([]Scaling, error
 }
 
 // RunCore measures the ILP core over the configured cells and returns
-// the suite. Each cell is timed on the event scheduler and on the
-// runner legacy binds to the same prepared Sim; the scalingModels are
-// then timed at scalingLoET and scalingHiET on every workload's Sim.
+// the suite. Each cell is timed on RunContext and on the runner legacy
+// binds to the same prepared Sim; the scalingModels are then timed at
+// scalingLoET and scalingHiET on every workload's Sim, and the
+// cappedScalingModels on its PEs-capped twin.
 func RunCore(ctx context.Context, cfg CoreConfig, legacy Legacy) (*Suite, error) {
 	cfg = cfg.withDefaults()
 	suite := &Suite{
@@ -448,6 +462,15 @@ func RunCore(ctx context.Context, cfg CoreConfig, legacy Legacy) (*Suite, error)
 		}
 		for _, m := range scalingModels {
 			scaling = append(scaling, &scalingCell{workload: name, sim: sim, m: m})
+		}
+		opts := ilpsim.DefaultOptions()
+		opts.PEs = scalingPEs
+		capped, err := ilpsim.NewContext(ctx, tr, predictor.NewTwoBit(), opts)
+		if err != nil {
+			return nil, err
+		}
+		for _, m := range cappedScalingModels {
+			scaling = append(scaling, &scalingCell{workload: name, sim: capped, m: m, pes: scalingPEs})
 		}
 	}
 	// Collect the legacy runs' garbage first, so that no collection

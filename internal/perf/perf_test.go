@@ -122,9 +122,10 @@ func TestCompareGatesETScaling(t *testing.T) {
 		{Name: "core/xlisp/SP", Model: "SP", LoET: 8, HiET: 256, Ratio: 2.5},
 		{Name: "core/espresso/DEE-CD-MF", Model: "DEE-CD-MF", LoET: 8, HiET: 256, Ratio: 8.4},
 		{Name: "core/xlisp/EE", Model: "EE", LoET: 8, HiET: 256, Ratio: 9},
+		{Name: "core/cc1/SP/PEs4", Model: "SP", PEs: 4, LoET: 8, HiET: 256, Ratio: 2.1},
 	}
 	err := Compare(sampleSuite(), cur, CompareOpts{})
-	for _, name := range []string{"core/xlisp/SP", "core/espresso/DEE-CD-MF"} {
+	for _, name := range []string{"core/xlisp/SP", "core/espresso/DEE-CD-MF", "core/cc1/SP/PEs4"} {
 		if err == nil || !strings.Contains(err.Error(), name) {
 			t.Fatalf("want ET-scaling failure naming %s, got %v", name, err)
 		}
@@ -134,6 +135,7 @@ func TestCompareGatesETScaling(t *testing.T) {
 	}
 	cur.ETScaling[0].Ratio = 1.9
 	cur.ETScaling[1].Ratio = 1.4
+	cur.ETScaling[3].Ratio = 1.1
 	if err := Compare(sampleSuite(), cur, CompareOpts{}); err != nil {
 		t.Fatalf("ratio under the bound failed: %v", err)
 	}
@@ -181,12 +183,19 @@ func TestRunCoreSmoke(t *testing.T) {
 			t.Fatalf("bad record name %q", r.Name)
 		}
 	}
-	if len(suite.ETScaling) != len(scalingModels) {
-		t.Fatalf("got %d scaling cells, want %d", len(suite.ETScaling), len(scalingModels))
+	if want := len(scalingModels) + len(cappedScalingModels); len(suite.ETScaling) != want {
+		t.Fatalf("got %d scaling cells, want %d", len(suite.ETScaling), want)
 	}
 	for i, c := range suite.ETScaling {
-		m := scalingModels[i].String()
-		if c.Name != "core/compress/"+m || c.Model != m || c.LoET != scalingLoET || c.HiET != scalingHiET ||
+		m, name, pes := "", "", 0
+		if i < len(scalingModels) {
+			m = scalingModels[i].String()
+			name = "core/compress/" + m
+		} else {
+			m = cappedScalingModels[i-len(scalingModels)].String()
+			name, pes = "core/compress/"+m+"/PEs4", scalingPEs
+		}
+		if c.Name != name || c.Model != m || c.PEs != pes || c.LoET != scalingLoET || c.HiET != scalingHiET ||
 			c.Rounds != scalingRounds || c.LoNs <= 0 || c.HiNs <= 0 || c.Ratio <= 0 {
 			t.Fatalf("implausible scaling cell: %+v", c)
 		}

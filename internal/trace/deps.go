@@ -30,43 +30,96 @@ func (t *Trace) DataDeps(strictMem bool) *DataDeps {
 		Rt:  make([]int32, n),
 		Mem: make([]int32, n),
 	}
-	var lastWrite [isa.NumRegs]int32
-	for i := range lastWrite {
-		lastWrite[i] = NoDep
+	ops := make([]Operands, len(t.Prog.Code))
+	for i, in := range t.Prog.Code {
+		ops[i] = OperandsOf(in)
 	}
-	var stores storeTable
-	lastStore := NoDep
-
+	pr := NewProducers(strictMem)
 	for i, din := range t.Ins {
-		in := t.Prog.Code[din.Static]
-		d.Rs[i], d.Rt[i], d.Mem[i] = NoDep, NoDep, NoDep
-		readsRs, readsRt := readsOf(in)
-		if readsRs && in.Rs != isa.Zero {
-			d.Rs[i] = lastWrite[in.Rs]
-		}
-		if readsRt && in.Rt != isa.Zero {
-			d.Rt[i] = lastWrite[in.Rt]
-		}
-
-		switch isa.ClassOf(din.Op) {
-		case isa.ClassLoad:
-			if strictMem {
-				d.Mem[i] = lastStore
-			} else {
-				d.Mem[i] = stores.load(din.MemAddr, memWidth(din.Op))
-			}
-		case isa.ClassStore:
-			if !strictMem {
-				stores.store(din.MemAddr, memWidth(din.Op), int32(i))
-			}
-			lastStore = int32(i)
-		}
-
-		if dst, ok := in.Dst(); ok && dst != isa.Zero {
-			lastWrite[dst] = int32(i)
-		}
+		d.Rs[i], d.Rt[i], d.Mem[i] = pr.Next(ops[din.Static], din.MemAddr, int32(i))
 	}
 	return d
+}
+
+// Operands is what dependence tracking reads of one static instruction:
+// the register slots of its rs and rt operands ($zero when the operand
+// is not read, whose slot never has a producer), the slot it writes
+// (NumRegs, a slot nothing reads, when it writes no register or
+// $zero), and the bytes a load or store accesses (0 for neither).
+type Operands struct {
+	Rs, Rt, Dst isa.Reg
+	Width       uint8
+	Store       bool
+}
+
+// OperandsOf returns the operands of a static instruction.
+func OperandsOf(in isa.Inst) Operands {
+	o := Operands{Dst: isa.NumRegs}
+	readsRs, readsRt := readsOf(in)
+	if readsRs {
+		o.Rs = in.Rs
+	}
+	if readsRt {
+		o.Rt = in.Rt
+	}
+	if dst, ok := in.Dst(); ok && dst != isa.Zero {
+		o.Dst = dst
+	}
+	switch isa.ClassOf(in.Op) {
+	case isa.ClassLoad:
+		o.Width = uint8(memWidth(in.Op))
+	case isa.ClassStore:
+		o.Width, o.Store = uint8(memWidth(in.Op)), true
+	}
+	return o
+}
+
+// Producers finds the minimal flow dependences of a trace one
+// instruction at a time, in trace order: the latest writer of every
+// register and, for loads, the latest store to an overlapping byte (or
+// to any address under strict memory).
+type Producers struct {
+	last      [isa.NumRegs + 1]int32 // latest writer per register slot (see Operands)
+	stores    storeTable
+	lastStore int32
+	strict    bool
+}
+
+// NewProducers returns a tracker at the start of a trace.
+func NewProducers(strictMem bool) *Producers {
+	p := &Producers{lastStore: NoDep, strict: strictMem}
+	for i := range p.last {
+		p.last[i] = NoDep
+	}
+	return p
+}
+
+// Next returns the producers of instruction i's rs and rt operands and
+// of its loaded value (NoDep for each it has none of), then records i
+// as the latest writer of what it writes.
+func (p *Producers) Next(o Operands, addr uint32, i int32) (rs, rt, mem int32) {
+	rs, rt = p.last[o.Rs], p.last[o.Rt]
+	p.last[o.Dst] = i
+	if o.Width == 0 {
+		return rs, rt, NoDep
+	}
+	return rs, rt, p.access(o, addr, i)
+}
+
+// access is Next's memory half: a load's producing store, or a store
+// recorded.
+func (p *Producers) access(o Operands, addr uint32, i int32) int32 {
+	if o.Store {
+		if !p.strict {
+			p.stores.store(addr, uint32(o.Width), i)
+		}
+		p.lastStore = i
+		return NoDep
+	}
+	if p.strict {
+		return p.lastStore
+	}
+	return p.stores.load(addr, uint32(o.Width))
 }
 
 // memWidth is the number of bytes a load or store accesses.

@@ -72,6 +72,34 @@ func TestRecordMatchesAppendOracle(t *testing.T) {
 		if limit > 0 && uint64(len(got.Ins)) != limit {
 			t.Errorf("limit %d: captured %d instructions", limit, len(got.Ins))
 		}
+		st, err := RecordStream(context.Background(), prog, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStream(t, fmt.Sprintf("limit %d: RecordStream", limit), st, want.Ins)
+		checkStream(t, fmt.Sprintf("limit %d: Trace.Stream", limit), got.Stream(), want.Ins)
+	}
+}
+
+// checkStream fails unless st holds exactly ins, in chunks no longer
+// than the capture's, with its length and branch count.
+func checkStream(t *testing.T, label string, st *Stream, ins []DynInst) {
+	t.Helper()
+	var all []DynInst
+	for _, c := range st.Chunks {
+		if len(c) == 0 || len(c) > chunkLen {
+			t.Fatalf("%s: a chunk of %d instructions", label, len(c))
+		}
+		all = append(all, c...)
+	}
+	branches := 0
+	for _, d := range ins {
+		if d.IsBranch() {
+			branches++
+		}
+	}
+	if !slices.Equal(all, ins) || st.Len != len(ins) || st.Branches != branches {
+		t.Fatalf("%s: %d instructions (Len %d, %d branches), want %d (%d branches)", label, len(all), st.Len, st.Branches, len(ins), branches)
 	}
 }
 

@@ -58,13 +58,55 @@ func Record(p *isa.Program, limit uint64) (*Trace, error) {
 // simulator checks ctx every few thousand retired instructions, so a
 // deadline bounds trace capture as well as simulation.
 func RecordContext(ctx context.Context, p *isa.Program, limit uint64) (*Trace, error) {
-	rec := recorder{left: limit}
+	st, err := RecordStream(ctx, p, limit)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{Prog: p, Ins: st.concat()}, nil
+}
+
+// Stream is a dynamic instruction stream as the recorder captures it:
+// fixed-size chunks in trace order, so a long run never regrows (and
+// re-copies) one slice. A consumer that reads the stream once, in
+// order, can take it as it is; RecordContext copies it into one slice.
+type Stream struct {
+	Prog   *isa.Program
+	Chunks [][]DynInst
+	// Len is the number of instructions in all chunks, and Branches the
+	// number of conditional branches among them.
+	Len, Branches int
+}
+
+// chunkLen is the capacity, in instructions, of one capture chunk
+// (640 KiB).
+const chunkLen = 1 << 15
+
+// RecordStream is RecordContext without the copy into one slice: it
+// returns the captured chunks.
+func RecordStream(ctx context.Context, p *isa.Program, limit uint64) (*Stream, error) {
+	st := &Stream{Prog: p}
+	var cur []DynInst // chunk being filled
+	left := limit     // instructions the limit still allows; 0 = unlimited
 	c := cpu.New(p)
 	c.Hook = func(idx int, in isa.Inst, taken bool, next int, memAddr uint32, result uint32) {
-		if len(rec.cur) == cap(rec.cur) {
-			rec.grow()
+		if len(cur) == cap(cur) {
+			// Retire the filled chunk and start one no larger than the
+			// limit still allows. The CPU retires at most limit
+			// instructions, so a limit used up exactly never gets here.
+			if cur != nil {
+				st.Chunks = append(st.Chunks, cur)
+			}
+			size := uint64(chunkLen)
+			if left > 0 {
+				size = min(size, left)
+				left -= size
+			}
+			cur = make([]DynInst, 0, size)
 		}
-		rec.cur = append(rec.cur, DynInst{
+		if isa.IsCondBranch(in.Op) {
+			st.Branches++
+		}
+		cur = append(cur, DynInst{
 			Static:  int32(idx),
 			Op:      in.Op,
 			Taken:   taken,
@@ -79,58 +121,45 @@ func RecordContext(ctx context.Context, p *isa.Program, limit uint64) (*Trace, e
 			return nil, err
 		}
 	}
-	ins := rec.finish()
-	if len(ins) == 0 {
+	if len(cur) > 0 {
+		st.Chunks = append(st.Chunks, cur)
+	}
+	for _, ch := range st.Chunks {
+		st.Len += len(ch)
+	}
+	if st.Len == 0 {
 		return nil, fmt.Errorf("trace: empty trace")
 	}
-	return &Trace{Prog: p, Ins: ins}, nil
+	return st, nil
 }
 
-// chunkLen is the capacity, in instructions, of one capture chunk
-// (640 KiB).
-const chunkLen = 1 << 15
-
-// recorder captures a trace into fixed-size chunks, so a long run never
-// regrows (and re-copies) one slice; finish copies each instruction once
-// into an exactly sized result.
-type recorder struct {
-	full [][]DynInst // filled chunks, in order
-	cur  []DynInst   // chunk being filled
-	// left is the number of instructions the limit still allows; 0 =
-	// unlimited. The CPU retires at most limit instructions, so a limit
-	// used up exactly never reaches grow again.
-	left uint64
-}
-
-// grow retires the filled current chunk and starts a new one, no larger
-// than the limit still allows.
-func (r *recorder) grow() {
-	if r.cur != nil {
-		r.full = append(r.full, r.cur)
+// concat returns the stream's instructions in one slice with cap ==
+// len: the only chunk itself when it is exactly full, otherwise one
+// exact copy.
+func (s *Stream) concat() []DynInst {
+	if len(s.Chunks) == 1 && len(s.Chunks[0]) == cap(s.Chunks[0]) {
+		return s.Chunks[0]
 	}
-	size := uint64(chunkLen)
-	if r.left > 0 {
-		size = min(size, r.left)
-		r.left -= size
-	}
-	r.cur = make([]DynInst, 0, size)
-}
-
-// finish returns the captured instructions with cap == len: the only
-// chunk itself when it is exactly full, otherwise one exact copy.
-func (r *recorder) finish() []DynInst {
-	if len(r.full) == 0 && len(r.cur) == cap(r.cur) {
-		return r.cur
-	}
-	n := len(r.cur)
-	for _, c := range r.full {
-		n += len(c)
-	}
-	ins := make([]DynInst, 0, n)
-	for _, c := range r.full {
+	ins := make([]DynInst, 0, s.Len)
+	for _, c := range s.Chunks {
 		ins = append(ins, c...)
 	}
-	return append(ins, r.cur...)
+	return ins
+}
+
+// Stream returns the trace as a stream over its instructions, in
+// capture-sized chunks that share Ins's storage.
+func (t *Trace) Stream() *Stream {
+	st := &Stream{Prog: t.Prog, Len: len(t.Ins)}
+	for i := 0; i < len(t.Ins); i += chunkLen {
+		st.Chunks = append(st.Chunks, t.Ins[i:min(i+chunkLen, len(t.Ins))])
+	}
+	for _, d := range t.Ins {
+		if d.IsBranch() {
+			st.Branches++
+		}
+	}
+	return st
 }
 
 // Validate checks the trace's referential integrity against its program:
